@@ -23,6 +23,7 @@ from .jsonio import (
     dump_json,
     load_json,
     map_from_dict,
+    matroid_ambient,
     matroid_from_dict,
     matroid_to_dict,
     subspace_to_dict,
@@ -61,7 +62,7 @@ def _emit(payload, fmt: str):
 
 def _load_matroid(path: str, max_subspaces: int):
     d = load_json(path)
-    q, n = int(d["q"]), int(d["n"])
+    q, n = matroid_ambient(d)
     if count_subspaces(q, n) > max_subspaces:
         raise EnumerationCapExceeded(
             f"{count_subspaces(q, n)} subspaces exceed --caps {max_subspaces}")

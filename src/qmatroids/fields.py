@@ -351,9 +351,6 @@ class FieldSpec:
             raise ValueError(f"element index {val} out of range for order {self.order}")
         return FieldElem(self, val)
 
-    def element_from_coeffs(self, cs: Iterable[int]) -> "FieldElem":
-        return FieldElem(self, self.from_coeffs(cs))
-
     @property
     def zero(self) -> "FieldElem":
         return FieldElem(self, 0)

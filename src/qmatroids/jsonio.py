@@ -11,10 +11,11 @@ round-trip byte-identically.
 from __future__ import annotations
 
 import json
-from typing import Dict
+from contextlib import contextmanager
+from typing import Tuple
 
 from .errors import ParseError
-from .fields import FieldSpec, make_field
+from .fields import FieldSpec, ground_field, make_field
 from .maps import LMap, lmap_from_matrix, lmap_from_table
 from .qmatroid import FlatFamily, QMatroid, from_flats, from_matrix, from_rank_table, uniform
 from .subspaces import Mat, Subspace, lattice
@@ -36,10 +37,6 @@ def field_from_dict(d: dict) -> FieldSpec:
 
 def subspace_to_dict(S: Subspace) -> dict:
     return S.to_dict()
-
-
-def subspace_from_dict(d: dict) -> Subspace:
-    return Subspace.from_dict(d)
 
 
 def matroid_to_dict(M: QMatroid, materialize: bool = False) -> dict:
@@ -67,27 +64,72 @@ def matroid_to_dict(M: QMatroid, materialize: bool = False) -> dict:
     return matroid_to_dict(M, materialize=True)
 
 
-def matroid_from_dict(d: dict) -> QMatroid:
+@contextmanager
+def _reading(what: str):
+    """Turn a missing key or a mistyped value met inside the block into a ParseError."""
     try:
-        q, n, kind = int(d["q"]), int(d["n"]), d["kind"]
+        yield
     except (KeyError, TypeError, ValueError) as e:
-        raise ParseError(f"matroid spec missing q/n/kind: {e}")
+        raise ParseError(f"malformed {what}: {e!r}") from None
+
+
+def _check(ok: bool, message: str):
+    if not ok:
+        raise ParseError(message)
+
+
+def _header(d, what: str, sizes):
+    """(kind, q, *sizes) of a spec object, checked: a JSON object, q >= 2, sizes >= 0."""
+    _check(isinstance(d, dict), f"{what} spec must be a JSON object, not {type(d).__name__}")
+    with _reading(f"{what} spec header (kind, q, {', '.join(sizes)})"):
+        kind, q = d["kind"], int(d["q"])
+        dims = [int(d[name]) for name in sizes]
+    _check(q >= 2, f"{what} spec needs q >= 2, got q={q}")
+    for name, size in zip(sizes, dims):
+        _check(size >= 0, f"{what} spec needs {name} >= 0, got {name}={size}")
+    return (kind, q, *dims)
+
+
+def _vectors(rows, q: int, n: int, what: str):
+    """``rows`` as a list of vectors of F_q^n (entries in range(q)), checked."""
+    with _reading(what):
+        rows = [[int(x) for x in row] for row in rows]
+    _check(all(len(r) == n and all(0 <= x < q for x in r) for r in rows),
+           f"{what} must be vectors of F_{q}^{n}")
+    return rows
+
+
+def matroid_ambient(d) -> Tuple[int, int]:
+    """(q, n) of a matroid spec; raises ParseError on a malformed header."""
+    _, q, n = _header(d, "matroid", ("n",))
+    return q, n
+
+
+def matroid_from_dict(d: dict) -> QMatroid:
+    kind, q, n = _header(d, "matroid", ("n",))
     if kind == "uniform":
-        return uniform(q, n, int(d["k"]))
+        with _reading("uniform spec"):
+            k = int(d["k"])
+        return uniform(q, n, k)
     if kind == "matrix":
-        spec = field_from_dict(d["field"])
-        if spec.q != q:
-            raise ParseError(f"field base GF({spec.q}) does not match q={q}")
-        rows = [[spec.from_coeffs(entry) for entry in row] for row in d["rows"]]
+        with _reading("matrix spec"):
+            spec = field_from_dict(d["field"])
+            rows = [[spec.from_coeffs(entry) for entry in row] for row in d["rows"]]
+        _check(spec.q == q, f"field base GF({spec.q}) does not match q={q}")
+        _check(len(rows) > 0 and all(len(row) == n for row in rows),
+               f"matrix spec needs rows of n={n} entries")
         return from_matrix(Mat.from_rows(spec, rows))
     if kind == "rank_table":
-        table: Dict[Subspace, int] = {}
-        for basis, rank in d["table"]:
-            table[Subspace.from_rows(q, n, basis)] = int(rank)
-        return from_rank_table(q, n, table)
+        with _reading("rank_table spec"):
+            entries = [(_vectors(basis, q, n, "basis rows"), int(rank))
+                       for basis, rank in d["table"]]
+        return from_rank_table(q, n, {Subspace.from_rows(q, n, rows): rank
+                                      for rows, rank in entries})
     if kind == "flats":
-        members = [Subspace.from_rows(q, n, basis) for basis in d["members"]]
-        return from_flats(FlatFamily(q, n, members))
+        with _reading("flats spec"):
+            members = [_vectors(basis, q, n, "basis rows") for basis in d["members"]]
+        return from_flats(FlatFamily(q, n, [Subspace.from_rows(q, n, rows)
+                                            for rows in members]))
     raise ParseError(f"unknown matroid kind {kind!r}")
 
 
@@ -101,20 +143,18 @@ def map_to_dict(phi: LMap) -> dict:
 
 
 def map_from_dict(d: dict) -> LMap:
-    try:
-        kind, q = d["kind"], int(d["q"])
-        n1, n2 = int(d["n1"]), int(d["n2"])
-    except (KeyError, TypeError, ValueError) as e:
-        raise ParseError(f"map spec missing kind/q/n1/n2: {e}")
+    kind, q, n1, n2 = _header(d, "map", ("n1", "n2"))
     if kind == "matrix":
-        from .fields import ground_field
-        F = ground_field(q)
-        flat = [x for row in d["rows"] for x in row]
-        return lmap_from_matrix(Mat(F, n1, n2, flat))
+        with _reading("matrix map spec"):
+            rows = _vectors(d["rows"], q, n2, "matrix map rows")
+        _check(len(rows) == n1, f"matrix map needs n1={n1} rows, got {len(rows)}")
+        return lmap_from_matrix(Mat(ground_field(q), n1, n2, [x for row in rows for x in row]))
     if kind == "table":
-        images = [0] + [int(x) for x in d["images"]]
-        if len(images) != q ** n1:
-            raise ParseError(f"table must list the {q ** n1 - 1} nonzero images")
+        with _reading("table map spec"):
+            images = [0] + [int(x) for x in d["images"]]
+        _check(len(images) == q ** n1, f"table must list the {q ** n1 - 1} nonzero images")
+        _check(all(0 <= x < q ** n2 for x in images),
+               f"table images must encode vectors of F_{q}^{n2}")
         return lmap_from_table(q, n1, n2, images)
     raise ParseError(f"unknown map kind {kind!r}")
 
@@ -123,7 +163,7 @@ def load_json(path: str) -> dict:
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:  # ValueError: bad JSON or bad UTF-8
         raise ParseError(f"cannot read {path}: {e}")
 
 

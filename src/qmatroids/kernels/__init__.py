@@ -1,38 +1,13 @@
-"""Kernel backend selection.
+"""Packed GF(2) kernels for the hot loops, implemented in ``_pure``."""
 
-The compiled extension (``_fast``) is used when it has been built; the
-pure-Python module (``_pure``) is the always-available fallback.  Set
-QMATROIDS_PURE_PYTHON=1 to force the fallback, e.g. for benchmarking.
-"""
+from ._pure import (
+    BACKEND,
+    gf2_factor_search,
+    gf2_key,
+    gf2_lmap_violation,
+    gf2_rref,
+    gl2_iso_search,
+)
 
-from __future__ import annotations
-
-import os
-
-from . import _pure
-
-if os.environ.get("QMATROIDS_PURE_PYTHON"):
-    _impl = _pure
-else:
-    try:
-        from . import _fast as _impl  # type: ignore[no-redef]
-    except ImportError:
-        _impl = _pure
-
-BACKEND = _impl.BACKEND
-gf2_rref = _impl.gf2_rref
-gf2_key = _impl.gf2_key
-gf2_lmap_violation = _impl.gf2_lmap_violation
-gf2_factor_search = _impl.gf2_factor_search
-gl2_iso_search = _impl.gl2_iso_search
-
-
-def available_backends():
-    """Names of importable kernel backends (for tests and benchmarks)."""
-    names = ["pure"]
-    try:
-        from . import _fast  # noqa: F401
-        names.append("fast")
-    except ImportError:
-        pass
-    return names
+__all__ = ["BACKEND", "gf2_factor_search", "gf2_key", "gf2_lmap_violation",
+           "gf2_rref", "gl2_iso_search"]

@@ -1,9 +1,7 @@
 """Pure-Python kernels for the GF(2) hot loops.
 
 Rows of GF(2) matrices are packed into machine integers, bit i holding
-column i.  The compiled twin in ``_fast.pyx`` implements the same four
-functions with identical semantics; ``kernels/__init__`` picks whichever
-is available.
+column i.  ``kernels/__init__`` re-exports the public functions.
 """
 
 from __future__ import annotations

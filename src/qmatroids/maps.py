@@ -92,11 +92,6 @@ class LMap:
             inv[w] = v
         return lmap_from_table(self.q, self.n1, self.n2, inv)
 
-    def as_matrix(self) -> Mat:
-        if self.linear_matrix is None:
-            raise ValueError("map is not linear")
-        return self.linear_matrix
-
     def __eq__(self, other):
         return (isinstance(other, LMap)
                 and (self.q, self.n1, self.n2) == (other.q, other.n1, other.n2)

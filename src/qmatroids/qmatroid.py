@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from . import kernels
 from .errors import (
@@ -184,12 +184,6 @@ def check_flat_axioms(fam: FlatFamily, limit: Optional[int] = 10) -> AxiomReport
                     if not room():
                         break
     return AxiomReport(ok=not violations, violations=violations)
-
-
-def flat_f3_holds_at(fam: FlatFamily, F: Subspace, vec: Sequence[int]) -> bool:
-    """Targeted F3 probe: does a unique cover of F in fam contain vec?"""
-    hits = [C for C in fam.covers_of(F) if C.contains_vector(vec)]
-    return len(hits) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -95,11 +95,6 @@ class Mat:
         for i in range(self.rows):
             yield self.row(i)
 
-    def transpose(self) -> "Mat":
-        e = [self.entries[r * self.cols + c]
-             for c in range(self.cols) for r in range(self.rows)]
-        return Mat(self.spec, self.cols, self.rows, e)
-
     def mul(self, other: "Mat") -> "Mat":
         if self.spec != other.spec:
             raise AmbientMismatch("matrix fields differ")
@@ -500,14 +495,6 @@ class SubspaceLattice:
             self.vec_masks.append(mask)
         self._mask_to_id = {m: i for i, m in enumerate(self.vec_masks)}
         self.one_ids = [i for i, d in enumerate(self.dims) if d == 1]
-        self.onespace_by_vec = {}
-        for i in self.one_ids:
-            m = self.vec_masks[i]
-            b = m & ~1
-            while b:
-                low = b & -b
-                self.onespace_by_vec[low.bit_length() - 1] = i
-                b ^= low
         self._join = {}
         self._sub_masks = None
 
@@ -553,30 +540,6 @@ class SubspaceLattice:
                 masks.append(acc)
             self._sub_masks = masks
         return self._sub_masks
-
-    def one_ids_below(self, i: int):
-        mask = self.vec_masks[i]
-        seen = set()
-        out = []
-        b = mask & ~1
-        while b:
-            low = b & -b
-            oid = self.onespace_by_vec[low.bit_length() - 1]
-            if oid not in seen:
-                seen.add(oid)
-                out.append(oid)
-            b ^= low
-        return sorted(out)
-
-    def vectors_of(self, i: int):
-        """Encoded vectors of space i (including 0)."""
-        out = []
-        b = self.vec_masks[i]
-        while b:
-            low = b & -b
-            out.append(low.bit_length() - 1)
-            b ^= low
-        return out
 
 
 @lru_cache(maxsize=None)

@@ -211,6 +211,21 @@ class TestSelftest:
         assert "selftest passed" in out
 
 
+@pytest.mark.parametrize("command, doc", [
+    ("build", {"q": 1, "n": 2, "kind": "uniform", "k": 1}),
+    ("build", [1, 2]),
+    ("build", {"q": 2, "n": 2, "kind": "uniform"}),
+    ("map", {"kind": "matrix", "q": 2, "n1": 2, "n2": 2, "rows": [[1, 0]]}),
+], ids=["q=1", "top-level list", "uniform without k", "rows short of n1 x n2"])
+def test_malformed_spec_exit_2(command, doc, tmp_path, uniform_spec, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    args = ([command, str(bad)] if command == "build"
+            else [command, str(bad), uniform_spec, uniform_spec])
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith("parse error: ")
+
+
 def test_usage_error_exit_2(capsys):
     assert main(["no-such-command"]) == 2
     assert main([]) == 2

@@ -1,22 +1,27 @@
-"""Backend selection and pure/compiled kernel equivalence."""
+"""GF(2) kernels, each checked against an independent exhaustive reference."""
 
-import os
+import itertools
 import random
-import subprocess
-import sys
 
 import pytest
 
-import qmatroids
-from qmatroids import kernels
+from qmatroids import (
+    Mat,
+    Subspace,
+    ground_field,
+    is_isomorphic,
+    kernels,
+    lattice,
+    lmap_from_matrix,
+    pushforward,
+)
 from qmatroids.kernels import _pure
-
-fast = pytest.importorskip("qmatroids.kernels._fast") \
-    if "fast" in kernels.available_backends() else None
+from qmatroids.qmatroid import _gl_search_generic
+from qmatroids.repro import blockdiag_matroid
 
 
 def test_active_backend_is_known():
-    assert kernels.BACKEND in kernels.available_backends()
+    assert kernels.BACKEND == "pure"
 
 
 def test_pure_rref_canonical():
@@ -47,127 +52,161 @@ def test_pure_factor_search_unsatisfiable():
     assert sol is None and nodes == 0
 
 
-needs_fast = pytest.mark.skipif(fast is None, reason="compiled kernels not built")
+# ---------------------------------------------------------------------------
+# exhaustive references
+
+def _span(rows):
+    """Every XOR combination of ``rows``."""
+    span = {0}
+    for r in rows:
+        span |= {s ^ r for s in span}
+    return span
 
 
-@needs_fast
-def test_rref_equivalence():
+def _xor_closed(values):
+    s = set(values)
+    return all(x ^ y in s for x in s for y in s)
+
+
+def _two_spaces(dim):
+    """Nonzero triples (a, b, a^b) with a < b < a^b, in (a, b) order."""
+    size = 1 << dim
+    return [(a, b, a ^ b) for a in range(1, size) for b in range(a + 1, size)
+            if a ^ b > b]
+
+
+def _violations(table, dim):
+    """The 2-spaces whose image set, with 0, is not XOR-closed."""
+    return [t for t in _two_spaces(dim)
+            if not _xor_closed([0] + [table[v] for v in t])]
+
+
+def test_rref_against_span():
     rng = random.Random(1)
     for _ in range(800):
         n = rng.randint(1, 10)
         rows = [rng.randrange(1 << n) for _ in range(rng.randint(0, n + 2))]
-        assert _pure.gf2_rref(rows, n) == fast.gf2_rref(list(rows), n)
+        red, rank = _pure.gf2_rref(rows, n)
+        assert _span(red) == _span(rows)
+        assert rank == len(red) and len(_span(rows)) == 1 << rank
+        # canonical: nonzero rows in increasing pivot order, each pivot
+        # (lowest set bit) cleared from every other row
+        pivots = [r & -r for r in red]
+        assert all(pivots) and pivots == sorted(set(pivots))
+        assert all(not (other & p) for p, r in zip(pivots, red)
+                   for other in red if other != r)
+        # unique: the same span from shuffled, redundant rows reduces alike
+        again = rows + [rows[0] ^ rows[-1]] if rows else []
+        rng.shuffle(again)
+        assert _pure.gf2_rref(again, n) == (red, rank)
 
 
-@needs_fast
-def test_key_equivalence():
+def test_key_against_decoding():
     rng = random.Random(2)
+    keys = {}
     for _ in range(200):
         n = rng.randint(1, 6)
         rows, rank = _pure.gf2_rref(
             [rng.randrange(1 << n) for _ in range(n)], n)
-        assert _pure.gf2_key(rows, n) == fast.gf2_key(rows, n)
+        key = _pure.gf2_key(rows, n)
+        decoded = [(key >> (i * n)) & ((1 << n) - 1) for i in range(rank)]
+        assert decoded == rows and key >> (rank * n) == 0
+        space = (n, frozenset(_span(rows)))
+        # equal keys exactly for equal spaces of the same ambient
+        assert keys.setdefault((n, key), space) == space
+    assert len(set(keys.values())) == len(keys)
 
 
-@needs_fast
-def test_lmap_violation_equivalence():
+def test_lmap_violation_against_closure():
     rng = random.Random(3)
+    outcomes = set()
     for _ in range(400):
         dn = rng.randint(2, 4)
         table = [0] + [rng.randrange(16) for _ in range((1 << dn) - 1)]
-        assert (_pure.gf2_lmap_violation(table, dn)
-                == fast.gf2_lmap_violation(table, dn))
+        bad = _violations(table, dn)
+        got = _pure.gf2_lmap_violation(table, dn)
+        assert got == (bad[0] if bad else None)
+        outcomes.add(got is None)
+    assert outcomes == {True, False}
 
 
-@needs_fast
-def test_factor_search_equivalence():
+def test_factor_search_against_enumeration():
     rng = random.Random(4)
+    outcomes = set()
     for _ in range(150):
-        fixed = [0] + [rng.choice([-1, rng.randrange(8)]) for _ in range(15)]
-        order = [i for i in range(16) if fixed[i] < 0]
-        got_p = _pure.gf2_factor_search(fixed, 4, order, list(range(8)))
-        got_f = fast.gf2_factor_search(fixed, 4, order, list(range(8)))
-        assert got_p == got_f
+        dn = rng.randint(2, 3)
+        size = 1 << dn
+        if rng.random() < 0.5:
+            # the table of a linear map F_2^dn -> F_2^3: always completable
+            images = [rng.randrange(8) for _ in range(dn)]
+            full = [0] * size
+            for v in range(size):
+                for i in range(dn):
+                    if v >> i & 1:
+                        full[v] ^= images[i]
+        else:
+            full = [0] + [rng.randrange(8) for _ in range(size - 1)]
+        order = rng.sample(range(1, size), rng.randint(0, min(3, size - 1)))
+        fixed = [-1 if v in order else full[v] for v in range(size)]
+        value_order = rng.sample(range(8), 8)
+        table, nodes = _pure.gf2_factor_search(fixed, dn, order, value_order)
+        # the first valid completion when slots are filled in ``order`` and
+        # values are tried in ``value_order``
+        want = None
+        for values in itertools.product(value_order, repeat=len(order)):
+            cand = list(fixed)
+            for v, x in zip(order, values):
+                cand[v] = x
+            if not _violations(cand, dn):
+                want = cand
+                break
+        assert table == want
+        assert nodes <= sum(8 ** d for d in range(1, len(order) + 1))
+        if want is not None:
+            assert nodes >= len(order)
+        outcomes.add(want is None)
+    assert outcomes == {True, False}
 
 
-@needs_fast
-def test_gl_search_equivalence():
-    from qmatroids import lattice
-    from qmatroids.repro import blockdiag_matroid
-
-    n = 4
-    lat = lattice(2, n)
-    N1 = blockdiag_matroid(2, 4, 1)
-    N2 = blockdiag_matroid(2, 4, 2)
-    rv1 = N1.rank_vector()
-    rv2 = N2.rank_vector()
+def _generic_scan(M1, M2, prune):
+    """qmatroid's q-generic GL scan on the inputs ``is_isomorphic`` prepares."""
+    q, n = M1.ambient()
+    lat = lattice(q, n)
+    rv1, rv2 = M1.rank_vector(), M2.rank_vector()
+    flag = [rv1[lat.id_of(Subspace.from_rows(
+        q, n, [[int(c == r) for c in range(n)] for r in range(j)]))]
+        for j in range(1, n + 1)]
     order = sorted(range(lat.size),
                    key=lambda i: (0 if rv1[i] < lat.dims[i] else 1, lat.dims[i], i))
-    space_rows = []
-    for i in order:
-        rows = [sum(b << c for c, b in enumerate(row))
-                for row in lat.spaces[i].basis]
-        space_rows.extend(rows + [0] * (n - len(rows)))
-    dims = [lat.dims[i] for i in order]
-    ranks1 = [rv1[i] for i in order]
-    by_key = [-1] * (1 << (n * n))
-    for i in range(lat.size):
-        packed = [sum(b << c for c, b in enumerate(row))
-                  for row in lat.spaces[i].basis]
-        by_key[_pure.gf2_key(packed, n)] = rv2[i]
-    flag = []
-    from qmatroids import Subspace
-    for j in range(1, n + 1):
-        rows = tuple(tuple(1 if c == r else 0 for c in range(n)) for r in range(j))
-        flag.append(rv1[lat.id_of(Subspace(2, n, rows))])
-    for prune in (False, True):
-        got_p = _pure.gl2_iso_search(n, space_rows, dims, ranks1, by_key,
-                                     flag, prune)
-        got_f = fast.gl2_iso_search(n, space_rows, dims, ranks1, by_key,
-                                    flag, prune)
-        assert got_p == got_f
-        assert got_p[0] is None
-    # positive case: N2 against itself finds a witness with matching counts
-    ranks_self = [rv2[i] for i in order]
-    by_key_self = by_key
-    flag_self = []
-    for j in range(1, n + 1):
-        rows = tuple(tuple(1 if c == r else 0 for c in range(n)) for r in range(j))
-        flag_self.append(rv2[lat.id_of(Subspace(2, n, rows))])
-    got_p = _pure.gl2_iso_search(n, space_rows, dims, ranks_self, by_key_self,
-                                 flag_self, True)
-    got_f = fast.gl2_iso_search(n, space_rows, dims, ranks_self, by_key_self,
-                                flag_self, True)
-    assert got_p == got_f and got_p[0] is not None
+    counters = [0, 0]
+    rows = _gl_search_generic(q, n, lat, rv1, rv2, flag, prune, order, counters)
+    return rows, counters[0], counters[1]
 
 
-def _child_backend(cwd, pure):
-    """Import qmatroids in a fresh interpreter; return (BACKEND, __file__).
-
-    The child inherits this process's environment, with the directory of
-    the ``qmatroids`` imported here first on PYTHONPATH, so it imports the
-    same source tree whether or not the package is installed.
-    """
-    env = dict(os.environ)
-    env.pop("QMATROIDS_PURE_PYTHON", None)
-    if pure:
-        env["QMATROIDS_PURE_PYTHON"] = "1"
-    root = os.path.dirname(os.path.dirname(os.path.abspath(qmatroids.__file__)))
-    inherited = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = root + (os.pathsep + inherited if inherited else "")
-    code = ("import os, qmatroids, qmatroids.kernels as k; "
-            "print(k.BACKEND); print(os.path.abspath(qmatroids.__file__))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd,
-                         capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr
-    return out.stdout.splitlines()
+# an invertible 4x4 matrix over GF(2) that moves every standard flag space
+SHEAR = [0, 1, 1, 0, 1, 0, 0, 1, 0, 0, 1, 1, 1, 1, 0, 1]
 
 
-def test_env_override_forces_pure(tmp_path):
-    here = os.path.abspath(qmatroids.__file__)
-    backend, path = _child_backend(tmp_path, pure=False)
-    assert path == here
-    assert backend == kernels.available_backends()[-1]
-    backend, path = _child_backend(tmp_path, pure=True)
-    assert path == here
-    assert backend == "pure"
+@pytest.mark.parametrize("a, b, moved, prune, leaves, nodes", [
+    (1, 2, False, False, 20160, 22905),
+    (1, 2, False, True, 1152, 1521),
+    (1, 1, False, False, 1, 4),
+    (2, 2, False, True, 1, 4),
+    (1, 1, True, False, 1976, 2246),
+    (1, 1, True, True, 56, 86),
+    (2, 2, True, False, 7438, 8452),
+    (2, 2, True, True, 46, 136),
+])
+def test_gl_search_against_generic_scan(a, b, moved, prune, leaves, nodes):
+    # N^(a) against N^(b) over F_2^4, or against its image under SHEAR;
+    # is_isomorphic runs gl2_iso_search at q = 2
+    M1, M2 = blockdiag_matroid(2, 4, a), blockdiag_matroid(2, 4, b)
+    if moved:
+        M2 = pushforward(M2, lmap_from_matrix(Mat(ground_field(2), 4, 4, SHEAR)))
+    stats = {}
+    witness = is_isomorphic(M1, M2, prune=prune, stats=stats)
+    rows = (None if witness is None else
+            [list(witness.linear_matrix.row(i)) for i in range(4)])
+    assert (rows, stats["leaves"], stats["nodes"]) == _generic_scan(M1, M2, prune)
+    assert (stats["leaves"], stats["nodes"]) == (leaves, nodes)
+    assert (rows is None) == (a != b)
