@@ -3,8 +3,9 @@
 The rank function of a direct sum is the submodular completion of
 rho'_1 + rho'_2, where rho'_i pulls the summand rank back through the
 coordinate projection.  The completion minimizes tau(X) + dim V - dim X
-over the subspaces X of V; monotonicity of tau lets whole dimension
-classes be skipped once they cannot beat the incumbent.
+over the subspaces X of V.  It is computed up the lattice by the cover
+recursion rank(V) = min(tau(V), 1 + min rank(W) over the hyperplanes W
+of V), which is exact for any integer tau.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .maps import (
     pi_maps,
 )
 from .qmatroid import QMatroid, from_function, is_isomorphic
-from .subspaces import Mat, Subspace, lattice
+from .subspaces import Mat, Subspace, lattice, mask_ids
 
 
 MATERIALIZE_LIMIT = 10 ** 5
@@ -49,38 +50,26 @@ def submodular_completion(q: int, n: int, tau: Callable[[Subspace], int],
     if validate:
         subs = lat.sub_masks
         for i in range(lat.size):
-            m = subs[i] & ~(1 << i)
-            while m:
-                low = m & -m
-                j = low.bit_length() - 1
+            for j in mask_ids(subs[i] & ~(1 << i)):
                 if tv[j] > tv[i]:
                     raise TauNotMonotone((lat.spaces[j], lat.spaces[i]))
-                m ^= low
         for i in range(lat.size):
             for j in range(i + 1, lat.size):
                 if tv[lat.join_id(i, j)] + tv[lat.meet_id(i, j)] > tv[i] + tv[j]:
                     raise TauNotSubmodular((lat.spaces[i], lat.spaces[j]))
 
+    # rank(V) = min(tau(V), 1 + min rank(W) over the hyperplanes W of V):
+    # every X < V lies in a hyperplane of V; ids ascend with dimension
     subs = lat.sub_masks
-    dims = lat.dims
-    values = [0] * lat.size
-    # subspace ids of each dimension, ascending
-    by_dim: List[List[int]] = [[] for _ in range(n + 1)]
+    values = []
     for i in range(lat.size):
-        by_dim[dims[i]].append(i)
-    for i in range(lat.size):
-        dv = dims[i]
-        best = tv[i]  # X = V
-        mask = subs[i]
-        for d in range(dv):
-            if dv - d >= best:
-                continue  # tau >= 0: this dimension class cannot win
-            for x in by_dim[d]:
-                if (mask >> x) & 1:
-                    cand = tv[x] + dv - d
-                    if cand < best:
-                        best = cand
-        values[i] = best
+        best = tv[i]
+        d = lat.dims[i]
+        if d:
+            for w in mask_ids(subs[i] & lat.layer_masks[d - 1]):
+                if values[w] < best - 1:
+                    best = values[w] + 1
+        values.append(best)
     table = {S: values[i] for i, S in enumerate(lat.spaces)}
     M = from_function(q, n, lambda V: table[V], kind="completion")
     if lat.size <= MATERIALIZE_LIMIT:

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from math import isqrt
+from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import (
     DivisionByZero,
@@ -541,22 +542,28 @@ def _default_prime_poly_over_base(p, k, base):
     return (probe.base_neg(1), 1)  # q = 2
 
 
+def prime_power(q: int) -> Optional[Tuple[int, int]]:
+    """(p, k) with q = p^k for a prime p, or None if q is not a prime power.
+
+    Trial division: about sqrt(q) steps when q is prime.
+    """
+    if q < 2:
+        return None
+    p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
+    k = 0
+    while q % p == 0:
+        q //= p
+        k += 1
+    return (p, k) if q == 1 else None
+
+
 @lru_cache(maxsize=None)
 def ground_field(q: int) -> FieldSpec:
     """GF(q) with m = 1, for ground-space scalar arithmetic."""
-    p = 2
-    while p <= q:
-        if q % p == 0:
-            k = 0
-            t = q
-            while t % p == 0:
-                t //= p
-                k += 1
-            if t != 1:
-                raise NonPrimeCharacteristic(f"q={q} is not a prime power")
-            return make_field(p, k, 1)
-        p += 1
-    raise NonPrimeCharacteristic(f"q={q} is not a prime power")
+    pk = prime_power(q)
+    if pk is None:
+        raise NonPrimeCharacteristic(f"q={q} is not a prime power")
+    return make_field(pk[0], pk[1], 1)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from contextlib import contextmanager
 from typing import Tuple
 
 from .errors import ParseError
-from .fields import FieldSpec, ground_field, make_field
+from .fields import MAX_FIELD_ORDER, FieldSpec, ground_field, make_field, prime_power
 from .maps import LMap, lmap_from_matrix, lmap_from_table
 from .qmatroid import FlatFamily, QMatroid, from_flats, from_matrix, from_rank_table, uniform
 from .subspaces import Mat, Subspace, lattice
@@ -79,12 +79,17 @@ def _check(ok: bool, message: str):
 
 
 def _header(d, what: str, sizes):
-    """(kind, q, *sizes) of a spec object, checked: a JSON object, q >= 2, sizes >= 0."""
+    """(kind, q, *sizes) of a spec object, checked: a JSON object, q a
+    prime power, sizes >= 0."""
     _check(isinstance(d, dict), f"{what} spec must be a JSON object, not {type(d).__name__}")
     with _reading(f"{what} spec header (kind, q, {', '.join(sizes)})"):
         kind, q = d["kind"], int(d["q"])
         dims = [int(d[name]) for name in sizes]
     _check(q >= 2, f"{what} spec needs q >= 2, got q={q}")
+    # not factored above MAX_FIELD_ORDER: no such field is ever built, and
+    # q^n exceeds the vector cap for every n >= 1
+    _check(q > MAX_FIELD_ORDER or prime_power(q) is not None,
+           f"{what} spec needs q to be a prime power, got q={q}")
     for name, size in zip(sizes, dims):
         _check(size >= 0, f"{what} spec needs {name} >= 0, got {name}={size}")
     return (kind, q, *dims)

@@ -146,8 +146,8 @@ def gl2_iso_search(n, space_rows, space_dims, ranks1, rank2_by_key,
     space_rows: flat list, subspace i occupies entries [i*n, (i+1)*n) as
         packed RREF rows padded with zeros; space_dims its dimensions;
         ranks1 the source matroid ranks in the same order.
-    rank2_by_key: target ranks indexed by gf2_key of a canonical basis,
-        -1 on non-canonical keys.
+    rank2_by_key: target ranks keyed by the gf2_key of the canonical
+        basis of every subspace of F_2^n.
     flag_ranks1: ranks1 of <e_1..e_j> for j = 1..n, used for flag pruning.
 
     Returns (rows_or_None, leaves, nodes): rows is a witness matrix (row i

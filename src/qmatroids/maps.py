@@ -71,9 +71,23 @@ class LMap:
         return self.table[code]
 
     def image_of(self, V: Subspace) -> Subspace:
-        """The image set of V, as a canonical subspace of the codomain."""
+        """The image set of V, as a canonical subspace of the codomain.
+
+        A (semi)linear map v -> sigma(v) A sends V onto the span of the
+        images of its basis rows; other maps are applied to every vector.
+        """
         if (V.q, V.n) != (self.q, self.n1):
             raise AmbientMismatch("subspace does not live in the domain")
+        A = (self.linear_matrix if self.linear_matrix is not None
+             else self.semilinear_matrix)
+        if A is not None:
+            F = A.spec
+            rows = V.basis
+            if self.automorphism:
+                rows = [tuple(F.base_frobenius(x, self.automorphism) for x in row)
+                        for row in rows]
+            return Subspace.from_rows(self.q, self.n2,
+                                      [_apply_matrix(row, A, F) for row in rows])
         codes = {self.table[encode_vector(v, self.q)] for v in V.vectors()}
         rows = [decode_vector(c, self.q, self.n2) for c in codes if c]
         return Subspace.from_rows(self.q, self.n2, rows)

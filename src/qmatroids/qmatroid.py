@@ -30,6 +30,7 @@ from .subspaces import (
     Subspace,
     decode_vector,
     lattice,
+    mask_ids,
     quotient_map,
     rref,
     vec_add,
@@ -457,16 +458,12 @@ def check_rank_axioms(M: QMatroid, limit: Optional[int] = 10) -> AxiomReport:
     for i in range(lat.size):
         if not room():
             break
-        m = subs[i] & ~(1 << i)
-        while m:
-            low = m & -m
-            j = low.bit_length() - 1
+        for j in mask_ids(subs[i] & ~(1 << i)):
             if rv[j] > rv[i]:
                 violations.append(("R2", (lat.spaces[j], lat.spaces[i]),
                                    (rv[j], rv[i])))
                 if not room():
                     break
-            m ^= low
     for i in range(lat.size):
         if not room():
             break
@@ -531,7 +528,7 @@ def is_isomorphic(M1: QMatroid, M2: QMatroid, mode: str = "linear",
             space_rows.extend(rows)
         dims = [lat.dims[i] for i in order]
         ranks1 = [rv1[i] for i in order]
-        rank2_by_key = [-1] * (1 << (n * n))
+        rank2_by_key = {}
         for i in range(lat.size):
             packed = [sum(b << c for c, b in enumerate(row))
                       for row in lat.spaces[i].basis]

@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, List, Optional, Sequence
 
 from . import kernels
 from .errors import AmbientMismatch, EnumerationCapExceeded
@@ -257,12 +257,12 @@ class Subspace:
     def vectors(self) -> Iterator[tuple]:
         """All q^dim vectors, in coefficient-lexicographic order."""
         F = ground_field(self.q)
-        for coeffs in itertools.product(range(self.q), repeat=self.dim):
-            v = (0,) * self.n
-            for c, row in zip(coeffs, self.basis):
-                if c:
-                    v = vec_add(v, vec_scale(c, row, F), F)
-            yield v
+        out = [(0,) * self.n]
+        # prefixing the multiples of each earlier row keeps the order
+        for row in reversed(self.basis):
+            multiples = [vec_scale(c, row, F) for c in range(1, self.q)]
+            out += [vec_add(m, v, F) for m in multiples for v in out]
+        return iter(out)
 
     def coordinates_of(self, vec: Sequence[int]):
         """Coefficients of vec in this basis; None if vec lies outside."""
@@ -473,9 +473,17 @@ def quotient_map(X: Subspace):
 class SubspaceLattice:
     """Materialized subspace lattice of F_q^n with structure tables.
 
-    Spaces are indexed in enumeration order.  Meets are mask
-    intersections; joins are cached RREF computations.  All tables are
-    built once and never mutated afterwards.
+    Spaces are indexed in enumeration order, so ids ascend with
+    dimension.  The order is held in two bitmask tables: ``vec_masks[i]``
+    has bit v set for each encoded vector v of space i, and
+    ``up_masks[i]`` has bit j set for each space j containing space i.
+    Meets are vector-mask intersections.  Joins come from the up-set
+    masks: the spaces containing both i and j are the up-set of their
+    join, which is the one of least dimension and hence the lowest id in
+    ``up_masks[i] & up_masks[j]``.  ``sub_masks``, the transpose of
+    ``up_masks``, is built on first use from the covers, and
+    ``layer_masks[d]`` holds the ids of dimension d.  No table changes
+    once built.
     """
 
     def __init__(self, q: int, n: int, caps: Caps = DEFAULT_CAPS):
@@ -487,15 +495,28 @@ class SubspaceLattice:
         self.size = len(self.spaces)
         self.zero_id = self.index[Subspace.zero(q, n)]
         self.full_id = self.index[Subspace.full(q, n)]
+        # holders[v]: bitmask of the ids of the spaces holding vector v
+        holders = [0] * (q ** n)
         self.vec_masks = []
-        for S in self.spaces:
+        for i, S in enumerate(self.spaces):
+            bit = 1 << i
             mask = 0
-            for v in S.vectors():
-                mask |= 1 << encode_vector(v, q)
+            for v in _vector_codes(S):
+                mask |= 1 << v
+                holders[v] |= bit
             self.vec_masks.append(mask)
         self._mask_to_id = {m: i for i, m in enumerate(self.vec_masks)}
+        everything = (1 << self.size) - 1
+        self.up_masks = []
+        for S in self.spaces:
+            up = everything
+            for row in S.basis:
+                up &= holders[encode_vector(row, q)]
+            self.up_masks.append(up)
+        self.layer_masks = [0] * (n + 1)  # ids of each dimension
+        for i, d in enumerate(self.dims):
+            self.layer_masks[d] |= 1 << i
         self.one_ids = [i for i, d in enumerate(self.dims) if d == 1]
-        self._join = {}
         self._sub_masks = None
 
     def id_of(self, S: Subspace) -> int:
@@ -513,33 +534,48 @@ class SubspaceLattice:
         return self._mask_to_id[self.vec_masks[i] & self.vec_masks[j]]
 
     def join_id(self, i: int, j: int) -> int:
-        if i == j:
-            return i
-        if i > j:
-            i, j = j, i
-        key = i * self.size + j
-        got = self._join.get(key)
-        if got is None:
-            S = join(self.spaces[i], self.spaces[j])
-            got = self.index[S]
-            self._join[key] = got
-        return got
+        common = self.up_masks[i] & self.up_masks[j]
+        return (common & -common).bit_length() - 1
 
     @property
     def sub_masks(self):
         """sub_masks[i] = bitmask over ids j with space_j <= space_i."""
         if self._sub_masks is None:
+            # the subspaces of a space are itself and those of its
+            # hyperplanes (the spaces it covers), whose ids are lower
+            hyperplanes = [[] for _ in range(self.size)]
+            for j, up in enumerate(self.up_masks):
+                d = self.dims[j]
+                if d < self.n:
+                    for i in mask_ids(up & self.layer_masks[d + 1]):
+                        hyperplanes[i].append(j)
             masks = []
-            vm = self.vec_masks
-            for i in range(self.size):
-                mi = vm[i]
-                acc = 0
-                for j in range(self.size):
-                    if mi & vm[j] == vm[j]:
-                        acc |= 1 << j
-                masks.append(acc)
+            for i, below in enumerate(hyperplanes):
+                mask = 1 << i
+                for j in below:
+                    mask |= masks[j]
+                masks.append(mask)
             self._sub_masks = masks
         return self._sub_masks
+
+
+def mask_ids(mask: int) -> Iterator[int]:
+    """The positions of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _vector_codes(S: Subspace) -> List[int]:
+    """Encoded vectors of S; at q = 2 the XOR span of its packed rows."""
+    if S.q != 2:
+        return [encode_vector(v, S.q) for v in S.vectors()]
+    codes = [0]
+    for row in S.basis:
+        r = _pack(row)
+        codes += [c ^ r for c in codes]
+    return codes
 
 
 @lru_cache(maxsize=None)

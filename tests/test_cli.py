@@ -1,8 +1,12 @@
 """CLI subcommands, JSON round-trips, DOT emission and exit codes."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmatroids import lattice, uniform
 from qmatroids.cli import main
@@ -216,7 +220,11 @@ class TestSelftest:
     ("build", [1, 2]),
     ("build", {"q": 2, "n": 2, "kind": "uniform"}),
     ("map", {"kind": "matrix", "q": 2, "n1": 2, "n2": 2, "rows": [[1, 0]]}),
-], ids=["q=1", "top-level list", "uniform without k", "rows short of n1 x n2"])
+    ("build", {"q": 6, "n": 2, "kind": "uniform", "k": 1}),
+    ("map", {"kind": "matrix", "q": 6, "n1": 1, "n2": 1, "rows": [[1]]}),
+    ("map", {"kind": "table", "q": 12, "n1": 1, "n2": 1, "images": list(range(1, 12))}),
+], ids=["q=1", "top-level list", "uniform without k", "rows short of n1 x n2",
+        "q=6 matroid", "q=6 matrix map", "q=12 table map"])
 def test_malformed_spec_exit_2(command, doc, tmp_path, uniform_spec, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
@@ -229,3 +237,86 @@ def test_malformed_spec_exit_2(command, doc, tmp_path, uniform_spec, capsys):
 def test_usage_error_exit_2(capsys):
     assert main(["no-such-command"]) == 2
     assert main([]) == 2
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the JSON boundary: valid specs, specs with one key replaced,
+# dropped or added, and documents that are not objects at all
+
+FUZZ_JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=3),
+                      st.floats(allow_nan=False, allow_infinity=False, width=16),
+                      st.dictionaries(st.sampled_from(["p", "k", "m"]), st.integers(-1, 5),
+                                      max_size=3))
+FUZZ_VALUES = st.one_of(st.integers(-2, 13), FUZZ_JUNK,
+                        st.lists(st.one_of(st.integers(-1, 4), st.lists(st.integers(-1, 4),
+                                                                        max_size=4)),
+                                 max_size=5))
+FUZZ_KEYS = ["q", "n", "n1", "n2", "kind", "k", "rows", "field", "table", "members",
+             "images", "base_modulus", "ext_modulus"]
+
+
+def _matroid_bases():
+    from qmatroids import make_field
+    from qmatroids.jsonio import field_to_dict
+    matrix = {"q": 2, "n": 3, "kind": "matrix", "field": field_to_dict(make_field(2, 1, 2)),
+              "rows": [[[1, 0], [0, 1], [1, 1]]]}
+    return [{"q": 2, "n": 3, "kind": "uniform", "k": 1},
+            {"q": 3, "n": 2, "kind": "uniform", "k": 2},
+            {"q": 4, "n": 2, "kind": "uniform", "k": 1},
+            matrix,
+            matroid_to_dict(uniform(2, 2, 1), materialize=True),
+            matroid_to_dict(uniform(3, 2, 1), materialize=True),
+            {"q": 2, "n": 2, "kind": "flats", "members": [[], [[1, 1]], [[1, 0], [0, 1]]]}]
+
+
+FUZZ_MAPS = [
+    ({"kind": "matrix", "q": 2, "n1": 2, "n2": 3, "rows": [[1, 0, 1], [0, 1, 1]]}, 2, 2, 3),
+    ({"kind": "matrix", "q": 3, "n1": 2, "n2": 2, "rows": [[2, 0], [1, 1]]}, 3, 2, 2),
+    ({"kind": "table", "q": 2, "n1": 2, "n2": 2, "images": [3, 3, 3]}, 2, 2, 2),
+    ({"kind": "table", "q": 2, "n1": 2, "n2": 2, "images": [1, 2, 0]}, 2, 2, 2),
+]
+
+
+@st.composite
+def fuzzed(draw, bases):
+    spec = dict(draw(st.sampled_from(bases)))
+    action = draw(st.sampled_from(["keep", "replace", "drop", "not an object"]))
+    if action == "not an object":
+        return draw(FUZZ_VALUES)
+    if action != "keep":
+        key = draw(st.sampled_from(FUZZ_KEYS))
+        if action == "drop":
+            spec.pop(key, None)
+        else:
+            spec[key] = draw(FUZZ_VALUES)
+    return spec
+
+
+def _run_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    return code
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(fuzzed(_matroid_bases()))
+def test_fuzzed_matroid_spec_exit_codes(tmp_path_factory, spec):
+    path = tmp_path_factory.getbasetemp() / "fuzz_matroid.json"
+    path.write_text(json.dumps(spec))
+    _run_cli(["build", str(path)])
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.sampled_from(FUZZ_MAPS).flatmap(
+    lambda base: st.tuples(fuzzed([base[0]]), st.just(base[1:]))))
+def test_fuzzed_map_spec_exit_codes(tmp_path_factory, case):
+    spec, (q, n1, n2) = case
+    root = tmp_path_factory.getbasetemp()
+    paths = [root / name for name in ("fuzz_map.json", "fuzz_m1.json", "fuzz_m2.json")]
+    for path, doc in zip(paths, (spec, {"q": q, "n": n1, "kind": "uniform", "k": 1},
+                                 {"q": q, "n": n2, "kind": "uniform", "k": 1})):
+        path.write_text(json.dumps(doc))
+    _run_cli(["map"] + [str(p) for p in paths])

@@ -85,6 +85,18 @@ class TestSubmodularCompletion:
             assert M.is_independent(S) == want
 
 
+    @pytest.mark.parametrize("q,n,seed", [(2, 4, 1), (2, 4, 2), (3, 3, 3), (3, 3, 4)])
+    def test_cover_recursion_against_direct_formula(self, q, n, seed):
+        # oracle: the defining minimum over X <= V, for a tau that is
+        # neither monotone, submodular nor non-negative
+        from qmatroids import subspaces_of
+        rng = random.Random(seed)
+        tau = {S: rng.randint(-2, n + 2) for S in lattice(q, n).spaces}
+        M = submodular_completion(q, n, tau.__getitem__, validate=False)
+        for V in lattice(q, n).spaces:
+            assert M.rank(V) == min(tau[X] + V.dim - X.dim for X in subspaces_of(V))
+
+
 class TestDirectSum:
     def test_equals_blockdiag_two(self, uniform_sum):
         assert uniform_sum.total.same_rank_table(blockdiag_matroid(2, 4, 2))

@@ -16,7 +16,7 @@ from qmatroids.errors import (
     NonPrimitiveModulus,
     ReducibleModulus,
 )
-from qmatroids.fields import frobenius_fixed, ground_field
+from qmatroids.fields import frobenius_fixed, ground_field, prime_power
 
 
 class TestMakeField:
@@ -156,3 +156,10 @@ def test_ground_field_prime_power():
     assert (F4.p, F4.k, F4.q) == (2, 2, 4)
     with pytest.raises(NonPrimeCharacteristic):
         ground_field(6)
+
+
+def test_prime_power_against_factoring():
+    primes = [p for p in range(2, 1100) if all(p % d for d in range(2, p))]
+    powers = {p ** k: (p, k) for p in primes for k in range(1, 11) if p ** k < 1100}
+    for q in range(-2, 1100):
+        assert prime_power(q) == powers.get(q)

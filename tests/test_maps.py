@@ -160,6 +160,40 @@ class TestImagePreimage:
             assert is_sub
 
 
+    @staticmethod
+    def image_by_enumeration(phi, V):
+        q, n1, n2 = phi.q, phi.n1, phi.n2
+        codes = {phi.table[c] for c in range(q ** n1)
+                 if V.contains_vector(decode_vector(c, q, n1))}
+        return Subspace.from_rows(q, n2, [decode_vector(c, q, n2) for c in codes])
+
+    @pytest.mark.parametrize("q,n1,n2,automorphism", [
+        (2, 3, 4, 0), (2, 4, 2, 0), (3, 2, 3, 0), (3, 3, 2, 0), (4, 2, 3, 0),
+        (4, 3, 2, 1), (4, 2, 2, 1)])
+    def test_matrix_images_against_enumeration(self, q, n1, n2, automorphism):
+        rng = random.Random(q * 1000 + n1 * 10 + n2)
+        F = ground_field(q)
+        for _ in range(4):
+            A = Mat(F, n1, n2, [rng.randrange(q) for _ in range(n1 * n2)])
+            phi = lmap_from_matrix(A, automorphism=automorphism)
+            assert (phi.semilinear_matrix is None) == (automorphism == 0)
+            B = Mat(F, n2, n1, [rng.randrange(q) for _ in range(n1 * n2)])
+            psi = compose(lmap_from_matrix(B, automorphism=automorphism), phi)
+            for chi in (phi, psi):
+                for V in enumerate_subspaces(q, n1):
+                    assert chi.image_of(V) == self.image_by_enumeration(chi, V)
+
+    @pytest.mark.parametrize("make", [
+        lambda: collapse_map(2, 3), drop_last_map,
+        lambda: tweak_equivalent(identity_map(3, 2), (1, 1), 2)],
+        ids=["collapse", "drop-last", "tweak-q3"])
+    def test_nonlinear_images_against_enumeration(self, make):
+        phi = make()
+        assert phi.linear_matrix is None and phi.semilinear_matrix is None
+        for V in enumerate_subspaces(phi.q, phi.n1):
+            assert phi.image_of(V) == self.image_by_enumeration(phi, V)
+
+
 class TestEquivalence:
     def test_scalar_multiple_equivalent_f3(self):
         F = ground_field(3)

@@ -1,5 +1,8 @@
 """RREF, lattice operations, enumeration counts and the quotient map."""
 
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +24,7 @@ from qmatroids import (
     subspaces_of,
 )
 from qmatroids.errors import AmbientMismatch, EnumerationCapExceeded
+from qmatroids.fields import ground_field
 from qmatroids.subspaces import Caps, count_subspaces, decode_vector, encode_vector
 
 
@@ -234,6 +238,17 @@ class TestMat:
         assert A.mul(I).entries == A.entries
 
 
+# exhaustive over every pair where samples is None, else that many seeded pairs
+ORDER_CASES = [(2, 4, None), (3, 3, None), (4, 2, None), (2, 5, 1500), (3, 4, 1500)]
+
+
+def lattice_pairs(lat, samples):
+    if samples is None:
+        return [(i, j) for i in range(lat.size) for j in range(lat.size)]
+    rng = random.Random(lat.q * 100 + lat.n)
+    return [(rng.randrange(lat.size), rng.randrange(lat.size)) for _ in range(samples)]
+
+
 class TestLatticeCache:
     def test_meet_join_against_direct(self):
         lat = lattice(3, 2)
@@ -241,6 +256,46 @@ class TestLatticeCache:
             for j in range(lat.size):
                 assert lat.spaces[lat.meet_id(i, j)] == meet(lat.spaces[i], lat.spaces[j])
                 assert lat.spaces[lat.join_id(i, j)] == join(lat.spaces[i], lat.spaces[j])
+
+    @pytest.mark.parametrize("q,n,samples", ORDER_CASES)
+    def test_meet_join_ids_against_direct(self, q, n, samples):
+        lat = lattice(q, n)
+        for i, j in lattice_pairs(lat, samples):
+            assert lat.spaces[lat.meet_id(i, j)] == meet(lat.spaces[i], lat.spaces[j])
+            assert lat.spaces[lat.join_id(i, j)] == join(lat.spaces[i], lat.spaces[j])
+
+    @pytest.mark.parametrize("q,n,samples", ORDER_CASES)
+    def test_order_tables_against_vector_masks(self, q, n, samples):
+        # sub_masks and up_masks against pairwise containment of vector
+        # sets, so each is the transpose of the other
+        lat = lattice(q, n)
+        vm, subs, ups = lat.vec_masks, lat.sub_masks, lat.up_masks
+        for i, j in lattice_pairs(lat, samples):
+            below = vm[i] & vm[j] == vm[j]  # space j <= space i
+            assert (subs[i] >> j) & 1 == below
+            assert (ups[j] >> i) & 1 == below
+
+    @pytest.mark.parametrize("q,n", [(q, n) for q, n, _ in ORDER_CASES])
+    def test_vector_and_layer_masks(self, q, n):
+        lat = lattice(q, n)
+        for i, S in enumerate(lat.spaces):
+            members = [code for code in range(q ** n)
+                       if S.contains_vector(decode_vector(code, q, n))]
+            assert lat.vec_masks[i] == sum(1 << code for code in members)
+            assert len(members) == q ** S.dim
+            assert [d for d in range(n + 1) if (lat.layer_masks[d] >> i) & 1] == [S.dim]
+
+    @pytest.mark.parametrize("q,n", [(2, 4), (3, 3), (4, 2), (5, 2)])
+    def test_vectors_in_coefficient_order(self, q, n):
+        F = ground_field(q)
+        for S in enumerate_subspaces(q, n):
+            want = []
+            for coeffs in itertools.product(range(q), repeat=S.dim):
+                v = (0,) * n
+                for c, row in zip(coeffs, S.basis):
+                    v = tuple(F.base_add(x, F.base_mul(c, y)) for x, y in zip(v, row))
+                want.append(v)
+            assert list(S.vectors()) == want
 
     def test_vector_encoding_roundtrip(self):
         for code in range(81):
