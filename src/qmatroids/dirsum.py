@@ -31,7 +31,7 @@ from .maps import (
     lmap_from_matrix,
     pi_maps,
 )
-from .qmatroid import QMatroid, from_function, is_isomorphic
+from .qmatroid import QMatroid, from_function, is_isomorphic, r2_r3_violations
 from .subspaces import Mat, Subspace, lattice, mask_ids
 
 
@@ -48,15 +48,10 @@ def submodular_completion(q: int, n: int, tau: Callable[[Subspace], int],
     lat = lattice(q, n)
     tv = [tau(S) for S in lat.spaces]
     if validate:
-        subs = lat.sub_masks
-        for i in range(lat.size):
-            for j in mask_ids(subs[i] & ~(1 << i)):
-                if tv[j] > tv[i]:
-                    raise TauNotMonotone((lat.spaces[j], lat.spaces[i]))
-        for i in range(lat.size):
-            for j in range(i + 1, lat.size):
-                if tv[lat.join_id(i, j)] + tv[lat.meet_id(i, j)] > tv[i] + tv[j]:
-                    raise TauNotSubmodular((lat.spaces[i], lat.spaces[j]))
+        for axiom, witnesses, _ in r2_r3_violations(lat, tv):
+            if axiom == "R2":
+                raise TauNotMonotone(witnesses)
+            raise TauNotSubmodular(witnesses)
 
     # rank(V) = min(tau(V), 1 + min rank(W) over the hyperplanes W of V):
     # every X < V lies in a hyperplane of V; ids ascend with dimension

@@ -1,7 +1,9 @@
-"""Pure-Python kernels for the GF(2) hot loops.
+"""Pure-Python kernels for the hot loops.
 
 Rows of GF(2) matrices are packed into machine integers, bit i holding
-column i.  ``kernels/__init__`` re-exports the public functions.
+column i.  The GL(n, q) scan works on vector codes and lattice-id
+bitmasks for every q.  ``kernels/__init__`` re-exports the public
+functions.
 """
 
 from __future__ import annotations
@@ -29,14 +31,6 @@ def gf2_rref(rows, ncols):
             basis.append(r)
             basis.sort(key=lambda x: x & -x)
     return basis, len(basis)
-
-
-def gf2_key(rows, ncols):
-    """Canonical integer key of an RREF row list (rows already reduced)."""
-    key = 0
-    for i, r in enumerate(rows):
-        key |= r << (i * ncols)
-    return key
 
 
 def gf2_lmap_violation(table, dim_domain):
@@ -139,67 +133,68 @@ def gf2_factor_search(fixed, dim_domain, order, value_order):
     return None, nodes
 
 
-def gl2_iso_search(n, space_rows, space_dims, ranks1, rank2_by_key,
-                   flag_ranks1, prune):
-    """Exhaustive scan of GL(n, 2) for a rank-preserving bijection.
+def gl_iso_search(n, q, holders, space_codes, ranks1, ranks2, flag_ranks1,
+                  prune, add, scale):
+    """Exhaustive scan of GL(n, q) for a rank-preserving bijection.
 
-    space_rows: flat list, subspace i occupies entries [i*n, (i+1)*n) as
-        packed RREF rows padded with zeros; space_dims its dimensions;
-        ranks1 the source matroid ranks in the same order.
-    rank2_by_key: target ranks keyed by the gf2_key of the canonical
-        basis of every subspace of F_2^n.
-    flag_ranks1: ranks1 of <e_1..e_j> for j = 1..n, used for flag pruning.
+    Vectors of F_q^n are base-q codes, added and scaled by ``add`` and
+    ``scale``.  holders[v] is the bitmask of the lattice ids of the spaces
+    containing code v; ids ascend with dimension, so the span of some
+    codes is the lowest set bit of the AND of their holders.
+    space_codes[i] lists the basis codes of the i-th space to check and
+    ranks1[i] its source rank; ranks2 holds the target ranks by lattice
+    id, and flag_ranks1[j] the source rank of <e_1..e_(j+1)>, used for
+    flag pruning.
 
-    Returns (rows_or_None, leaves, nodes): rows is a witness matrix (row i
-    is the image of e_i), leaves counts full-depth candidates checked and
-    nodes all partial extensions.  With prune=False, leaves equals
-    |GL(n,2)| when no witness exists.
+    Row j of a candidate is the image of e_(j+1); rows are tried in
+    ascending code order.  Returns (rows_or_None, leaves, nodes): rows is
+    the first witness as codes, leaves counts full-depth candidates
+    checked and nodes all partial extensions.  With prune=False, leaves
+    equals |GL(n, q)| when no witness exists.
     """
-    size = 1 << n
-    nspaces = len(space_dims)
+    size = q ** n
+    everything = holders[0]
+    checks = list(zip(space_codes, ranks1))
     rows = [0] * n
+    # image[c]: the image of domain code c, for the codes of <e_1..e_depth>
+    image = [0]
     stats = [0, 0]  # leaves, nodes
 
-    def span_reduce(v, basis):
-        for b in basis:
-            low = b & -b
-            if v & low:
-                v ^= b
-        return v
+    def leaf_ok():
+        for codes, rank in checks:
+            up = everything
+            for c in codes:
+                up &= holders[image[c]]
+            if ranks2[(up & -up).bit_length() - 1] != rank:
+                return False
+        return True
 
-    def rec(depth, basis):
-        # basis: current rref of rows[0:depth]
-        if depth == n:
-            stats[0] += 1
-            for i in range(nspaces):
-                d = space_dims[i]
-                img = []
-                for j in range(d):
-                    b = space_rows[i * n + j]
-                    w = 0
-                    t = b
-                    while t:
-                        low = t & -t
-                        w ^= rows[low.bit_length() - 1]
-                        t ^= low
-                    img.append(w)
-                rr, _ = gf2_rref(img, n)
-                if rank2_by_key[gf2_key(rr, n)] != ranks1[i]:
-                    return False
-            return True
+    def rec(depth, up):
+        # up: the ids of the spaces containing rows[0:depth]
+        span = (up & -up).bit_length() - 1
         for v in range(1, size):
-            if span_reduce(v, basis) == 0:
+            if holders[v] >> span & 1:
                 continue
             stats[1] += 1
+            new_up = up & holders[v]
+            if prune and (ranks2[(new_up & -new_up).bit_length() - 1]
+                          != flag_ranks1[depth]):
+                continue
             rows[depth] = v
-            nb, _ = gf2_rref(basis + [v], n)
-            if prune:
-                if rank2_by_key[gf2_key(nb, n)] != flag_ranks1[depth]:
-                    continue
-            if rec(depth + 1, nb):
+            base = len(image)
+            for a in range(1, q):
+                av = scale(a, v)
+                image.extend([add(av, w) for w in image[:base]])
+            if depth + 1 == n:
+                stats[0] += 1
+                found = leaf_ok()
+            else:
+                found = rec(depth + 1, new_up)
+            del image[base:]
+            if found:
                 return True
         return False
 
-    if rec(0, []):
+    if rec(0, everything):
         return list(rows), stats[0], stats[1]
     return None, stats[0], stats[1]

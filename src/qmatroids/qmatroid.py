@@ -28,13 +28,12 @@ from .fields import FieldSpec, ground_field
 from .subspaces import (
     Mat,
     Subspace,
+    code_arithmetic,
     decode_vector,
+    encode_vector,
     lattice,
     mask_ids,
     quotient_map,
-    rref,
-    vec_add,
-    vec_scale,
 )
 
 
@@ -305,21 +304,12 @@ class QMatroid:
         """M|_X, re-coordinatized to F_q^dim(X) through X's RREF basis."""
         if (X.q, X.n) != (self.q, self.n):
             raise AmbientMismatch("restriction subspace outside the ambient")
-        F = ground_field(self.q)
-        basis = X.basis
-        d = X.dim
 
         def rank_fn(V: Subspace) -> int:
-            rows = []
-            for coeff in V.basis:
-                v = (0,) * self.n
-                for c, row in zip(coeff, basis):
-                    if c:
-                        v = vec_add(v, vec_scale(c, row, F), F)
-                rows.append(v)
+            rows = map(X.vector_at, V.basis)
             return self.rank(Subspace.from_rows(self.q, self.n, rows))
 
-        return QMatroid(self.q, d, rank_fn, kind="restriction",
+        return QMatroid(self.q, X.dim, rank_fn, kind="restriction",
                         payload={"parent": self, "subspace": X})
 
     def contraction(self, X: Subspace) -> "QMatroid":
@@ -454,27 +444,29 @@ def check_rank_axioms(M: QMatroid, limit: Optional[int] = 10) -> AxiomReport:
             break
         if not 0 <= rv[i] <= lat.dims[i]:
             violations.append(("R1", (lat.spaces[i],), rv[i]))
+    rest = None if limit is None else max(0, limit - len(violations))
+    violations.extend(itertools.islice(r2_r3_violations(lat, rv), rest))
+    return AxiomReport(ok=not violations, violations=violations)
+
+
+def r2_r3_violations(lat, values: List[int]):
+    """Every R2 violation of ``values`` (ranks by lattice id), then every
+    R3 violation, as (axiom, witnesses, values) triples.
+
+    R2 sweeps every containment pair, R3 every unordered pair.
+    """
     subs = lat.sub_masks
     for i in range(lat.size):
-        if not room():
-            break
         for j in mask_ids(subs[i] & ~(1 << i)):
-            if rv[j] > rv[i]:
-                violations.append(("R2", (lat.spaces[j], lat.spaces[i]),
-                                   (rv[j], rv[i])))
-                if not room():
-                    break
+            if values[j] > values[i]:
+                yield ("R2", (lat.spaces[j], lat.spaces[i]),
+                       (values[j], values[i]))
     for i in range(lat.size):
-        if not room():
-            break
         for j in range(i + 1, lat.size):
-            lhs = rv[lat.join_id(i, j)] + rv[lat.meet_id(i, j)]
-            if lhs > rv[i] + rv[j]:
-                violations.append(("R3", (lat.spaces[i], lat.spaces[j]),
-                                   (lhs, rv[i] + rv[j])))
-                if not room():
-                    break
-    return AxiomReport(ok=not violations, violations=violations)
+            lhs = values[lat.join_id(i, j)] + values[lat.meet_id(i, j)]
+            if lhs > values[i] + values[j]:
+                yield ("R3", (lat.spaces[i], lat.spaces[j]),
+                       (lhs, values[i] + values[j]))
 
 
 # ---------------------------------------------------------------------------
@@ -511,41 +503,17 @@ def is_isomorphic(M1: QMatroid, M2: QMatroid, mode: str = "linear",
     rv1 = M1.rank_vector()
     rv2 = M2.rank_vector()
     # the standard flag <e_1..e_j>
-    flag_ranks = []
-    for j in range(1, n + 1):
-        rows = tuple(tuple(1 if c == r else 0 for c in range(n)) for r in range(j))
-        flag_ranks.append(rv1[lat.id_of(Subspace(q, n, rows))])
+    eye = Subspace.full(q, n).basis
+    flag_ids = [lat.id_of(Subspace(q, n, eye[:j])) for j in range(1, n + 1)]
     # dependent spaces discriminate fastest; fixed deterministic order
     order = sorted(range(lat.size),
                    key=lambda i: (0 if rv1[i] < lat.dims[i] else 1, lat.dims[i], i))
+    space_codes = [[encode_vector(row, q) for row in lat.spaces[i].basis]
+                   for i in order]
+    add, scale = code_arithmetic(q, n)
 
-    if q == 2:
-        space_rows = []
-        for i in order:
-            rows = [sum(b << c for c, b in enumerate(row))
-                    for row in lat.spaces[i].basis]
-            rows += [0] * (n - len(rows))
-            space_rows.extend(rows)
-        dims = [lat.dims[i] for i in order]
-        ranks1 = [rv1[i] for i in order]
-        rank2_by_key = {}
-        for i in range(lat.size):
-            packed = [sum(b << c for c, b in enumerate(row))
-                      for row in lat.spaces[i].basis]
-            rank2_by_key[kernels.gf2_key(packed, n)] = rv2[i]
-        rows, leaves, nodes = kernels.gl2_iso_search(
-            n, space_rows, dims, ranks1, rank2_by_key, flag_ranks, prune)
-        if stats is not None:
-            stats.update(leaves=leaves, nodes=nodes, candidates=_gl_order(n, q))
-        if rows is None:
-            return None
-        A = Mat(F, n, n, [(r >> c) & 1 for r in rows for c in range(n)])
-        return lmap_from_matrix(A)
-
-    # generic ground fields, optionally semilinear
     leaves = nodes = 0
-    flag_spaces = [Subspace(q, n, tuple(tuple(1 if c == r else 0 for c in range(n))
-                                        for r in range(j))) for j in range(1, n + 1)]
+    witness = None
     for j in autos:
         if j == 0:
             rv1_t = rv1
@@ -558,70 +526,16 @@ def is_isomorphic(M1: QMatroid, M2: QMatroid, mode: str = "linear",
                         for row in S.basis]
                 return Subspace.from_rows(q, n, rows)
             rv1_t = [rv1[lat.id_of(_twist(S))] for S in lat.spaces]
-        flags_t = [rv1_t[lat.id_of(S)] for S in flag_spaces]
-        counters = [0, 0]
-        found = _gl_search_generic(q, n, lat, rv1_t, rv2, flags_t, prune,
-                                   order, counters)
-        leaves += counters[0]
-        nodes += counters[1]
-        if found is not None:
-            A = Mat(F, n, n, [x for row in found for x in row])
+        rows, found_leaves, found_nodes = kernels.gl_iso_search(
+            n, q, lat.holders, space_codes, [rv1_t[i] for i in order], rv2,
+            [rv1_t[i] for i in flag_ids], prune, add, scale)
+        leaves += found_leaves
+        nodes += found_nodes
+        if rows is not None:
+            A = Mat(F, n, n, [x for r in rows for x in decode_vector(r, q, n)])
             witness = lmap_from_matrix(A, automorphism=j)
-            if stats is not None:
-                stats.update(leaves=leaves, nodes=nodes,
-                             candidates=_gl_order(n, q) * len(autos))
-            return witness
+            break
     if stats is not None:
         stats.update(leaves=leaves, nodes=nodes,
                      candidates=_gl_order(n, q) * len(autos))
-    return None
-
-
-def _gl_search_generic(q, n, lat, rv1, rv2, flag_ranks, prune, order, counters):
-    F = ground_field(q)
-    size = q ** n
-    rows: List[tuple] = []
-
-    def span_contains(rows_red, v):
-        v = list(v)
-        for row in rows_red:
-            p = next(i for i, x in enumerate(row) if x)
-            c = v[p]
-            if c:
-                for i in range(n):
-                    v[i] = F.base_add(v[i], F.base_neg(F.base_mul(c, row[i])))
-        return not any(v)
-
-    def rec(depth, red):
-        if depth == n:
-            counters[0] += 1
-            for i in order:
-                S = lat.spaces[i]
-                img = []
-                for row in S.basis:
-                    w = (0,) * n
-                    for c, r in zip(row, rows):
-                        if c:
-                            w = vec_add(w, vec_scale(c, r, F), F)
-                    img.append(w)
-                if rv2[lat.id_of(Subspace.from_rows(q, n, img))] != rv1[i]:
-                    return None
-            return [list(r) for r in rows]
-        for code in range(1, size):
-            v = decode_vector(code, q, n)
-            if span_contains(red, v):
-                continue
-            counters[1] += 1
-            rows.append(v)
-            new_red, _ = rref(rows, q, n)
-            ok = True
-            if prune:
-                img = Subspace(q, n, new_red)
-                ok = rv2[lat.id_of(img)] == flag_ranks[depth]
-            got = rec(depth + 1, new_red) if ok else None
-            rows.pop()
-            if got is not None:
-                return got
-        return None
-
-    return rec(0, ())
+    return witness

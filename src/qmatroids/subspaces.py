@@ -12,6 +12,7 @@ For q = 2 the row operations are dispatched to the packed kernels in
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
@@ -59,6 +60,33 @@ def vec_add(u, v, F: FieldSpec):
 
 def vec_scale(c, v, F: FieldSpec):
     return tuple(F.base_mul(c, x) for x in v)
+
+
+def code_arithmetic(q: int, n: int):
+    """(add, scale): the sum of two codes of F_q^n and a scalar times a code.
+
+    In characteristic 2 the sum is XOR.  Otherwise it adds one term per
+    digit, read from a table of (a + b) * q**i by digit value.  Products
+    come from one table of q^n codes per scalar.
+    """
+    F = ground_field(q)
+    digits = [decode_vector(code, q, n) for code in range(q ** n)]
+    scaled = [[encode_vector(vec_scale(c, v, F), q) for v in digits]
+              for c in range(q)]
+
+    def scale(c, v):
+        return scaled[c][v]
+
+    if F.p == 2:
+        return operator.xor, scale
+    shifted = [[[F.base_add(a, b) * q ** i for b in range(q)] for a in range(q)]
+               for i in range(n)]
+    terms = [[shifted[i][a] for i, a in enumerate(d)] for d in digits]
+
+    def add(u, v):
+        return sum(map(operator.getitem, terms[u], digits[v]))
+
+    return add, scale
 
 
 # ---------------------------------------------------------------------------
@@ -244,15 +272,7 @@ class Subspace:
         return (self.q, self.n)
 
     def contains_vector(self, vec: Sequence[int]) -> bool:
-        F = ground_field(self.q)
-        v = list(vec)
-        for row in self.basis:
-            p = next(j for j, x in enumerate(row) if x)
-            c = v[p]
-            if c:
-                for j in range(self.n):
-                    v[j] = F.base_add(v[j], F.base_neg(F.base_mul(c, row[j])))
-        return not any(v)
+        return self.coordinates_of(vec) is not None
 
     def vectors(self) -> Iterator[tuple]:
         """All q^dim vectors, in coefficient-lexicographic order."""
@@ -279,6 +299,17 @@ class Subspace:
         if any(v):
             return None
         return tuple(coeffs)
+
+    def vector_at(self, coeffs: Sequence[int]) -> tuple:
+        """The combination of the basis rows with these coefficients."""
+        F = ground_field(self.q)
+        v = [0] * self.n
+        for c, row in zip(coeffs, self.basis):
+            if c:
+                for j, x in enumerate(row):
+                    if x:
+                        v[j] = F.base_add(v[j], F.base_mul(c, x))
+        return tuple(v)
 
     def to_dict(self):
         return {"ambient_n": self.n, "q": self.q,
@@ -409,32 +440,19 @@ def enumerate_subspaces(q: int, n: int, d: Optional[int] = None,
 def subspaces_of(V: Subspace, d: Optional[int] = None,
                  caps: Caps = DEFAULT_CAPS) -> Iterator[Subspace]:
     """All subspaces of V (of dimension d if given), canonical in the ambient."""
-    F = ground_field(V.q)
     if d is not None and d > V.dim:
         return
     for inner in enumerate_subspaces(V.q, V.dim, d, caps):
-        rows = []
-        for coeff in inner.basis:
-            v = (0,) * V.n
-            for c, row in zip(coeff, V.basis):
-                if c:
-                    v = vec_add(v, vec_scale(c, row, F), F)
-            rows.append(v)
-        yield Subspace.from_rows(V.q, V.n, rows)
+        yield Subspace.from_rows(V.q, V.n, map(V.vector_at, inner.basis))
 
 
 def one_spaces(V: Subspace) -> list:
     """The (q^dim - 1)/(q - 1) one-dimensional subspaces of V."""
-    F = ground_field(V.q)
     out = []
     # canonical projective representatives: first nonzero coefficient is 1
     for k in range(V.dim):
         for tail in itertools.product(range(V.q), repeat=V.dim - k - 1):
-            coeff = (0,) * k + (1,) + tail
-            v = (0,) * V.n
-            for c, row in zip(coeff, V.basis):
-                if c:
-                    v = vec_add(v, vec_scale(c, row, F), F)
+            v = V.vector_at((0,) * k + (1,) + tail)
             out.append(Subspace.from_rows(V.q, V.n, [v]))
     return out
 
@@ -474,16 +492,19 @@ class SubspaceLattice:
     """Materialized subspace lattice of F_q^n with structure tables.
 
     Spaces are indexed in enumeration order, so ids ascend with
-    dimension.  The order is held in two bitmask tables: ``vec_masks[i]``
-    has bit v set for each encoded vector v of space i, and
-    ``up_masks[i]`` has bit j set for each space j containing space i.
-    Meets are vector-mask intersections.  Joins come from the up-set
-    masks: the spaces containing both i and j are the up-set of their
-    join, which is the one of least dimension and hence the lowest id in
-    ``up_masks[i] & up_masks[j]``.  ``sub_masks``, the transpose of
-    ``up_masks``, is built on first use from the covers, and
-    ``layer_masks[d]`` holds the ids of dimension d.  No table changes
-    once built.
+    dimension.  The order is held in bitmask tables: ``vec_masks[i]``
+    has bit v set for each encoded vector v of space i, its transpose
+    ``holders[v]`` has bit i set for each space i containing vector v
+    (``holders[0]`` holds every id), and ``up_masks[i]`` has bit j set
+    for each space j containing space i.  Meets are vector-mask
+    intersections.  Joins and spans come from up-sets: the spaces
+    containing both i and j are the up-set of their join, which is the
+    one of least dimension and hence the lowest id in
+    ``up_masks[i] & up_masks[j]``; likewise the span of some vectors is
+    the lowest id in the AND of their holders.  ``sub_masks``, the
+    transpose of ``up_masks``, is built on first use from the covers,
+    and ``layer_masks[d]`` holds the ids of dimension d.  No table
+    changes once built.
     """
 
     def __init__(self, q: int, n: int, caps: Caps = DEFAULT_CAPS):
@@ -495,8 +516,7 @@ class SubspaceLattice:
         self.size = len(self.spaces)
         self.zero_id = self.index[Subspace.zero(q, n)]
         self.full_id = self.index[Subspace.full(q, n)]
-        # holders[v]: bitmask of the ids of the spaces holding vector v
-        holders = [0] * (q ** n)
+        self.holders = holders = [0] * (q ** n)
         self.vec_masks = []
         for i, S in enumerate(self.spaces):
             bit = 1 << i

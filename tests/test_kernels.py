@@ -1,23 +1,28 @@
-"""GF(2) kernels, each checked against an independent exhaustive reference."""
+"""The kernels, each checked against an independent exhaustive reference."""
 
 import itertools
 import random
+from math import prod
 
 import pytest
 
 from qmatroids import (
     Mat,
     Subspace,
+    from_matrix,
     ground_field,
     is_isomorphic,
     kernels,
     lattice,
     lmap_from_matrix,
+    make_field,
     pushforward,
+    uniform,
 )
+from qmatroids.fields import prime_power
 from qmatroids.kernels import _pure
-from qmatroids.qmatroid import _gl_search_generic
 from qmatroids.repro import blockdiag_matroid
+from qmatroids.subspaces import decode_vector, encode_vector, vec_add, vec_scale
 
 
 def test_active_backend_is_known():
@@ -101,22 +106,6 @@ def test_rref_against_span():
         assert _pure.gf2_rref(again, n) == (red, rank)
 
 
-def test_key_against_decoding():
-    rng = random.Random(2)
-    keys = {}
-    for _ in range(200):
-        n = rng.randint(1, 6)
-        rows, rank = _pure.gf2_rref(
-            [rng.randrange(1 << n) for _ in range(n)], n)
-        key = _pure.gf2_key(rows, n)
-        decoded = [(key >> (i * n)) & ((1 << n) - 1) for i in range(rank)]
-        assert decoded == rows and key >> (rank * n) == 0
-        space = (n, frozenset(_span(rows)))
-        # equal keys exactly for equal spaces of the same ambient
-        assert keys.setdefault((n, key), space) == space
-    assert len(set(keys.values())) == len(keys)
-
-
 def test_lmap_violation_against_closure():
     rng = random.Random(3)
     outcomes = set()
@@ -169,8 +158,10 @@ def test_factor_search_against_enumeration():
 
 
 def _generic_scan(M1, M2, prune):
-    """qmatroid's q-generic GL scan on the inputs ``is_isomorphic`` prepares."""
+    """The GL scan on the inputs ``is_isomorphic`` prepares, with the code
+    arithmetic done on decoded tuples by the GF(q) field tables."""
     q, n = M1.ambient()
+    F = ground_field(q)
     lat = lattice(q, n)
     rv1, rv2 = M1.rank_vector(), M2.rank_vector()
     flag = [rv1[lat.id_of(Subspace.from_rows(
@@ -178,9 +169,28 @@ def _generic_scan(M1, M2, prune):
         for j in range(1, n + 1)]
     order = sorted(range(lat.size),
                    key=lambda i: (0 if rv1[i] < lat.dims[i] else 1, lat.dims[i], i))
-    counters = [0, 0]
-    rows = _gl_search_generic(q, n, lat, rv1, rv2, flag, prune, order, counters)
-    return rows, counters[0], counters[1]
+    codes = [[encode_vector(row, q) for row in lat.spaces[i].basis]
+             for i in order]
+
+    def add(u, v):
+        return encode_vector(
+            vec_add(decode_vector(u, q, n), decode_vector(v, q, n), F), q)
+
+    def scale(c, v):
+        return encode_vector(vec_scale(c, decode_vector(v, q, n), F), q)
+
+    rows, leaves, nodes = kernels.gl_iso_search(
+        n, q, lat.holders, codes, [rv1[i] for i in order], rv2, flag, prune,
+        add, scale)
+    if rows is not None:
+        rows = [list(decode_vector(r, q, n)) for r in rows]
+    return rows, leaves, nodes
+
+
+def _witness_rows(witness, n):
+    if witness is None:
+        return None
+    return [list(witness.linear_matrix.row(i)) for i in range(n)]
 
 
 # an invertible 4x4 matrix over GF(2) that moves every standard flag space
@@ -199,14 +209,98 @@ SHEAR = [0, 1, 1, 0, 1, 0, 0, 1, 0, 0, 1, 1, 1, 1, 0, 1]
 ])
 def test_gl_search_against_generic_scan(a, b, moved, prune, leaves, nodes):
     # N^(a) against N^(b) over F_2^4, or against its image under SHEAR;
-    # is_isomorphic runs gl2_iso_search at q = 2
+    # is_isomorphic adds codes by XOR at q = 2
     M1, M2 = blockdiag_matroid(2, 4, a), blockdiag_matroid(2, 4, b)
     if moved:
         M2 = pushforward(M2, lmap_from_matrix(Mat(ground_field(2), 4, 4, SHEAR)))
     stats = {}
-    witness = is_isomorphic(M1, M2, prune=prune, stats=stats)
-    rows = (None if witness is None else
-            [list(witness.linear_matrix.row(i)) for i in range(4)])
+    rows = _witness_rows(is_isomorphic(M1, M2, prune=prune, stats=stats), 4)
     assert (rows, stats["leaves"], stats["nodes"]) == _generic_scan(M1, M2, prune)
     assert (stats["leaves"], stats["nodes"]) == (leaves, nodes)
     assert (rows is None) == (a != b)
+
+
+def _gl_partial_counts(q, n):
+    """The number of lists of k linearly independent vectors of F_q^n, k = 1..n."""
+    return [prod(q ** n - q ** i for i in range(k)) for k in range(1, n + 1)]
+
+
+def _first_rank_preserving(M1, M2):
+    """Brute force over GL(n, q) in the order of the search: the rows of the
+    first rank-preserving matrix (None if there is none) and the number of
+    invertible matrices up to and including it."""
+    q, n = M1.ambient()
+    F = ground_field(q)
+    spaces = lattice(q, n).spaces
+    rv1 = M1.rank_vector()
+    position = 0
+    for codes in itertools.product(range(1, q ** n), repeat=n):
+        A = Mat(F, n, n, [x for c in codes for x in decode_vector(c, q, n)])
+        if A.rank() < n:
+            continue
+        position += 1
+        phi = lmap_from_matrix(A)
+        if all(M2.rank(phi.image_of(S)) == r for S, r in zip(spaces, rv1)):
+            return [list(A.row(i)) for i in range(n)], position
+    return None, position
+
+
+def _random_representable(spec, k, n, rng):
+    # entries from the ground field half of the time, which makes loops
+    while True:
+        G = Mat(spec, k, n, [rng.randrange(rng.choice((spec.q, spec.order)))
+                             for _ in range(k * n)])
+        if G.rank() == k:
+            return from_matrix(G)
+
+
+def _random_invertible(F, n, rng):
+    while True:
+        A = Mat(F, n, n, [rng.randrange(F.q) for _ in range(n * n)])
+        if A.rank() == n:
+            return A
+
+
+@pytest.mark.parametrize("q, n", [(2, 3), (3, 2), (4, 2), (5, 2)])
+def test_gl_search_against_brute_force(q, n):
+    p, e = prime_power(q)
+    spec = make_field(p, e, n)  # GF(q^n)
+    F = ground_field(q)
+    rng = random.Random(q * 10 + n)
+    outcomes = set()
+    for case in range(8):
+        k = rng.randint(1, n - 1)
+        M1 = _random_representable(spec, k, n, rng)
+        if case < 3:  # isomorphic through a change of basis
+            M2 = pushforward(M1, lmap_from_matrix(_random_invertible(F, n, rng)))
+        elif case < 5:  # another rank: never isomorphic
+            M2 = _random_representable(spec, k + 1, n, rng)
+        else:  # the same rank: either way
+            M2 = _random_representable(spec, k, n, rng)
+        rows, position = _first_rank_preserving(M1, M2)
+        if rows is None:
+            assert position == _gl_partial_counts(q, n)[-1]
+        for prune in (False, True):
+            stats = {}
+            witness = is_isomorphic(M1, M2, prune=prune, stats=stats)
+            assert _witness_rows(witness, n) == rows
+            if prune:
+                assert stats["leaves"] <= position
+            else:
+                assert stats["leaves"] == position
+        outcomes.add(rows is None)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("q, n, nodes", [
+    (2, 2, 9), (2, 3, 217), (2, 4, 22905), (3, 2, 56), (3, 3, 11882),
+    (4, 2, 195), (5, 2, 504),
+])
+def test_unpruned_scan_visits_all_of_gl(q, n, nodes):
+    # a non-isomorphic pair: the exhausted counts certify the answer
+    stats = {}
+    assert is_isomorphic(uniform(q, n, 1), uniform(q, n, 2), prune=False,
+                         stats=stats) is None
+    partial = _gl_partial_counts(q, n)
+    assert stats["leaves"] == stats["candidates"] == partial[-1]
+    assert stats["nodes"] == sum(partial) == nodes

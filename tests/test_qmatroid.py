@@ -20,8 +20,10 @@ from qmatroids import (
     join,
     lattice,
     lmap_from_matrix,
+    meet,
     pushforward,
     row_space,
+    submodular_completion,
     trivial,
     uniform,
 )
@@ -33,6 +35,8 @@ from qmatroids.errors import (
     IncompleteTable,
     RankDeficientG,
     SearchBoundExceeded,
+    TauNotMonotone,
+    TauNotSubmodular,
 )
 from qmatroids.fields import ground_field, make_field
 from qmatroids.repro import fprime_closed_form
@@ -407,13 +411,26 @@ class TestIsIsomorphic:
         # semilinearly, and here also linearly, isomorphic to it
         spec = make_field(2, 2, 2)
         w = spec.omega_val
-        G = Mat(spec, 1, 2, [1, w])
-        M = from_matrix(G)
         F4 = ground_field(4)
-        frob = lmap_from_matrix(
-            Mat(F4, 2, 2, [1, 0, 0, 1]), automorphism=1)
-        N = pushforward(M, frob)
-        assert is_isomorphic(M, N, mode="semilinear") is not None
+        for G in (Mat(spec, 1, 2, [1, w]), Mat(spec, 2, 3, [1, w, 0, 0, 1, w])):
+            M = from_matrix(G)
+            n = G.cols
+            eye = [int(i == j) for i in range(n) for j in range(n)]
+            frob = lmap_from_matrix(Mat(F4, n, n, eye), automorphism=1)
+            N = pushforward(M, frob)
+            witness = is_isomorphic(M, N, mode="semilinear")
+            assert witness is not None
+            for S in lattice(4, n).spaces:
+                assert N.rank(witness.image_of(S)) == M.rank(S)
+
+    def test_semilinear_scan_exhausts_every_twist(self):
+        # Aut(GF(4)) has two elements: an unpruned scan of a
+        # non-isomorphic pair runs GL(2,4) once for each
+        stats = {}
+        assert is_isomorphic(uniform(4, 2, 1), uniform(4, 2, 2),
+                             mode="semilinear", prune=False, stats=stats) is None
+        assert stats == {"leaves": 2 * 180, "nodes": 2 * (15 + 180),
+                         "candidates": 2 * 180}
 
 
 class TestPushforward:
@@ -434,6 +451,50 @@ class TestAxiomSweeps:
     def test_all_repro_matroids_pass(self, repro_matroids):
         for name, M in repro_matroids.items():
             assert check_rank_axioms(M).ok, name
+
+    @pytest.mark.parametrize("q, n", [(2, 3), (3, 2)])
+    def test_sweep_against_pairwise_definition(self, q, n):
+        # perturbed uniform ranks: the report lists the failures of the
+        # defining checks, R1 then R2 then R3, cut at the limit; the
+        # completion's validation raises on the first R2 or R3 failure
+        lat = lattice(q, n)
+        ids = {S: i for i, S in enumerate(lat.spaces)}
+        S = lat.spaces
+        pairs = [(i, j, ids[join(S[i], S[j])], ids[meet(S[i], S[j])])
+                 for i, j in itertools.combinations(range(lat.size), 2)]
+        rng = random.Random(10 * q + n)
+        kinds = set()
+        for _ in range(40):
+            k = rng.randint(0, n)
+            rv = [min(k, d) for d in lat.dims]
+            for i in rng.sample(range(lat.size), rng.randint(0, 3)):
+                rv[i] += rng.choice((-1, 1))
+            zero = ids[Subspace.zero(q, n)]
+            want = [("R1", (S[zero],), rv[zero])] if rv[zero] else []
+            want += [("R1", (S[i],), rv[i]) for i in range(lat.size)
+                     if not 0 <= rv[i] <= S[i].dim]
+            want += [("R2", (S[j], S[i]), (rv[j], rv[i]))
+                     for i in range(lat.size) for j in range(lat.size)
+                     if j != i and contains(S[i], S[j]) and rv[j] > rv[i]]
+            for i, j, ij_join, ij_meet in pairs:
+                lhs = rv[ij_join] + rv[ij_meet]
+                if lhs > rv[i] + rv[j]:
+                    want.append(("R3", (S[i], S[j]), (lhs, rv[i] + rv[j])))
+            M = from_function(q, n, lambda V: rv[ids[V]])
+            for limit in (None, 1, 3):
+                report = check_rank_axioms(M, limit=limit)
+                assert report.violations == want[:limit]
+                assert report.ok == (not want)
+            r23 = [v for v in want if v[0] != "R1"]
+            if r23:
+                error = TauNotMonotone if r23[0][0] == "R2" else TauNotSubmodular
+                with pytest.raises(error) as ei:
+                    submodular_completion(q, n, lambda V: rv[ids[V]])
+                assert ei.value.witness == r23[0][1]
+            else:
+                submodular_completion(q, n, lambda V: rv[ids[V]])
+            kinds.update(v[0] for v in want)
+        assert kinds == {"R1", "R2", "R3"}
 
     def test_limit_none_collects_everything(self):
         lat = lattice(2, 2)

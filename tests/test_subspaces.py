@@ -25,7 +25,15 @@ from qmatroids import (
 )
 from qmatroids.errors import AmbientMismatch, EnumerationCapExceeded
 from qmatroids.fields import ground_field
-from qmatroids.subspaces import Caps, count_subspaces, decode_vector, encode_vector
+from qmatroids.subspaces import (
+    Caps,
+    code_arithmetic,
+    count_subspaces,
+    decode_vector,
+    encode_vector,
+    vec_add,
+    vec_scale,
+)
 
 
 class TestRref:
@@ -283,6 +291,8 @@ class TestLatticeCache:
                        if S.contains_vector(decode_vector(code, q, n))]
             assert lat.vec_masks[i] == sum(1 << code for code in members)
             assert len(members) == q ** S.dim
+            assert [(lat.holders[code] >> i) & 1 for code in range(q ** n)] == [
+                int(code in members) for code in range(q ** n)]
             assert [d for d in range(n + 1) if (lat.layer_masks[d] >> i) & 1] == [S.dim]
 
     @pytest.mark.parametrize("q,n", [(2, 4), (3, 3), (4, 2), (5, 2)])
@@ -296,6 +306,28 @@ class TestLatticeCache:
                     v = tuple(F.base_add(x, F.base_mul(c, y)) for x, y in zip(v, row))
                 want.append(v)
             assert list(S.vectors()) == want
+
+    @pytest.mark.parametrize("q,n", [(2, 4), (3, 3), (4, 2), (5, 2)])
+    def test_vector_at_inverts_coordinates(self, q, n):
+        for S in enumerate_subspaces(q, n):
+            for coeffs in itertools.product(range(q), repeat=S.dim):
+                v = S.vector_at(coeffs)
+                assert len(v) == n and S.coordinates_of(v) == coeffs
+        outside = Subspace.from_rows(q, n, [[1] + [0] * (n - 1)])
+        assert not outside.contains_vector([0] * (n - 1) + [1])
+        assert outside.coordinates_of([0] * (n - 1) + [1]) is None
+
+    @pytest.mark.parametrize("q,n", [(2, 3), (3, 3), (4, 2), (5, 2), (7, 2),
+                                     (8, 2), (9, 2)])
+    def test_code_arithmetic_against_tuples(self, q, n):
+        F = ground_field(q)
+        add, scale = code_arithmetic(q, n)
+        for u, v in itertools.product(range(q ** n), repeat=2):
+            du, dv = decode_vector(u, q, n), decode_vector(v, q, n)
+            assert add(u, v) == encode_vector(vec_add(du, dv, F), q)
+        for c, v in itertools.product(range(q), range(q ** n)):
+            assert scale(c, v) == encode_vector(
+                vec_scale(c, decode_vector(v, q, n), F), q)
 
     def test_vector_encoding_roundtrip(self):
         for code in range(81):
