@@ -171,6 +171,9 @@ def gl_iso_search(n, q, holders, space_codes, ranks1, ranks2, flag_ranks1,
 
     def rec(depth, up):
         # up: the ids of the spaces containing rows[0:depth]
+        if depth == n:
+            stats[0] += 1
+            return leaf_ok()
         span = (up & -up).bit_length() - 1
         for v in range(1, size):
             if holders[v] >> span & 1:
@@ -185,11 +188,7 @@ def gl_iso_search(n, q, holders, space_codes, ranks1, ranks2, flag_ranks1,
             for a in range(1, q):
                 av = scale(a, v)
                 image.extend([add(av, w) for w in image[:base]])
-            if depth + 1 == n:
-                stats[0] += 1
-                found = leaf_ok()
-            else:
-                found = rec(depth + 1, new_up)
+            found = rec(depth + 1, new_up)
             del image[base:]
             if found:
                 return True

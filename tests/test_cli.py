@@ -185,6 +185,12 @@ class TestIsoCommand:
     def test_isomorphic_exit_0(self, blockdiag_spec, capsys):
         assert main(["iso", blockdiag_spec, blockdiag_spec]) == 0
 
+    def test_zero_ambient_is_isomorphic_to_itself(self, tmp_path, capsys):
+        spec = tmp_path / "zero.json"
+        dump_json({"q": 3, "n": 0, "kind": "uniform", "k": 0}, str(spec))
+        assert main(["iso", str(spec), str(spec)]) == 0
+        assert "isomorphic via rows []" in capsys.readouterr().out
+
 
 class TestReproCommand:
     def test_list(self, capsys):

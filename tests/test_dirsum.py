@@ -170,6 +170,14 @@ class TestAdditivity:
         D = direct_sum(uniform(2, 2, 2), uniform(2, 2, 1))
         assert additivity_check(D).ok
 
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_zero_ambient_summand(self, q):
+        # the contraction to the zero summand is checked by a GL(0, q) scan
+        for D in (direct_sum(uniform(q, 0, 0), uniform(q, 2, 1)),
+                  direct_sum(uniform(q, 2, 1), uniform(q, 0, 0))):
+            rep = additivity_check(D)
+            assert rep.ok, rep.checks
+
 
 class TestCoproduct:
     def test_targets_from_blockdiag_family(self, uniform_sum):

@@ -8,7 +8,6 @@ import pytest
 
 from qmatroids import (
     Mat,
-    Subspace,
     from_matrix,
     ground_field,
     is_isomorphic,
@@ -22,7 +21,7 @@ from qmatroids import (
 from qmatroids.fields import prime_power
 from qmatroids.kernels import _pure
 from qmatroids.repro import blockdiag_matroid
-from qmatroids.subspaces import decode_vector, encode_vector, vec_add, vec_scale
+from qmatroids.subspaces import decode_vector
 
 
 def test_active_backend_is_known():
@@ -157,36 +156,6 @@ def test_factor_search_against_enumeration():
     assert outcomes == {True, False}
 
 
-def _generic_scan(M1, M2, prune):
-    """The GL scan on the inputs ``is_isomorphic`` prepares, with the code
-    arithmetic done on decoded tuples by the GF(q) field tables."""
-    q, n = M1.ambient()
-    F = ground_field(q)
-    lat = lattice(q, n)
-    rv1, rv2 = M1.rank_vector(), M2.rank_vector()
-    flag = [rv1[lat.id_of(Subspace.from_rows(
-        q, n, [[int(c == r) for c in range(n)] for r in range(j)]))]
-        for j in range(1, n + 1)]
-    order = sorted(range(lat.size),
-                   key=lambda i: (0 if rv1[i] < lat.dims[i] else 1, lat.dims[i], i))
-    codes = [[encode_vector(row, q) for row in lat.spaces[i].basis]
-             for i in order]
-
-    def add(u, v):
-        return encode_vector(
-            vec_add(decode_vector(u, q, n), decode_vector(v, q, n), F), q)
-
-    def scale(c, v):
-        return encode_vector(vec_scale(c, decode_vector(v, q, n), F), q)
-
-    rows, leaves, nodes = kernels.gl_iso_search(
-        n, q, lat.holders, codes, [rv1[i] for i in order], rv2, flag, prune,
-        add, scale)
-    if rows is not None:
-        rows = [list(decode_vector(r, q, n)) for r in rows]
-    return rows, leaves, nodes
-
-
 def _witness_rows(witness, n):
     if witness is None:
         return None
@@ -195,6 +164,16 @@ def _witness_rows(witness, n):
 
 # an invertible 4x4 matrix over GF(2) that moves every standard flag space
 SHEAR = [0, 1, 1, 0, 1, 0, 0, 1, 0, 0, 1, 1, 1, 1, 0, 1]
+
+# the first witness of N^(a) -> N^(b) (or its SHEAR image) in scan order,
+# by (a, b, moved), as found by the generic tuple-based GL scan that
+# preceded the lattice-id kernel; the pairs not listed are not isomorphic
+GENERIC_SCAN_WITNESS = {
+    (1, 1, False): [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+    (2, 2, False): [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+    (1, 1, True): [[0, 1, 0, 0], [0, 0, 0, 1], [1, 0, 0, 1], [1, 1, 1, 1]],
+    (2, 2, True): [[0, 1, 1, 0], [1, 0, 0, 1], [1, 1, 1, 0], [1, 1, 0, 1]],
+}
 
 
 @pytest.mark.parametrize("a, b, moved, prune, leaves, nodes", [
@@ -208,16 +187,17 @@ SHEAR = [0, 1, 1, 0, 1, 0, 0, 1, 0, 0, 1, 1, 1, 1, 0, 1]
     (2, 2, True, True, 46, 136),
 ])
 def test_gl_search_against_generic_scan(a, b, moved, prune, leaves, nodes):
-    # N^(a) against N^(b) over F_2^4, or against its image under SHEAR;
-    # is_isomorphic adds codes by XOR at q = 2
+    # N^(a) against N^(b) over F_2^4, or against its image under SHEAR
     M1, M2 = blockdiag_matroid(2, 4, a), blockdiag_matroid(2, 4, b)
     if moved:
         M2 = pushforward(M2, lmap_from_matrix(Mat(ground_field(2), 4, 4, SHEAR)))
     stats = {}
-    rows = _witness_rows(is_isomorphic(M1, M2, prune=prune, stats=stats), 4)
-    assert (rows, stats["leaves"], stats["nodes"]) == _generic_scan(M1, M2, prune)
+    witness = is_isomorphic(M1, M2, prune=prune, stats=stats)
+    assert _witness_rows(witness, 4) == GENERIC_SCAN_WITNESS.get((a, b, moved))
     assert (stats["leaves"], stats["nodes"]) == (leaves, nodes)
-    assert (rows is None) == (a != b)
+    if witness is not None:
+        assert all(M2.rank(witness.image_of(S)) == M1.rank(S)
+                   for S in lattice(2, 4).spaces)
 
 
 def _gl_partial_counts(q, n):
@@ -304,3 +284,17 @@ def test_unpruned_scan_visits_all_of_gl(q, n, nodes):
     partial = _gl_partial_counts(q, n)
     assert stats["leaves"] == stats["candidates"] == partial[-1]
     assert stats["nodes"] == sum(partial) == nodes
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("mode", ["linear", "semilinear"])
+@pytest.mark.parametrize("prune", [False, True])
+def test_scan_of_f_q_0_checks_the_empty_matrix(q, mode, prune):
+    # GL(0, q) has one element, the empty matrix; it is a leaf with no nodes
+    stats = {}
+    witness = is_isomorphic(uniform(q, 0, 0), uniform(q, 0, 0), mode=mode,
+                            prune=prune, stats=stats)
+    assert witness is not None and _witness_rows(witness, 0) == []
+    assert (stats["leaves"], stats["nodes"]) == (1, 0)
+    autos = ground_field(q).k if mode == "semilinear" else 1
+    assert stats["candidates"] == autos
