@@ -9,6 +9,7 @@ computations table lookups.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
@@ -42,7 +43,15 @@ from .subspaces import (
 
 @dataclass
 class AxiomReport:
-    """Result of an exhaustive axiom sweep; empty violations = pass."""
+    """Result of an exhaustive axiom sweep; empty violations = pass.
+
+    Each violation is (axiom, witnesses, values).  The rank sweep visits
+    every space (R1), every space and upper cover (R2) and every diamond
+    (R3), so its R2 witnesses are cover pairs and its R3 witnesses the
+    two middles of a diamond; each is also a violation of the pairwise
+    axiom.  The flat sweep reports F1, F2 on pairs of members and F3 on
+    (member, outside vector) pairs.
+    """
     ok: bool
     violations: list = field(default_factory=list)
 
@@ -57,8 +66,12 @@ class FlatFamily:
     """A set of subspaces with the flat-axiom checkers and height function.
 
     Construction does not validate; run check_flat_axioms to test F1-F3.
-    Heights (longest chains from the minimal member) are computed on
-    demand and are meaningful only for families passing the axioms.
+    Members are also held as lattice ids: ``member_ids`` ascending and
+    ``id_mask`` with bit i set for each member i.  Covers inside the
+    family, heights (longest chains from a minimal member, read off the
+    covers) and closures are bitmask computations over those ids, made
+    on demand; heights are meaningful only for families passing the
+    axioms.
     """
 
     def __init__(self, q: int, n: int, members: Iterable[Subspace]):
@@ -68,60 +81,59 @@ class FlatFamily:
         for S in self.members:
             if (S.q, S.n) != (q, n):
                 raise AmbientMismatch(f"{S!r} does not live in F_{q}^{n}")
+        self.member_ids = sorted(map(lattice(q, n).id_of, self.members))
+        self.id_mask = sum(1 << i for i in self.member_ids)
         self._heights = None
-        self._sorted = None
 
     @property
     def sorted_members(self) -> List[Subspace]:
-        if self._sorted is None:
-            lat = lattice(self.q, self.n)
-            self._sorted = sorted(self.members, key=lat.id_of)
-        return self._sorted
+        lat = lattice(self.q, self.n)
+        return [lat.spaces[i] for i in self.member_ids]
+
+    def _cover_ids(self, i: int) -> List[int]:
+        """Ids of the members G > space i with no member strictly between,
+        ascending.
+
+        The lowest id left among the members above i is a minimal one,
+        since every member below it has a lower id; dropping its up-set
+        and repeating yields each minimal member once.
+        """
+        up = lattice(self.q, self.n).up_masks
+        rest = up[i] & self.id_mask & ~(1 << i)
+        covers = []
+        while rest:
+            j = (rest & -rest).bit_length() - 1
+            covers.append(j)
+            rest &= ~up[j]
+        return covers
 
     def closure_of(self, V: Subspace) -> Subspace:
         """Meet of all members containing V (the smallest such member)."""
         lat = lattice(self.q, self.n)
-        vid = lat.id_of(V)
-        acc = None
-        vmask = lat.vec_masks[vid]
-        for F in self.sorted_members:
-            fid = lat.id_of(F)
-            fmask = lat.vec_masks[fid]
-            if fmask & vmask == vmask:
-                acc = fmask if acc is None else acc & fmask
-        if acc is None:
+        above = lat.up_masks[lat.id_of(V)] & self.id_mask
+        if not above:
             raise FlatAxiomViolation("F1", V)
+        acc = -1
+        for j in mask_ids(above):
+            acc &= lat.vec_masks[j]
         return lat.spaces[lat._mask_to_id[acc]]
 
     def covers_of(self, F: Subspace) -> List[Subspace]:
         """Members G > F with no member strictly between."""
         lat = lattice(self.q, self.n)
-        fmask = lat.vec_masks[lat.id_of(F)]
-        ups = []
-        for G in self.sorted_members:
-            gmask = lat.vec_masks[lat.id_of(G)]
-            if gmask != fmask and gmask & fmask == fmask:
-                ups.append((G, gmask))
-        covers = []
-        for G, gmask in ups:
-            if not any(hmask != gmask and gmask & hmask == hmask
-                       for _, hmask in ups):
-                covers.append(G)
-        return covers
+        return [lat.spaces[j] for j in self._cover_ids(lat.id_of(F))]
 
     @property
     def heights(self) -> Dict[Subspace, int]:
         if self._heights is None:
+            # ids ascend with dimension, so a member's height is final
+            # before its covers are reached
             lat = lattice(self.q, self.n)
-            order = sorted(self.members, key=lambda S: (S.dim, lat.id_of(S)))
-            masks = {S: lat.vec_masks[lat.id_of(S)] for S in order}
-            h: Dict[Subspace, int] = {}
-            for S in order:
-                below = [h[T] for T in order
-                         if T != S and masks[S] & masks[T] == masks[T]
-                         and T in h]
-                h[S] = max(below) + 1 if below else 0
-            self._heights = h
+            h = dict.fromkeys(self.member_ids, 0)
+            for i in self.member_ids:
+                for j in self._cover_ids(i):
+                    h[j] = max(h[j], h[i] + 1)
+            self._heights = {lat.spaces[i]: h[i] for i in self.member_ids}
         return self._heights
 
     def height_of(self, F: Subspace) -> int:
@@ -148,10 +160,15 @@ class FlatFamily:
 def check_flat_axioms(fam: FlatFamily, limit: Optional[int] = 10) -> AxiomReport:
     """Exhaustively verify F1-F3; the report carries witnesses.
 
-    F3 iterates every (member, outside vector) pair and counts the covers
-    of the member inside the family that contain the vector.
+    F2 meets every pair of members (an AND of vector masks).  F3 asks, for
+    every member F, that its covers in the family partition the vectors
+    outside F; where they do not, every (F, outside vector) pair is
+    reported that lies in no cover or in several, with those covers.
     """
     lat = lattice(fam.q, fam.n)
+    vm = lat.vec_masks
+    ids = fam.member_ids
+    member_vms = {vm[i] for i in ids}
     violations = []
 
     def room():
@@ -160,27 +177,43 @@ def check_flat_axioms(fam: FlatFamily, limit: Optional[int] = 10) -> AxiomReport
     full = Subspace.full(fam.q, fam.n)
     if full not in fam.members:
         violations.append(("F1", full, None))
-    for A, B in itertools.combinations(fam.sorted_members, 2):
+    for k, a in enumerate(ids):
         if not room():
             break
-        m = lat.spaces[lat.meet_id(lat.id_of(A), lat.id_of(B))]
-        if m not in fam.members:
-            violations.append(("F2", (A, B), m))
-    if full in fam.members:
-        cover_cache = {F: fam.covers_of(F) for F in fam.sorted_members}
-        for F in fam.sorted_members:
+        va = vm[a]
+        later = ids[k + 1:]
+        if {va & vm[b] for b in later} <= member_vms:
+            continue
+        for b in later:
             if not room():
                 break
-            fmask = lat.vec_masks[lat.id_of(F)]
-            covers = cover_cache[F]
-            cmasks = [(C, lat.vec_masks[lat.id_of(C)]) for C in covers]
-            for code in range(1, fam.q ** fam.n):
+            m = va & vm[b]
+            if m not in member_vms:
+                violations.append(("F2", (lat.spaces[a], lat.spaces[b]),
+                                   lat.spaces[lat._mask_to_id[m]]))
+    if full in fam.members:
+        size = fam.q ** fam.n
+        everything = (1 << size) - 1
+        for f in ids:
+            if not room():
+                break
+            fmask = vm[f]
+            covers = fam._cover_ids(f)
+            union = fmask
+            outside = 0
+            for c in covers:
+                union |= vm[c]
+                outside += fam.q ** lat.dims[c] - fam.q ** lat.dims[f]
+            if union == everything and outside == size - fam.q ** lat.dims[f]:
+                continue  # each vector outside F lies in exactly one cover
+            for code in range(1, size):
                 if (fmask >> code) & 1:
                     continue
-                hits = [C for C, cm in cmasks if (cm >> code) & 1]
+                hits = [lat.spaces[c] for c in covers if (vm[c] >> code) & 1]
                 if len(hits) != 1:
-                    violations.append(
-                        ("F3", (F, decode_vector(code, fam.q, fam.n)), hits))
+                    violations.append(("F3", (lat.spaces[f],
+                                              decode_vector(code, fam.q, fam.n)),
+                                       hits))
                     if not room():
                         break
     return AxiomReport(ok=not violations, violations=violations)
@@ -241,14 +274,16 @@ class QMatroid:
     # ------------------------------------------------------------ closure
 
     def closure_id(self, i: int) -> int:
+        """Id of the closure of space i: its join with every upper cover of
+        the same rank.  A 1-space X outside V with rank(V+X) = rank(V)
+        spans such a cover with V, and each such cover is spanned so."""
         lat = lattice(self.q, self.n)
         rv = self.rank_vector()
-        acc = i
-        ri = rv[i]
-        for x in lat.one_ids:
-            if rv[lat.join_id(i, x)] == ri:
-                acc = lat.join_id(acc, x)
-        return acc
+        acc = lat.up_masks[i]
+        for j in mask_ids(lat.covers_mask(i)):
+            if rv[j] == rv[i]:
+                acc &= lat.up_masks[j]
+        return (acc & -acc).bit_length() - 1
 
     def closure(self, V: Subspace) -> Subspace:
         """Sum of the 1-spaces X of the ambient with rank(V+X) = rank(V)."""
@@ -427,20 +462,17 @@ def pushforward(M: QMatroid, phi) -> QMatroid:
 def check_rank_axioms(M: QMatroid, limit: Optional[int] = 10) -> AxiomReport:
     """Exhaustive R1/R2/R3 verification over the ambient lattice.
 
-    R1 sweeps every subspace, R2 every containment pair, R3 every
-    unordered pair.  Violations (up to ``limit``) carry witnesses.
+    R1 sweeps every subspace (the zero space first, so rank(0) != 0 is
+    its first entry); R2 and R3 come from :func:`r2_r3_violations`, which
+    visits every cover pair and every diamond.  Violations (up to
+    ``limit``) carry witnesses: a space for R1, a space and an upper
+    cover for R2, the two middle spaces of a diamond for R3.
     """
     lat = lattice(M.q, M.n)
     rv = M.rank_vector()
     violations = []
-
-    def room():
-        return limit is None or len(violations) < limit
-
-    if rv[lat.zero_id] != 0:
-        violations.append(("R1", (lat.spaces[lat.zero_id],), rv[lat.zero_id]))
     for i in range(lat.size):
-        if not room():
+        if limit is not None and len(violations) >= limit:
             break
         if not 0 <= rv[i] <= lat.dims[i]:
             violations.append(("R1", (lat.spaces[i],), rv[i]))
@@ -450,23 +482,73 @@ def check_rank_axioms(M: QMatroid, limit: Optional[int] = 10) -> AxiomReport:
 
 
 def r2_r3_violations(lat, values: List[int]):
-    """Every R2 violation of ``values`` (ranks by lattice id), then every
-    R3 violation, as (axiom, witnesses, values) triples.
+    """Every R2 violation of ``values`` (ranks by lattice id) on a cover
+    pair, then every R3 violation on a diamond, as (axiom, witnesses,
+    values) triples, streamed in lattice order.
 
-    R2 sweeps every containment pair, R3 every unordered pair.
+    R2 holds for every containment iff it holds for every space V and
+    each upper cover W of V (a chain of covers joins nested spaces); its
+    witness is (V, W) with values (rank V, rank W).  A diamond is a space
+    A with two upper covers B and C, B before C in lattice order: their
+    meet is A and their join, which covers both, is the lowest id in
+    ``up_masks[B] & up_masks[C]``.  R3 holds for every pair iff it holds
+    on every diamond, by induction on the heights of the pair above its
+    meet using only modularity of the lattice, not R2.  The witness is
+    (B, C) with values (rank(B v C) + rank A, rank B + rank C).  Each
+    witness is thus a genuine pairwise violation, and every R2 failure
+    shows up among the cover pairs, which all come before any R3 entry.
+    One mask test per bottom A skips the bottoms where no diamond fails,
+    so diamonds are listed only where one does.
     """
-    subs = lat.sub_masks
+    spaces = lat.spaces
     for i in range(lat.size):
-        for j in mask_ids(subs[i] & ~(1 << i)):
-            if values[j] > values[i]:
-                yield ("R2", (lat.spaces[j], lat.spaces[i]),
-                       (values[j], values[i]))
-    for i in range(lat.size):
-        for j in range(i + 1, lat.size):
-            lhs = values[lat.join_id(i, j)] + values[lat.meet_id(i, j)]
-            if lhs > values[i] + values[j]:
-                yield ("R3", (lat.spaces[i], lat.spaces[j]),
-                       (lhs, values[i] + values[j]))
+        for j in mask_ids(lat.covers_mask(i)):
+            if values[i] > values[j]:
+                yield ("R2", (spaces[i], spaces[j]), (values[i], values[j]))
+    above = _above_masks(values)
+    for a in range(lat.size):
+        if _diamonds_hold(lat, values, a, above):
+            continue
+        covers = list(mask_ids(lat.covers_mask(a)))
+        for b, c in itertools.combinations(covers, 2):
+            lhs = values[lat.join_id(b, c)] + values[a]
+            if lhs > values[b] + values[c]:
+                yield ("R3", (spaces[b], spaces[c]), (lhs, values[b] + values[c]))
+
+
+def _above_masks(values: List[int]):
+    """x -> bitmask of the ids whose value exceeds x."""
+    levels = sorted(set(values))
+    by_level = dict.fromkeys(levels, 0)
+    for i, v in enumerate(values):
+        by_level[v] |= 1 << i
+    suffix = [0] * (len(levels) + 1)
+    for k in range(len(levels) - 1, -1, -1):
+        suffix[k] = suffix[k + 1] | by_level[levels[k]]
+    return lambda x: suffix[bisect.bisect_right(levels, x)]
+
+
+def _diamonds_hold(lat, values: List[int], a: int, above) -> bool:
+    """True iff R3 holds on every diamond with bottom a.
+
+    The tops of the diamonds whose middles have values v and w are the
+    spaces covering a cover of a of value v and a different one of value
+    w; R3 fails on one of them iff such a top has a value above
+    v + w - values[a].
+    """
+    once: Dict[int, int] = {}   # tops over at least one cover of value v
+    twice: Dict[int, int] = {}  # tops over at least two
+    for b in mask_ids(lat.covers_mask(a)):
+        tops, v = lat.covers_mask(b), values[b]
+        seen = once.get(v, 0)
+        twice[v] = twice.get(v, 0) | (seen & tops)
+        once[v] = seen | tops
+    va = values[a]
+    for v, w in itertools.combinations_with_replacement(sorted(once), 2):
+        joins = twice[v] if v == w else once[v] & once[w]
+        if joins & above(v + w - va):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -501,10 +501,11 @@ class SubspaceLattice:
     containing both i and j are the up-set of their join, which is the
     one of least dimension and hence the lowest id in
     ``up_masks[i] & up_masks[j]``; likewise the span of some vectors is
-    the lowest id in the AND of their holders.  ``sub_masks``, the
-    transpose of ``up_masks``, is built on first use from the covers,
-    and ``layer_masks[d]`` holds the ids of dimension d.  No table
-    changes once built.
+    the lowest id in the AND of their holders.  ``layer_masks[d]`` holds
+    the ids of dimension d, so ``covers_mask(i)``, the upper covers of
+    space i, is ``up_masks[i] & layer_masks[dim + 1]``.  ``sub_masks``,
+    the transpose of ``up_masks``, is built on first use from the
+    covers.  No table changes once built.
     """
 
     def __init__(self, q: int, n: int, caps: Caps = DEFAULT_CAPS):
@@ -557,6 +558,12 @@ class SubspaceLattice:
         common = self.up_masks[i] & self.up_masks[j]
         return (common & -common).bit_length() - 1
 
+    def covers_mask(self, i: int) -> int:
+        """Bitmask of the upper covers of space i: the spaces containing
+        it whose dimension is one more."""
+        d = self.dims[i]
+        return self.up_masks[i] & self.layer_masks[d + 1] if d < self.n else 0
+
     @property
     def sub_masks(self):
         """sub_masks[i] = bitmask over ids j with space_j <= space_i."""
@@ -564,11 +571,9 @@ class SubspaceLattice:
             # the subspaces of a space are itself and those of its
             # hyperplanes (the spaces it covers), whose ids are lower
             hyperplanes = [[] for _ in range(self.size)]
-            for j, up in enumerate(self.up_masks):
-                d = self.dims[j]
-                if d < self.n:
-                    for i in mask_ids(up & self.layer_masks[d + 1]):
-                        hyperplanes[i].append(j)
+            for j in range(self.size):
+                for i in mask_ids(self.covers_mask(j)):
+                    hyperplanes[i].append(j)
             masks = []
             for i, below in enumerate(hyperplanes):
                 mask = 1 << i

@@ -1,5 +1,6 @@
 """Matroid constructors, axioms, closure/flats cryptomorphisms and minors."""
 
+import functools
 import itertools
 import random
 
@@ -40,6 +41,44 @@ from qmatroids.errors import (
 )
 from qmatroids.fields import ground_field, make_field
 from qmatroids.repro import fprime_closed_form
+from qmatroids.subspaces import decode_vector
+
+
+SWEEP_AMBIENTS = [(2, 3), (3, 2), (2, 4), (3, 3), (4, 2)]
+
+
+def _rank_inputs(q, n, rng):
+    """Rank vectors by lattice id that break any mix of R1-R3.
+
+    Uniform ranks perturbed at random spaces break any of them.  Each
+    of the other kinds breaks one axiom only: uniform ranks shifted by
+    one break R1; min(dim, k, m - dim) for m >= n (a concave function
+    of the dimension, so submodular) and uniform ranks with the full
+    space lowered break R2; max(0, dim - c) (convex), uniform ranks with
+    the full space raised, and the dimension lowered by one on random
+    nonzero spaces (no longer submodular at a diamond through one of
+    them) break R3.
+    """
+    dims = lattice(q, n).dims
+    for _ in range(30):
+        k = rng.randint(0, n)
+        rv = [min(k, d) for d in dims]
+        for i in rng.sample(range(len(dims)), rng.randint(0, 3)):
+            rv[i] += rng.choice((-1, 1))
+        yield rv
+    for k in range(n + 1):
+        shift, m = rng.choice((-1, 1)), n + rng.randint(0, 1)
+        yield [min(k, d) + shift for d in dims]
+        yield [min(d, k, m - d) for d in dims]
+        if k:
+            yield [min(k, d) - (d == n) for d in dims]
+        if 0 < k < n:
+            yield [max(0, d - k) for d in dims]
+        if k <= n - 2:
+            yield [min(k, d) + (d == n) for d in dims]
+    for _ in range(5):
+        low = set(rng.sample(range(1, len(dims)), rng.randint(1, 3)))
+        yield [d - (i in low) for i, d in enumerate(dims)]
 
 
 class TestUniform:
@@ -262,6 +301,177 @@ class TestCheckFlatAxioms:
         assert any(ax == "F2" for ax, _, _ in report.violations)
 
 
+@functools.lru_cache(maxsize=None)
+def _order_tables(q, n):
+    """Containment, meets, joins and vector membership of the spaces of
+    F_q^n by lattice id, from Subspace operations (RREF), not from the
+    bitmask tables of the lattice."""
+    S = lattice(q, n).spaces
+    ids = {V: i for i, V in enumerate(S)}
+    below = [[contains(T, V) for T in S] for V in S]  # S[i] <= S[j]
+    meets = [[ids[meet(V, T)] for T in S] for V in S]
+    joins = [[ids[join(V, T)] for T in S] for V in S]
+    vectors = [decode_vector(c, q, n) for c in range(1, q ** n)]
+    holds = [[V.contains_vector(v) for v in vectors] for V in S]
+    return ids, below, meets, joins, vectors, holds
+
+
+def _reference_covers(fam, i):
+    """Ids of the members G > space i with no member strictly between,
+    by a quadratic scan."""
+    ids, below = _order_tables(fam.q, fam.n)[:2]
+    ups = [g for g in sorted(map(ids.get, fam.members)) if g != i and below[i][g]]
+    return [g for g in ups if not any(h != g and below[h][g] for h in ups)]
+
+
+def _reference_flat_axioms(fam, limit):
+    """F1, then F2 on every pair of members, then F3 on every (member,
+    outside vector) pair in code order, cut at ``limit``."""
+    ids, _, meets, _, vectors, holds = _order_tables(fam.q, fam.n)
+    S = lattice(fam.q, fam.n).spaces
+    members = sorted(map(ids.get, fam.members))
+    full = ids[Subspace.full(fam.q, fam.n)]
+    out = []
+
+    def room():
+        return limit is None or len(out) < limit
+
+    if full not in members:
+        out.append(("F1", S[full], None))
+    for a, b in itertools.combinations(members, 2):
+        if not room():
+            break
+        if meets[a][b] not in members:
+            out.append(("F2", (S[a], S[b]), S[meets[a][b]]))
+    if full in members:
+        for f in members:
+            if not room():
+                break
+            covers = _reference_covers(fam, f)
+            for k, v in enumerate(vectors):
+                if holds[f][k]:
+                    continue
+                hits = [S[c] for c in covers if holds[c][k]]
+                if len(hits) != 1:
+                    out.append(("F3", (S[f], v), hits))
+                    if not room():
+                        break
+    return out
+
+
+def _reference_heights(fam):
+    """Longest chain below each member, in members."""
+    ids, below = _order_tables(fam.q, fam.n)[:2]
+    h = {}
+    for i in sorted(map(ids.get, fam.members)):
+        h[i] = max((h[j] + 1 for j in h if j != i and below[j][i]), default=0)
+    S = lattice(fam.q, fam.n).spaces
+    return {S[i]: v for i, v in h.items()}
+
+
+def _families(q, n, rng):
+    """Flat families: the flats of uniform matroids, families breaking
+    F1, F2 or F3 by construction, random subsets of the lattice (with
+    and without the full space) and the closure fixed points of the
+    rank inputs of the axiom sweep test, valid or not."""
+    lat = lattice(q, n)
+    S = lat.spaces
+    for k in range(n + 1):
+        yield uniform(q, n, k).flats()
+    yield FlatFamily(q, n, [Subspace.zero(q, n)])
+    yield FlatFamily(q, n, [Subspace.full(q, n)])
+    yield FlatFamily(q, n, S)
+    yield FlatFamily(q, n, [V for V in S if V.dim != 1])
+    for _ in range(8):
+        members = rng.sample(S, rng.randint(1, lat.size))
+        if rng.random() < 0.7:
+            members.append(Subspace.full(q, n))
+        yield FlatFamily(q, n, members)
+    for rv in itertools.islice(_rank_inputs(q, n, rng), 0, None, 3):
+        M = from_function(q, n, lambda V, rv=rv: rv[lat.id_of(V)])
+        yield FlatFamily(q, n, [V for i, V in enumerate(S)
+                                if M.closure_id(i) == i])
+
+
+class TestFlatReference:
+    """Closures, covers, heights and the flat axioms against their
+    definitions, on valid and violating inputs."""
+
+    @pytest.mark.parametrize("q, n", SWEEP_AMBIENTS)
+    def test_closure_id_against_definition(self, q, n):
+        # closure(V) = V + every 1-space X with rank(V + X) = rank(V);
+        # flats() holds the fixed points, or raises on their first
+        # flat-axiom failure
+        ids, _, _, joins, _, _ = _order_tables(q, n)
+        S = lattice(q, n).spaces
+        ones = [i for i, V in enumerate(S) if V.dim == 1]
+        for rv in _rank_inputs(q, n, random.Random(q * n)):
+            M = from_function(q, n, lambda V: rv[ids[V]])
+            fixed = []
+            for i, V in enumerate(S):
+                acc = i
+                for x in ones:
+                    if rv[joins[i][x]] == rv[i]:
+                        acc = joins[acc][x]
+                assert M.closure_id(i) == acc
+                if acc == i:
+                    fixed.append(V)
+            fam = FlatFamily(q, n, fixed)
+            if _reference_flat_axioms(fam, 1):
+                with pytest.raises(FlatAxiomViolation):
+                    M.flats()
+            else:
+                assert M.flats() == fam
+
+    @pytest.mark.parametrize("q, n", SWEEP_AMBIENTS)
+    def test_flat_family_against_quadratic_scans(self, q, n):
+        ids, below, meets = _order_tables(q, n)[:3]
+        S = lattice(q, n).spaces
+        kinds = set()
+        for fam in _families(q, n, random.Random(7 * q + n)):
+            for limit in (None, 1, 3):
+                report = check_flat_axioms(fam, limit=limit)
+                assert report.violations == _reference_flat_axioms(fam, limit)
+                assert report.ok == (not report.violations)
+            kinds.update(v[0] for v in check_flat_axioms(fam, limit=None).violations)
+            members = sorted(map(ids.get, fam.members))
+            for i, V in enumerate(S):
+                assert fam.covers_of(V) == [S[g] for g in _reference_covers(fam, i)]
+                above = [f for f in members if below[i][f]]
+                if above:
+                    acc = above[0]
+                    for f in above:
+                        acc = meets[acc][f]
+                    assert fam.closure_of(V) == S[acc]
+                else:
+                    with pytest.raises(FlatAxiomViolation):
+                        fam.closure_of(V)
+            assert fam.heights == _reference_heights(fam)
+        assert kinds == {"F1", "F2", "F3"}
+
+    def test_named_violating_families(self):
+        fams = [FlatFamily(2, 4, fprime_closed_form(2)),
+                FlatFamily(2, 3, [Subspace.full(2, 3),
+                                  row_space(2, 3, [(1, 0, 0), (0, 1, 0)]),
+                                  row_space(2, 3, [(0, 1, 0), (0, 0, 1)]),
+                                  Subspace.zero(2, 3)]),
+                FlatFamily(2, 2, [Subspace.zero(2, 2)]),
+                # the covers of 0 hold 3 + 3 + 1 = 7 nonzero vectors, as
+                # many as F_2^3 has, yet miss 111 and share 010
+                FlatFamily(2, 3, [Subspace.zero(2, 3), Subspace.full(2, 3),
+                                  row_space(2, 3, [(1, 0, 0), (0, 1, 0)]),
+                                  row_space(2, 3, [(0, 1, 0), (0, 0, 1)]),
+                                  row_space(2, 3, [(1, 0, 1)])])]
+        for fam in fams:
+            for limit in (None, 1, 3):
+                assert (check_flat_axioms(fam, limit=limit).violations
+                        == _reference_flat_axioms(fam, limit))
+            ids = _order_tables(fam.q, fam.n)[0]
+            for F in fam.sorted_members:
+                assert fam.covers_of(F) == [lattice(fam.q, fam.n).spaces[g]
+                                            for g in _reference_covers(fam, ids[F])]
+
+
 class TestIndependenceCircuitsLoops:
     def test_u1_circuits(self):
         assert uniform(2, 2, 1).circuits() == [Subspace.full(2, 2)]
@@ -452,49 +662,69 @@ class TestAxiomSweeps:
         for name, M in repro_matroids.items():
             assert check_rank_axioms(M).ok, name
 
-    @pytest.mark.parametrize("q, n", [(2, 3), (3, 2)])
+    @pytest.mark.parametrize("q, n", SWEEP_AMBIENTS)
     def test_sweep_against_pairwise_definition(self, q, n):
-        # perturbed uniform ranks: the report lists the failures of the
-        # defining checks, R1 then R2 then R3, cut at the limit; the
-        # completion's validation raises on the first R2 or R3 failure
+        # the defining checks (R2 on every containment, R3 on every pair)
+        # judge each input; the report must agree on the verdict, list
+        # the R1 failures exactly, and draw its R2/R3 witnesses from
+        # them; in full it is the cover and diamond failures, in order
         lat = lattice(q, n)
-        ids = {S: i for i, S in enumerate(lat.spaces)}
         S = lat.spaces
+        ids = {V: i for i, V in enumerate(S)}
         pairs = [(i, j, ids[join(S[i], S[j])], ids[meet(S[i], S[j])])
                  for i, j in itertools.combinations(range(lat.size), 2)]
-        rng = random.Random(10 * q + n)
-        kinds = set()
-        for _ in range(40):
-            k = rng.randint(0, n)
-            rv = [min(k, d) for d in lat.dims]
-            for i in rng.sample(range(lat.size), rng.randint(0, 3)):
-                rv[i] += rng.choice((-1, 1))
-            zero = ids[Subspace.zero(q, n)]
-            want = [("R1", (S[zero],), rv[zero])] if rv[zero] else []
-            want += [("R1", (S[i],), rv[i]) for i in range(lat.size)
-                     if not 0 <= rv[i] <= S[i].dim]
-            want += [("R2", (S[j], S[i]), (rv[j], rv[i]))
-                     for i in range(lat.size) for j in range(lat.size)
-                     if j != i and contains(S[i], S[j]) and rv[j] > rv[i]]
+        nested = [(i, j) for i in range(lat.size) for j in range(lat.size)
+                  if j != i and contains(S[i], S[j])]
+        covers = [[j for j in range(lat.size)
+                   if S[j].dim == S[i].dim + 1 and contains(S[j], S[i])]
+                  for i in range(lat.size)]
+        diamonds = [(a, b, c, ids[join(S[b], S[c])]) for a in range(lat.size)
+                    for b, c in itertools.combinations(covers[a], 2)]
+        classes = set()
+        for rv in _rank_inputs(q, n, random.Random(10 * q + n)):
+            r1 = [("R1", (S[i],), rv[i]) for i in range(lat.size)
+                  if not 0 <= rv[i] <= S[i].dim]
+            want = r1 + [("R2", (S[j], S[i]), (rv[j], rv[i]))
+                         for i, j in nested if rv[j] > rv[i]]
             for i, j, ij_join, ij_meet in pairs:
                 lhs = rv[ij_join] + rv[ij_meet]
                 if lhs > rv[i] + rv[j]:
                     want.append(("R3", (S[i], S[j]), (lhs, rv[i] + rv[j])))
+            local = [("R2", (S[i], S[j]), (rv[i], rv[j]))
+                     for i in range(lat.size) for j in covers[i]
+                     if rv[i] > rv[j]]
+            for a, b, c, top in diamonds:
+                lhs = rv[top] + rv[a]
+                if lhs > rv[b] + rv[c]:
+                    local.append(("R3", (S[b], S[c]), (lhs, rv[b] + rv[c])))
             M = from_function(q, n, lambda V: rv[ids[V]])
-            for limit in (None, 1, 3):
+            full = check_rank_axioms(M, limit=None)
+            assert full.ok == (not want)
+            assert full.violations == r1 + local
+            assert all(v in want for v in local)
+            for limit in (1, 3):
                 report = check_rank_axioms(M, limit=limit)
-                assert report.violations == want[:limit]
-                assert report.ok == (not want)
-            r23 = [v for v in want if v[0] != "R1"]
-            if r23:
-                error = TauNotMonotone if r23[0][0] == "R2" else TauNotSubmodular
+                assert report.violations == full.violations[:limit]
+                assert report.ok == full.ok
+            failing = {v[0] for v in want}
+            if {"R2", "R3"} & failing:
+                axiom = "R2" if "R2" in failing else "R3"
+                error = TauNotMonotone if axiom == "R2" else TauNotSubmodular
                 with pytest.raises(error) as ei:
                     submodular_completion(q, n, lambda V: rv[ids[V]])
-                assert ei.value.witness == r23[0][1]
+                assert ei.value.witness in [w for ax, w, _ in want if ax == axiom]
             else:
                 submodular_completion(q, n, lambda V: rv[ids[V]])
-            kinds.update(v[0] for v in want)
-        assert kinds == {"R1", "R2", "R3"}
+            classes.add(frozenset(failing))
+        assert {frozenset(), frozenset({"R1"}), frozenset({"R2"}),
+                frozenset({"R3"})} <= classes
+
+    def test_rank_of_zero_reported_once(self):
+        # rank 1 everywhere breaks R1 at the zero space only
+        bad = from_function(2, 2, lambda V: 1)
+        want = [("R1", (Subspace.zero(2, 2),), 1)]
+        for limit in (None, 1, 2):
+            assert check_rank_axioms(bad, limit=limit).violations == want
 
     def test_limit_none_collects_everything(self):
         lat = lattice(2, 2)
