@@ -9,7 +9,6 @@ computations table lookups.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
@@ -161,9 +160,10 @@ def check_flat_axioms(fam: FlatFamily, limit: Optional[int] = 10) -> AxiomReport
     """Exhaustively verify F1-F3; the report carries witnesses.
 
     F2 meets every pair of members (an AND of vector masks).  F3 asks, for
-    every member F, that its covers in the family partition the vectors
-    outside F; where they do not, every (F, outside vector) pair is
-    reported that lies in no cover or in several, with those covers.
+    every member F and every vector outside F, that exactly one cover of
+    F in the family contains it; the vectors in no cover or in several
+    are read off two masks (in at least one cover, in at least two), and
+    each such (F, vector) pair is reported with those covers.
     """
     lat = lattice(fam.q, fam.n)
     vm = lat.vec_masks
@@ -181,10 +181,7 @@ def check_flat_axioms(fam: FlatFamily, limit: Optional[int] = 10) -> AxiomReport
         if not room():
             break
         va = vm[a]
-        later = ids[k + 1:]
-        if {va & vm[b] for b in later} <= member_vms:
-            continue
-        for b in later:
+        for b in ids[k + 1:]:
             if not room():
                 break
             m = va & vm[b]
@@ -192,30 +189,22 @@ def check_flat_axioms(fam: FlatFamily, limit: Optional[int] = 10) -> AxiomReport
                 violations.append(("F2", (lat.spaces[a], lat.spaces[b]),
                                    lat.spaces[lat._mask_to_id[m]]))
     if full in fam.members:
-        size = fam.q ** fam.n
-        everything = (1 << size) - 1
+        everything = (1 << fam.q ** fam.n) - 1
         for f in ids:
             if not room():
                 break
-            fmask = vm[f]
             covers = fam._cover_ids(f)
-            union = fmask
-            outside = 0
+            once = twice = 0  # vectors in at least one, two covers of F
             for c in covers:
-                union |= vm[c]
-                outside += fam.q ** lat.dims[c] - fam.q ** lat.dims[f]
-            if union == everything and outside == size - fam.q ** lat.dims[f]:
-                continue  # each vector outside F lies in exactly one cover
-            for code in range(1, size):
-                if (fmask >> code) & 1:
-                    continue
+                twice |= once & vm[c]
+                once |= vm[c]
+            for code in mask_ids((everything & ~once | twice) & ~vm[f]):
                 hits = [lat.spaces[c] for c in covers if (vm[c] >> code) & 1]
-                if len(hits) != 1:
-                    violations.append(("F3", (lat.spaces[f],
-                                              decode_vector(code, fam.q, fam.n)),
-                                       hits))
-                    if not room():
-                        break
+                violations.append(("F3", (lat.spaces[f],
+                                          decode_vector(code, fam.q, fam.n)),
+                                   hits))
+                if not room():
+                    break
     return AxiomReport(ok=not violations, violations=violations)
 
 
@@ -497,58 +486,18 @@ def r2_r3_violations(lat, values: List[int]):
     (B, C) with values (rank(B v C) + rank A, rank B + rank C).  Each
     witness is thus a genuine pairwise violation, and every R2 failure
     shows up among the cover pairs, which all come before any R3 entry.
-    One mask test per bottom A skips the bottoms where no diamond fails,
-    so diamonds are listed only where one does.
     """
     spaces = lat.spaces
     for i in range(lat.size):
         for j in mask_ids(lat.covers_mask(i)):
             if values[i] > values[j]:
                 yield ("R2", (spaces[i], spaces[j]), (values[i], values[j]))
-    above = _above_masks(values)
     for a in range(lat.size):
-        if _diamonds_hold(lat, values, a, above):
-            continue
         covers = list(mask_ids(lat.covers_mask(a)))
         for b, c in itertools.combinations(covers, 2):
             lhs = values[lat.join_id(b, c)] + values[a]
             if lhs > values[b] + values[c]:
                 yield ("R3", (spaces[b], spaces[c]), (lhs, values[b] + values[c]))
-
-
-def _above_masks(values: List[int]):
-    """x -> bitmask of the ids whose value exceeds x."""
-    levels = sorted(set(values))
-    by_level = dict.fromkeys(levels, 0)
-    for i, v in enumerate(values):
-        by_level[v] |= 1 << i
-    suffix = [0] * (len(levels) + 1)
-    for k in range(len(levels) - 1, -1, -1):
-        suffix[k] = suffix[k + 1] | by_level[levels[k]]
-    return lambda x: suffix[bisect.bisect_right(levels, x)]
-
-
-def _diamonds_hold(lat, values: List[int], a: int, above) -> bool:
-    """True iff R3 holds on every diamond with bottom a.
-
-    The tops of the diamonds whose middles have values v and w are the
-    spaces covering a cover of a of value v and a different one of value
-    w; R3 fails on one of them iff such a top has a value above
-    v + w - values[a].
-    """
-    once: Dict[int, int] = {}   # tops over at least one cover of value v
-    twice: Dict[int, int] = {}  # tops over at least two
-    for b in mask_ids(lat.covers_mask(a)):
-        tops, v = lat.covers_mask(b), values[b]
-        seen = once.get(v, 0)
-        twice[v] = twice.get(v, 0) | (seen & tops)
-        once[v] = seen | tops
-    va = values[a]
-    for v, w in itertools.combinations_with_replacement(sorted(once), 2):
-        joins = twice[v] if v == w else once[v] & once[w]
-        if joins & above(v + w - va):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
