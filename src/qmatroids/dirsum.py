@@ -5,7 +5,9 @@ rho'_1 + rho'_2, where rho'_i pulls the summand rank back through the
 coordinate projection.  The completion minimizes tau(X) + dim V - dim X
 over the subspaces X of V.  It is computed up the lattice by the cover
 recursion rank(V) = min(tau(V), 1 + min rank(W) over the hyperplanes W
-of V), which is exact for any integer tau.
+of V), which is exact for any integer tau.  Direct sums build tau as a
+list by lattice id, from the summands' rank vectors at the projections'
+image ids, and the identity checks compare ranks by id.
 """
 
 from __future__ import annotations
@@ -31,11 +33,8 @@ from .maps import (
     lmap_from_matrix,
     pi_maps,
 )
-from .qmatroid import QMatroid, from_function, is_isomorphic, r2_r3_violations
+from .qmatroid import QMatroid, from_rank_vector, is_isomorphic, r2_r3_violations
 from .subspaces import Mat, Subspace, lattice, mask_ids
-
-
-MATERIALIZE_LIMIT = 10 ** 5
 
 
 def submodular_completion(q: int, n: int, tau: Callable[[Subspace], int],
@@ -52,7 +51,11 @@ def submodular_completion(q: int, n: int, tau: Callable[[Subspace], int],
             if axiom == "R2":
                 raise TauNotMonotone(witnesses)
             raise TauNotSubmodular(witnesses)
+    return from_rank_vector(q, n, _complete(lat, tv), kind="completion")
 
+
+def _complete(lat, tv: List[int]) -> List[int]:
+    """Ranks by lattice id of the completion of ``tv``, a rank list by id."""
     # rank(V) = min(tau(V), 1 + min rank(W) over the hyperplanes W of V):
     # every X < V lies in a hyperplane of V; ids ascend with dimension
     subs = lat.sub_masks
@@ -65,11 +68,7 @@ def submodular_completion(q: int, n: int, tau: Callable[[Subspace], int],
                 if values[w] < best - 1:
                     best = values[w] + 1
         values.append(best)
-    table = {S: values[i] for i, S in enumerate(lat.spaces)}
-    M = from_function(q, n, lambda V: table[V], kind="completion")
-    if lat.size <= MATERIALIZE_LIMIT:
-        M.rank_vector()
-    return M
+    return values
 
 
 @dataclass
@@ -97,16 +96,15 @@ def direct_sum(M1: QMatroid, M2: QMatroid) -> DirectSum:
     n = n1 + n2
     iota1, iota2 = iota_maps(q, n1, n2)
     pi1, pi2 = pi_maps(q, n1, n2)
-
-    def pushed_rank(Mi, pi):
-        return lambda V: Mi.rank(pi.image_of(V))
-
-    P1 = from_function(q, n, pushed_rank(M1, pi1), kind="pushed")
-    P2 = from_function(q, n, pushed_rank(M2, pi2), kind="pushed")
-    total = submodular_completion(
-        q, n, lambda V: P1.rank(V) + P2.rank(V), validate=False)
-    total.kind = "direct_sum"
-    total.payload = {"summands": (M1, M2)}
+    # rho'_i(V) = rho_i(pi_i V): the summand's rank at the image id
+    pushed = []
+    for Mi, pi in ((M1, pi1), (M2, pi2)):
+        rv = Mi.rank_vector()
+        pushed.append([rv[j] for j in pi.image_ids])
+    P1, P2 = (from_rank_vector(q, n, rv, kind="pushed") for rv in pushed)
+    tau = [a + b for a, b in zip(*pushed)]
+    total = from_rank_vector(q, n, _complete(lattice(q, n), tau), kind="direct_sum",
+                             payload={"summands": (M1, M2)})
     D = DirectSum(M1, M2, total, iota1, iota2, pi1, pi2, (P1, P2))
     _assert_embedding_identities(D)
     return D
@@ -114,16 +112,17 @@ def direct_sum(M1: QMatroid, M2: QMatroid) -> DirectSum:
 
 def _assert_embedding_identities(D: DirectSum):
     # rho'_i(iota_i V) = rho_i(V) = rho(iota_i V), rho'_j(iota_i V) = 0
-    for Mi, iota, own, other in ((D.m1, D.iota1, D.pushed[0], D.pushed[1]),
-                                 (D.m2, D.iota2, D.pushed[1], D.pushed[0])):
-        for V in lattice(Mi.q, Mi.n).spaces:
-            emb = iota.image_of(V)
-            r = Mi.rank(V)
-            if not (own.rank(emb) == r == D.total.rank(emb)
-                    and other.rank(emb) == 0):
+    total = D.total.rank_vector()
+    own1, own2 = (P.rank_vector() for P in D.pushed)
+    for Mi, iota, own, other in ((D.m1, D.iota1, own1, own2),
+                                 (D.m2, D.iota2, own2, own1)):
+        rv = Mi.rank_vector()
+        for i, e in enumerate(iota.image_ids):
+            if not (own[e] == rv[i] == total[e] and other[e] == 0):
+                V = lattice(Mi.q, Mi.n).spaces[i]
                 raise AssertionError(
                     f"embedding identities fail at {V!r}: "
-                    f"{own.rank(emb)}, {r}, {D.total.rank(emb)}, {other.rank(emb)}")
+                    f"{own[e]}, {rv[i]}, {total[e]}, {other[e]}")
 
 
 def dirsum_circuits(D: DirectSum) -> List[Subspace]:
@@ -132,10 +131,10 @@ def dirsum_circuits(D: DirectSum) -> List[Subspace]:
     Cross-checked against the circuits computed from the rank function.
     """
     lat = lattice(*D.ambient)
-    P1, P2 = D.pushed
+    r1, r2 = (P.rank_vector() for P in D.pushed)
     cond_mask = 0
-    for i, S in enumerate(lat.spaces):
-        if P1.rank(S) + P2.rank(S) <= lat.dims[i] - 1:
+    for i, d in enumerate(lat.dims):
+        if r1[i] + r2[i] <= d - 1:
             cond_mask |= 1 << i
     subs = lat.sub_masks
     out = [lat.spaces[i] for i in range(lat.size)
@@ -164,18 +163,17 @@ class CheckReport:
 def additivity_check(D: DirectSum) -> CheckReport:
     """rho(V1 (+) V2) = rho1(V1) + rho2(V2), and (M1 (+) M2)/E_i ~ M_j."""
     rep = CheckReport()
-    lat1 = lattice(D.m1.q, D.m1.n)
-    lat2 = lattice(D.m2.q, D.m2.n)
-    bad = []
-    for V1 in lat1.spaces:
-        e1 = D.iota1.image_of(V1)
-        for V2 in lat2.spaces:
-            e2 = D.iota2.image_of(V2)
-            boxsum = Subspace.from_rows(D.total.q, D.total.n,
-                                        list(e1.basis) + list(e2.basis))
-            if D.total.rank(boxsum) != D.m1.rank(V1) + D.m2.rank(V2):
-                bad.append((V1, V2))
-    rep.add("additivity", not bad, bad[:5])
+    lat = lattice(*D.ambient)
+    rv = D.total.rank_vector()
+    rv1, rv2 = D.m1.rank_vector(), D.m2.rank_vector()
+    # V1 (+) V2 is the join of the two embedded images
+    bad = [(i1, i2)
+           for i1, e1 in enumerate(D.iota1.image_ids)
+           for i2, e2 in enumerate(D.iota2.image_ids)
+           if rv[lat.join_id(e1, e2)] != rv1[i1] + rv2[i2]]
+    spaces1 = lattice(D.m1.q, D.m1.n).spaces
+    spaces2 = lattice(D.m2.q, D.m2.n).spaces
+    rep.add("additivity", not bad, [(spaces1[i1], spaces2[i2]) for i1, i2 in bad[:5]])
     E1 = D.iota1.image_of(Subspace.full(D.m1.q, D.m1.n))
     E2 = D.iota2.image_of(Subspace.full(D.m2.q, D.m2.n))
     c2 = D.total.contraction(E1)
@@ -297,21 +295,19 @@ def dirsum_is_max(M1: QMatroid, M2: QMatroid,
     D = direct_sum(M1, M2)
     rep = CheckReport()
     lat = lattice(*D.ambient)
-    lat1 = lattice(M1.q, M1.n)
-    lat2 = lattice(M2.q, M2.n)
-    emb1 = [(D.iota1.image_of(V), M1.rank(V)) for V in lat1.spaces]
-    emb2 = [(D.iota2.image_of(V), M2.rank(V)) for V in lat2.spaces]
-    rep.add("sum_restriction_equals_summands",
-            all(D.total.rank(E) == r for E, r in emb1 + emb2))
+    rv = D.total.rank_vector()
+    # (id of iota_i V, rho_i(V)) for every space V of each summand
+    emb = [(e, r) for Mi, iota in ((M1, D.iota1), (M2, D.iota2))
+           for e, r in zip(iota.image_ids, Mi.rank_vector())]
+    rep.add("sum_restriction_equals_summands", all(rv[e] == r for e, r in emb))
     for i, cand in enumerate(candidates):
         if cand.ambient() != D.ambient:
             raise AmbientMismatch(f"candidate {i} has ambient {cand.ambient()}")
-        in_hat = (all(cand.rank(E) <= r for E, r in emb1)
-                  and all(cand.rank(E) <= r for E, r in emb2))
-        if not in_hat:
+        rc = cand.rank_vector()
+        if not all(rc[e] <= r for e, r in emb):
             rep.add(f"candidate_{i}_in_S_hat", False, "restriction exceeds a summand")
             continue
-        bad = [S for S in lat.spaces if cand.rank(S) > D.total.rank(S)]
+        bad = [lat.spaces[j] for j in range(lat.size) if rc[j] > rv[j]]
         rep.add(f"candidate_{i}_below_sum", not bad, bad[:5])
     return rep
 

@@ -296,6 +296,8 @@ class FieldSpec:
         return self._exp[1 % max(self.order - 1, 1)]
 
     def add(self, a: int, b: int) -> int:
+        if self.p == 2:  # indices are F_2 coefficient vectors
+            return a ^ b
         if self.m == 1:
             return self.base_add(a, b)
         q = self.q

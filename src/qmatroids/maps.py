@@ -12,7 +12,7 @@ as an oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import List, Sequence
 
 from . import kernels
 from .errors import (
@@ -25,19 +25,28 @@ from .fields import ground_field
 from .subspaces import (
     Mat,
     Subspace,
+    code_arithmetic,
     decode_vector,
     encode_vector,
     lattice,
+    mask_ids,
     rref,
     vec_scale,
 )
 
 
 class LMap:
-    """A verified subspace-to-subspace map between F_q^n1 and F_q^n2."""
+    """A verified subspace-to-subspace map between F_q^n1 and F_q^n2.
+
+    ``table[c]`` is the code of the image of the vector with code c.
+    ``image_ids``, built on first use, lists for each domain lattice id
+    the codomain lattice id of that space's image, so whole-lattice
+    sweeps compare ranks by id; ``image_of`` gives one image as a
+    ``Subspace`` in any ambient.
+    """
 
     __slots__ = ("q", "n1", "n2", "table", "linear_matrix", "automorphism",
-                 "semilinear_matrix", "verified")
+                 "semilinear_matrix", "verified", "_image_ids")
 
     def __init__(self, q, n1, n2, table, linear_matrix=None,
                  automorphism=None, semilinear_matrix=None, verified=False):
@@ -49,6 +58,7 @@ class LMap:
         self.automorphism = automorphism
         self.semilinear_matrix = semilinear_matrix
         self.verified = verified
+        self._image_ids = None
 
     # ------------------------------------------------------------ basics
 
@@ -70,27 +80,43 @@ class LMap:
     def apply_enc(self, code: int) -> int:
         return self.table[code]
 
+    @property
+    def _spans_by_basis(self) -> bool:
+        # v -> sigma(v) A sends sum c_i b_i to sum sigma(c_i) (b_i's image),
+        # so the image of a space is the span of its basis rows' images
+        return self.linear_matrix is not None or self.semilinear_matrix is not None
+
     def image_of(self, V: Subspace) -> Subspace:
         """The image set of V, as a canonical subspace of the codomain.
 
-        A (semi)linear map v -> sigma(v) A sends V onto the span of the
-        images of its basis rows; other maps are applied to every vector.
+        A (semi)linear map sends V onto the span of the images of its
+        basis rows; other maps are applied to every vector.
         """
         if (V.q, V.n) != (self.q, self.n1):
             raise AmbientMismatch("subspace does not live in the domain")
-        A = (self.linear_matrix if self.linear_matrix is not None
-             else self.semilinear_matrix)
-        if A is not None:
-            F = A.spec
-            rows = V.basis
-            if self.automorphism:
-                rows = [tuple(F.base_frobenius(x, self.automorphism) for x in row)
-                        for row in rows]
-            return Subspace.from_rows(self.q, self.n2,
-                                      [_apply_matrix(row, A, F) for row in rows])
-        codes = {self.table[encode_vector(v, self.q)] for v in V.vectors()}
-        rows = [decode_vector(c, self.q, self.n2) for c in codes if c]
-        return Subspace.from_rows(self.q, self.n2, rows)
+        q = self.q
+        vectors = V.basis if self._spans_by_basis else V.vectors()
+        codes = {self.table[encode_vector(v, q)] for v in vectors}
+        return Subspace.from_rows(q, self.n2,
+                                  [decode_vector(c, q, self.n2) for c in codes if c])
+
+    @property
+    def image_ids(self) -> List[int]:
+        """image_ids[i] = the codomain lattice id of the image of domain
+        space i, built on first use.
+
+        The image is spanned by the table images of the space's basis
+        codes ((semi)linear maps) or of all its vectors (other L-maps);
+        the span is the lowest id in the AND of their codomain holders.
+        """
+        if self._image_ids is None:
+            lat1 = lattice(self.q, self.n1)
+            span_id = lattice(self.q, self.n2).span_id
+            image = self.table.__getitem__
+            sources = (lat1.basis_codes if self._spans_by_basis
+                       else map(mask_ids, lat1.vec_masks))
+            self._image_ids = [span_id(map(image, codes)) for codes in sources]
+        return self._image_ids
 
     def is_bijective(self) -> bool:
         return (self.n1 == self.n2
@@ -126,37 +152,36 @@ class LMap:
 def _detect_structure(q, n1, n2, table):
     """Return (linear_matrix, automorphism, semilinear_matrix) for the table."""
     F = ground_field(q)
-    rows = []
-    for i in range(n1):
-        e = [0] * n1
-        e[i] = 1
-        rows.append(decode_vector(table[encode_vector(e, q)], q, n2))
-    A = Mat(F, n1, n2, [x for r in rows for x in r])
+    # row i of the candidate matrix is the image of e_(i+1), code q**i
+    A = Mat(F, n1, n2, [x for i in range(n1)
+                        for x in decode_vector(table[q ** i], q, n2)])
+    table = list(table)
     for j in range(F.k if F.k > 1 else 1):
-        ok = True
-        for code in range(q ** n1):
-            v = decode_vector(code, q, n1)
-            sv = tuple(F.base_frobenius(x, j) for x in v)
-            out = _apply_matrix(sv, A, F)
-            if encode_vector(out, q) != table[code]:
-                ok = False
-                break
-        if ok:
+        if _matrix_table(A, j) == table:
             if j == 0:
                 return A, 0, None
             return None, j, A
     return None, None, None
 
 
-def _apply_matrix(vec, A: Mat, F):
-    out = [0] * A.cols
-    for i, c in enumerate(vec):
-        if c:
-            for j in range(A.cols):
-                a = A.entries[i * A.cols + j]
-                if a:
-                    out[j] = F.base_add(out[j], F.base_mul(c, a))
-    return tuple(out)
+def _matrix_table(A: Mat, automorphism: int = 0) -> List[int]:
+    """Codes of sigma(v) A for every code v of the domain, by linearity.
+
+    The codes below q**(i+1) whose digit i is d are those below q**i
+    plus d * e_(i+1), so their images add sigma(d) times row i of A to
+    the images already listed.
+    """
+    F = A.spec
+    q = F.q
+    add, scale = code_arithmetic(q, A.cols)
+    table = [0]
+    for i in range(A.rows):
+        row = encode_vector(A.row(i), q)
+        lower = table[:]
+        for d in range(1, q):
+            head = scale(F.base_frobenius(d, automorphism), row)
+            table += [add(head, w) for w in lower]
+    return table
 
 
 def _set_is_subspace(codes, q, n):
@@ -229,12 +254,7 @@ def lmap_from_matrix(A: Mat, automorphism: int = 0) -> LMap:
     """
     F = A.spec
     q, n1, n2 = F.q, A.rows, A.cols
-    table = []
-    for code in range(q ** n1):
-        v = decode_vector(code, q, n1)
-        if automorphism:
-            v = tuple(F.base_frobenius(x, automorphism) for x in v)
-        table.append(encode_vector(_apply_matrix(v, A, F), q))
+    table = _matrix_table(A, automorphism)
     if automorphism % max(F.k, 1) == 0:
         return LMap(q, n1, n2, table, linear_matrix=A, automorphism=0,
                     verified=True)
@@ -465,32 +485,43 @@ class MapTypeReport:
 def classify_map(phi: LMap, M1, M2, witness_limit: int = 10) -> MapTypeReport:
     """Classify phi as weak / strong / rank-preserving from M1 to M2.
 
-    Weakness and rank-preservation sweep every subspace of the domain;
-    strongness checks the preimage of every flat of M2 (a preimage that
-    is not even a subspace fails with that witness).
+    Weakness and rank-preservation sweep every subspace of the domain,
+    comparing rank vectors at each lattice id and its image id;
+    strongness checks the preimage of every flat of M2, in lattice
+    order (a preimage that is not even a subspace fails with that
+    witness).
     """
     if not phi.verified:
         raise ValueError("phi must be a verified L-map")
     if phi.domain != (M1.q, M1.n) or phi.codomain != (M2.q, M2.n):
         raise AmbientMismatch("map ambients do not match the matroids")
     lat1 = lattice(phi.q, phi.n1)
+    lat2 = lattice(phi.q, phi.n2)
+    rv1, rv2 = M1.rank_vector(), M2.rank_vector()
     weak_viol, rp_viol, strong_viol = [], [], []
-    for S in lat1.spaces:
-        r1 = M1.rank(S)
-        r2 = M2.rank(phi.image_of(S))
+    for i, j in enumerate(phi.image_ids):
+        r1, r2 = rv1[i], rv2[j]
         if r2 > r1 and len(weak_viol) < witness_limit:
-            weak_viol.append((S, r1, r2))
+            weak_viol.append((lat1.spaces[i], r1, r2))
         if r2 != r1 and len(rp_viol) < witness_limit:
-            rp_viol.append((S, r1, r2))
-    flats1 = M1.flats().members
-    for F in M2.flats().members:
-        codes, is_sub, P = preimage(phi, F)
-        if not is_sub:
-            if len(strong_viol) < witness_limit:
-                strong_viol.append((F, "preimage is not a subspace"))
-            continue
-        if P not in flats1 and len(strong_viol) < witness_limit:
-            strong_viol.append((F, P))
+            rp_viol.append((lat1.spaces[i], r1, r2))
+    # fibres[w]: the domain codes sent to code w; a preimage is a
+    # subspace iff its vector mask is one of the domain lattice
+    fibres = [0] * (phi.q ** phi.n2)
+    for v, w in enumerate(phi.table):
+        fibres[w] |= 1 << v
+    flats1 = M1.flats().id_mask
+    for f in M2.flats().member_ids:
+        if len(strong_viol) >= witness_limit:
+            break
+        mask = 0
+        for w in mask_ids(lat2.vec_masks[f]):
+            mask |= fibres[w]
+        p = lat1._mask_to_id.get(mask)
+        if p is None:
+            strong_viol.append((lat2.spaces[f], "preimage is not a subspace"))
+        elif not flats1 >> p & 1:
+            strong_viol.append((lat2.spaces[f], lat1.spaces[p]))
     return MapTypeReport(
         is_weak=not weak_viol,
         is_strong=not strong_viol,
@@ -508,9 +539,12 @@ def is_weak_linear_via_circuits(phi: LMap, M1, M2) -> bool:
     """
     if not phi.is_linear:
         raise ValueError("circuit criterion applies to linear maps only")
+    lat1 = lattice(phi.q, phi.n1)
+    dims2 = lattice(phi.q, phi.n2).dims
+    rv1, rv2 = M1.rank_vector(), M2.rank_vector()
     for C in M1.circuits():
-        img = phi.image_of(C)
-        if (M2.rank(img) > M1.rank(C) and img.dim == C.dim
-                and M2.rank(img) == img.dim):
+        i = lat1.id_of(C)
+        j = phi.image_ids[i]
+        if rv2[j] > rv1[i] and dims2[j] == C.dim and rv2[j] == dims2[j]:
             return False
     return True

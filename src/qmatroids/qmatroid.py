@@ -4,7 +4,9 @@ A QMatroid pairs an ambient space F_q^n with a total rank oracle.  Rank
 values are memoized per canonical subspace and, for ambients within the
 enumeration caps, materialized as a vector aligned with the shared
 lattice cache, which makes the exhaustive axiom sweeps and closure
-computations table lookups.
+computations table lookups.  Matrix matroids, pushforwards, completions
+and direct sums fill that vector by lattice id, without a rank call per
+subspace.
 """
 
 from __future__ import annotations
@@ -223,6 +225,8 @@ class QMatroid:
         self._rank_fn = rank_fn
         self._memo: Dict[Subspace, int] = {}
         self._rank_vector: Optional[List[int]] = None
+        # set by constructors that rank every lattice id at once
+        self._rank_vector_fn: Optional[Callable[[], List[int]]] = None
         self._flats: Optional[FlatFamily] = None
         self._circuits = None
 
@@ -247,8 +251,11 @@ class QMatroid:
     def rank_vector(self) -> List[int]:
         """Ranks aligned with the shared lattice order (materialized once)."""
         if self._rank_vector is None:
-            lat = lattice(self.q, self.n)
-            self._rank_vector = [self.rank(S) for S in lat.spaces]
+            if self._rank_vector_fn is not None:
+                self._rank_vector = self._rank_vector_fn()
+            else:
+                lat = lattice(self.q, self.n)
+                self._rank_vector = [self.rank(S) for S in lat.spaces]
         return self._rank_vector
 
     def rank_table(self) -> Dict[Subspace, int]:
@@ -382,22 +389,62 @@ def from_function(q: int, n: int, fn: Callable[[Subspace], int],
     return QMatroid(q, n, fn, kind=kind, payload=payload)
 
 
+def from_rank_vector(q: int, n: int, values: List[int], kind: str = "functional",
+                     payload=None) -> QMatroid:
+    """The matroid whose rank at lattice id i is values[i] (not validated)."""
+    lat = lattice(q, n)
+    M = QMatroid(q, n, lambda V: values[lat.id_of(V)], kind=kind, payload=payload)
+    M._rank_vector = values
+    return M
+
+
 def from_matrix(G: Mat) -> QMatroid:
-    """Matroid on F_q^n with rank(rowspace Y) = rank(G Y^T) over GF(q^m)."""
+    """Matroid on F_q^n with rank(rowspace Y) = rank(G Y^T) over GF(q^m).
+
+    g(v) = G v^T is tabulated once for every code v of F_q^n, by
+    linearity; the rank of a space is the GF(q^m)-rank of the g-images
+    of its basis codes.
+    """
     spec: FieldSpec = G.spec
     k, n = G.rows, G.cols
     if G.rank() != k:
         raise RankDeficientG(f"G must have full row rank {k}")
     q = spec.q
+    add, mul, neg = spec.add, spec.mul, spec.neg
+    # images[c] = G v^T for the vector v with code c: the codes whose
+    # digit i is d add d times column i to the codes below q**i
+    images = [(0,) * k]
+    for i in range(n):
+        column = G.entries[i::n]
+        lower = images[:]
+        for d in range(1, q):
+            head = [mul(d, x) for x in column]
+            images += [tuple(map(add, head, w)) for w in lower]
+
+    def rank_of(codes) -> int:
+        # each kept row is 1 at its pivot and 0 at the earlier pivots
+        basis = []
+        for c in codes:
+            row = images[c]
+            for p, b in basis:
+                f = row[p]
+                if f:
+                    f = neg(f)
+                    row = [add(x, mul(f, y)) for x, y in zip(row, b)]
+            p = next((j for j, x in enumerate(row) if x), None)
+            if p is not None:
+                inv = spec.inv(row[p])
+                basis.append((p, [mul(inv, x) for x in row]))
+                if len(basis) == k:
+                    break
+        return len(basis)
 
     def rank_fn(V: Subspace) -> int:
-        if V.dim == 0:
-            return 0
-        yt = Mat(spec, n, V.dim,
-                 [V.basis[j][i] for i in range(n) for j in range(V.dim)])
-        return G.mul(yt).rank()
+        return rank_of(encode_vector(row, q) for row in V.basis)
 
-    return QMatroid(q, n, rank_fn, kind="matrix", payload={"G": G})
+    M = QMatroid(q, n, rank_fn, kind="matrix", payload={"G": G})
+    M._rank_vector_fn = lambda: list(map(rank_of, lattice(q, n).basis_codes))
+    return M
 
 
 def from_rank_table(q: int, n: int, table: Dict[Subspace, int]) -> QMatroid:
@@ -441,8 +488,14 @@ def pushforward(M: QMatroid, phi) -> QMatroid:
     def rank_fn(V: Subspace) -> int:
         return M.rank(inv.image_of(V))
 
-    return QMatroid(phi.q, phi.n2, rank_fn, kind="pushforward",
-                    payload={"source": M, "map": phi})
+    def rank_vector() -> List[int]:
+        rv = M.rank_vector()
+        return [rv[j] for j in inv.image_ids]
+
+    P = QMatroid(phi.q, phi.n2, rank_fn, kind="pushforward",
+                 payload={"source": M, "map": phi})
+    P._rank_vector_fn = rank_vector
+    return P
 
 
 # ---------------------------------------------------------------------------

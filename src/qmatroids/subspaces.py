@@ -67,9 +67,12 @@ def code_arithmetic(q: int, n: int):
 
     In characteristic 2 the sum is XOR.  Otherwise it adds one term per
     digit, read from a table of (a + b) * q**i by digit value.  Products
-    come from one table of q^n codes per scalar.
+    come from one table of q^n codes per scalar; over GF(2) the only
+    nonzero scalar is 1 and no table is built.
     """
     F = ground_field(q)
+    if q == 2:
+        return operator.xor, lambda c, v: v if c else 0
     digits = [decode_vector(code, q, n) for code in range(q ** n)]
     scaled = [[encode_vector(vec_scale(c, v, F), q) for v in digits]
               for c in range(q)]
@@ -505,7 +508,8 @@ class SubspaceLattice:
     the ids of dimension d, so ``covers_mask(i)``, the upper covers of
     space i, is ``up_masks[i] & layer_masks[dim + 1]``.  ``sub_masks``,
     the transpose of ``up_masks``, is built on first use from the
-    covers.  No table changes once built.
+    covers, and so is ``basis_codes``, the codes of each space's RREF
+    basis rows.  No table changes once built.
     """
 
     def __init__(self, q: int, n: int, caps: Caps = DEFAULT_CAPS):
@@ -539,6 +543,7 @@ class SubspaceLattice:
             self.layer_masks[d] |= 1 << i
         self.one_ids = [i for i, d in enumerate(self.dims) if d == 1]
         self._sub_masks = None
+        self._basis_codes = None
 
     def id_of(self, S: Subspace) -> int:
         try:
@@ -557,6 +562,15 @@ class SubspaceLattice:
     def join_id(self, i: int, j: int) -> int:
         common = self.up_masks[i] & self.up_masks[j]
         return (common & -common).bit_length() - 1
+
+    def span_id(self, codes: Iterable[int]) -> int:
+        """Id of the span of the vectors with these codes: the lowest id
+        in the AND of their holders (the zero space for no codes)."""
+        holders = self.holders
+        up = holders[0]
+        for c in codes:
+            up &= holders[c]
+        return (up & -up).bit_length() - 1
 
     def covers_mask(self, i: int) -> int:
         """Bitmask of the upper covers of space i: the spaces containing
@@ -583,13 +597,44 @@ class SubspaceLattice:
             self._sub_masks = masks
         return self._sub_masks
 
+    @property
+    def basis_codes(self) -> List[tuple]:
+        """basis_codes[i] = the codes of the RREF basis rows of space i."""
+        if self._basis_codes is None:
+            encode = _pack if self.q == 2 else (lambda row: encode_vector(row, self.q))
+            self._basis_codes = [tuple(map(encode, S.basis)) for S in self.spaces]
+        return self._basis_codes
+
+
+# masks wider than this many bits are read as bytes by mask_ids
+_WIDE_MASK = 8192
+_NONZERO_BYTE = bytes([0] + [1] * 255)
+_BYTE_BITS = [tuple(b for b in range(8) if byte >> b & 1) for byte in range(256)]
+
 
 def mask_ids(mask: int) -> Iterator[int]:
-    """The positions of the set bits of ``mask``, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    """The positions of the set bits of ``mask``, ascending.
+
+    A narrow mask sheds its lowest bit per step, which costs time in
+    proportion to its width for each bit.  A wide one is converted to
+    bytes once; ``bytes.find`` on a copy flagging the nonzero bytes skips
+    the zero runs, and the bits of each nonzero byte come from a table,
+    so the cost per bit no longer grows with the width.
+    """
+    if mask.bit_length() <= _WIDE_MASK:
+        while mask:
+            low = mask & -mask
+            yield low.bit_length() - 1
+            mask ^= low
+        return
+    raw = mask.to_bytes((mask.bit_length() + 7) >> 3, "little")
+    nonzero = raw.translate(_NONZERO_BYTE)
+    j = nonzero.find(1)
+    while j >= 0:
+        base = j << 3
+        for b in _BYTE_BITS[raw[j]]:
+            yield base + b
+        j = nonzero.find(1, j + 1)
 
 
 def _vector_codes(S: Subspace) -> List[int]:

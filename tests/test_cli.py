@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import os
 
 import pytest
 from hypothesis import given, settings
@@ -212,6 +213,19 @@ class TestReproCommand:
         assert main(["--jobs", "2", "repro", "all"]) == 0
         out = capsys.readouterr().out
         assert out.count("PASS") >= 9
+
+    def test_all_json_matches_golden(self, capsys):
+        # every report of `repro all`, byte for byte apart from its
+        # wall_time, against tests/data/repro_all.json
+        assert main(["--format", "json", "repro", "all"]) == 0
+        # one indented object per item: only top-level braces start a line
+        out = capsys.readouterr().out.strip()
+        reports = json.loads("[" + out.replace("}\n{", "},{") + "]")
+        for report in reports:
+            del report["wall_time"]
+        path = os.path.join(os.path.dirname(__file__), "data", "repro_all.json")
+        with open(path) as fh:
+            assert reports == json.load(fh)
 
 
 class TestSelftest:

@@ -167,12 +167,26 @@ class TestImagePreimage:
                  if V.contains_vector(decode_vector(c, q, n1))}
         return Subspace.from_rows(q, n2, [decode_vector(c, q, n2) for c in codes])
 
+    @staticmethod
+    def assert_image_ids(phi):
+        # the image id of each domain space is the id of the set of the
+        # table images of all its vectors (a KeyError if that set is not
+        # a subspace)
+        lat1, lat2 = lattice(phi.q, phi.n1), lattice(phi.q, phi.n2)
+        assert len(phi.image_ids) == lat1.size
+        for i, V in enumerate(lat1.spaces):
+            image = sum({1 << phi.table[encode_vector(v, phi.q)] for v in V.vectors()})
+            assert phi.image_ids[i] == lat2._mask_to_id[image]
+
     @pytest.mark.parametrize("q,n1,n2,automorphism", [
         (2, 3, 4, 0), (2, 4, 2, 0), (3, 2, 3, 0), (3, 3, 2, 0), (4, 2, 3, 0),
-        (4, 3, 2, 1), (4, 2, 2, 1)])
+        (4, 3, 2, 0), (4, 3, 2, 1), (4, 2, 2, 1)])
     def test_matrix_images_against_enumeration(self, q, n1, n2, automorphism):
         rng = random.Random(q * 1000 + n1 * 10 + n2)
         F = ground_field(q)
+        zero = zero_map(q, n1, n2)
+        self.assert_image_ids(zero)
+        assert set(zero.image_ids) == {lattice(q, n2).zero_id}
         for _ in range(4):
             A = Mat(F, n1, n2, [rng.randrange(q) for _ in range(n1 * n2)])
             phi = lmap_from_matrix(A, automorphism=automorphism)
@@ -182,6 +196,7 @@ class TestImagePreimage:
             for chi in (phi, psi):
                 for V in enumerate_subspaces(q, n1):
                     assert chi.image_of(V) == self.image_by_enumeration(chi, V)
+                self.assert_image_ids(chi)
 
     @pytest.mark.parametrize("make", [
         lambda: collapse_map(2, 3), drop_last_map,
@@ -192,6 +207,7 @@ class TestImagePreimage:
         assert phi.linear_matrix is None and phi.semilinear_matrix is None
         for V in enumerate_subspaces(phi.q, phi.n1):
             assert phi.image_of(V) == self.image_by_enumeration(phi, V)
+        self.assert_image_ids(phi)
 
 
 class TestEquivalence:

@@ -132,6 +132,57 @@ class TestFromMatrix:
             assert n2_matroid.rank(S) == fresh._rank_fn(S)
 
 
+def product_rank(G, V):
+    """Reference matrix rank: rank(G Y^T) by a Mat product and Mat.rank,
+    with Y the RREF basis of V."""
+    if V.dim == 0:
+        return 0
+    yt = Mat(G.spec, G.cols, V.dim,
+             [V.basis[j][i] for i in range(G.cols) for j in range(V.dim)])
+    return G.mul(yt).rank()
+
+
+def full_rank_matrices(F, k, n, rng):
+    """Two random full-row-rank k x n matrices over F, then each of them
+    with its last column zeroed and with its last column a copy of the
+    first, where the row rank survives."""
+    found = []
+    while len(found) < 2:
+        G = Mat(F, k, n, [rng.randrange(F.order) for _ in range(k * n)])
+        if G.rank() == k:
+            found.append(G)
+    out = list(found)
+    for G in found:
+        rows = [list(r) for r in G.iter_rows()]
+        for copy in (lambda r: 0, lambda r: r[0]):
+            H = Mat.from_rows(F, [r[:-1] + [copy(r)] for r in rows])
+            if H.rank() == k:
+                out.append(H)
+    return out
+
+
+class TestMatrixRanksAgainstProduct:
+    @pytest.mark.parametrize("q,m", [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5),
+                                     (3, 1), (3, 2), (3, 3), (3, 4), (4, 1), (4, 2)])
+    def test_rank_vectors(self, q, m):
+        base = ground_field(q)
+        F = make_field(base.p, base.k, m)
+        n = 4 if q == 2 else 3
+        lat = lattice(q, n)
+        rng = random.Random(q * 10 + m)
+        zero_column = repeated_column = False
+        for k in range(1, n + 1):
+            for G in full_rank_matrices(F, k, n, rng):
+                columns = [G.entries[j::n] for j in range(n)]
+                zero_column |= not any(columns[-1])
+                repeated_column |= len(set(columns)) < n
+                want = [product_rank(G, S) for S in lat.spaces]
+                assert from_matrix(G).rank_vector() == want
+                fresh = from_matrix(G)  # one space at a time, no vector
+                assert [fresh.rank(S) for S in lat.spaces] == want
+        assert zero_column and repeated_column
+
+
 class TestFromRankTable:
     def test_spread_table_valid(self, spread_matroid):
         assert check_rank_axioms(spread_matroid).ok

@@ -31,6 +31,7 @@ from qmatroids.subspaces import (
     count_subspaces,
     decode_vector,
     encode_vector,
+    mask_ids,
     vec_add,
     vec_scale,
 )
@@ -332,3 +333,39 @@ class TestLatticeCache:
     def test_vector_encoding_roundtrip(self):
         for code in range(81):
             assert encode_vector(decode_vector(code, 3, 4), 3) == code
+
+
+def lowest_bit_ids(mask):
+    """Reference: the set bits of mask, ascending, one lowest bit per step."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+class TestMaskIds:
+    WIDTHS = [1, 7, 8, 9, 64, 1000, 8191, 8192, 8193, 8200, 29212, 40000]
+
+    def _masks(self, rng, width):
+        top = 1 << (width - 1)
+        yield top
+        yield rng.getrandbits(width) | top                          # dense
+        yield sum(1 << b for b in rng.sample(range(width), min(width, 3))) | top
+        yield sum(1 << b for b in rng.sample(range(width), min(width, 40)))
+        yield (1 << width) - 1                                      # every bit
+        yield 1 << rng.randrange(width)                             # one bit
+
+    def test_against_lowest_bit_loop(self):
+        rng = random.Random(2024)
+        assert list(mask_ids(0)) == []
+        for width in self.WIDTHS:
+            for mask in self._masks(rng, width):
+                assert list(mask_ids(mask)) == list(lowest_bit_ids(mask))
+
+    def test_wide_cover_masks(self):
+        # the upper covers of every space, as the axiom sweep reads them
+        lat = lattice(2, 5)
+        for i in range(lat.size):
+            shifted = lat.covers_mask(i) << 9000  # forced onto the wide path
+            assert [j - 9000 for j in mask_ids(shifted)] == list(
+                lowest_bit_ids(lat.covers_mask(i)))
