@@ -592,8 +592,7 @@ def is_isomorphic(M1: QMatroid, M2: QMatroid, mode: str = "linear",
     # dependent spaces discriminate fastest; fixed deterministic order
     order = sorted(range(lat.size),
                    key=lambda i: (0 if rv1[i] < lat.dims[i] else 1, lat.dims[i], i))
-    space_codes = [[encode_vector(row, q) for row in lat.spaces[i].basis]
-                   for i in order]
+    space_codes = [lat.basis_codes[i] for i in order]
     add, scale = code_arithmetic(q, n)
 
     leaves = nodes = 0
