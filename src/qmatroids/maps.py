@@ -506,7 +506,7 @@ def classify_map(phi: LMap, M1, M2, witness_limit: int = 10) -> MapTypeReport:
         if r2 != r1 and len(rp_viol) < witness_limit:
             rp_viol.append((lat1.spaces[i], r1, r2))
     # fibres[w]: the domain codes sent to code w; a preimage is a
-    # subspace iff its vector mask is one of the domain lattice
+    # subspace iff its vector mask is that of a domain lattice space
     fibres = [0] * (phi.q ** phi.n2)
     for v, w in enumerate(phi.table):
         fibres[w] |= 1 << v

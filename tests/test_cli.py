@@ -215,8 +215,8 @@ class TestReproCommand:
         assert out.count("PASS") >= 9
 
     def test_all_json_matches_golden(self, capsys):
-        # every report of `repro all`, byte for byte apart from its
-        # wall_time, against tests/data/repro_all.json
+        # every report of `repro all`, apart from its wall_time, equal
+        # to the one recorded in tests/data/repro_all.json
         assert main(["--format", "json", "repro", "all"]) == 0
         # one indented object per item: only top-level braces start a line
         out = capsys.readouterr().out.strip()

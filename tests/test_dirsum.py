@@ -107,6 +107,28 @@ class TestSubmodularCompletion:
             assert M.rank(V) == min(tau[X] + V.dim - X.dim for X in subspaces_of(V))
 
 
+def random_representable(rng, q, n, m):
+    """from_matrix of a random full-row-rank k x n matrix over GF(q^m),
+    with k drawn from 1..n."""
+    F = make_field(q, 1, m)
+    k = rng.randint(1, n)
+    while True:
+        G = Mat(F, k, n, [rng.randrange(F.order) for _ in range(k * n)])
+        if G.rank() == k:
+            return from_matrix(G)
+
+
+def defining_sum_ranks(M1, M2):
+    """Reference: for every space V of F_q^(n1+n2), the minimum over X <= V
+    of rho1(pi1 X) + rho2(pi2 X) + dim V - dim X, through Subspace images."""
+    q, n = M1.q, M1.n + M2.n
+    pi1, pi2 = pi_maps(q, M1.n, M2.n)
+    tau = {X: M1.rank(pi1.image_of(X)) + M2.rank(pi2.image_of(X))
+           for X in enumerate_subspaces(q, n)}
+    return [min(tau[X] + V.dim - X.dim for X in subspaces_of(V))
+            for V in lattice(q, n).spaces]
+
+
 class TestDirectSum:
     def test_equals_blockdiag_two(self, uniform_sum):
         assert uniform_sum.total.same_rank_table(blockdiag_matroid(2, 4, 2))
@@ -145,33 +167,9 @@ class TestDirectSum:
         D = direct_sum(uniform(3, 1, 1), uniform(3, 1, 1))
         assert all(D.total.rank(S) == S.dim for S in lattice(3, 2).spaces)
 
-
-def random_representable(rng, q, n, m):
-    """from_matrix of a random full-row-rank k x n matrix over GF(q^m),
-    with k drawn from 1..n."""
-    F = make_field(q, 1, m)
-    k = rng.randint(1, n)
-    while True:
-        G = Mat(F, k, n, [rng.randrange(F.order) for _ in range(k * n)])
-        if G.rank() == k:
-            return from_matrix(G)
-
-
-def defining_sum_ranks(M1, M2):
-    """Reference: for every space V of F_q^(n1+n2), the minimum over X <= V
-    of rho1(pi1 X) + rho2(pi2 X) + dim V - dim X, through Subspace images."""
-    q, n = M1.q, M1.n + M2.n
-    pi1, pi2 = pi_maps(q, M1.n, M2.n)
-    tau = {X: M1.rank(pi1.image_of(X)) + M2.rank(pi2.image_of(X))
-           for X in enumerate_subspaces(q, n)}
-    return [min(tau[X] + V.dim - X.dim for X in subspaces_of(V))
-            for V in lattice(q, n).spaces]
-
-
-class TestSumAgainstDefinition:
     @pytest.mark.parametrize("q,n1,n2,m", [(2, 1, 2, 3), (2, 2, 2, 3), (3, 1, 2, 2),
                                            (2, 2, 3, 2)])
-    def test_total_rank_vector(self, q, n1, n2, m):
+    def test_total_against_defining_minimum(self, q, n1, n2, m):
         rng = random.Random(100 * q + 10 * n1 + n2)
         for _ in range(3):
             M1 = random_representable(rng, q, n1, m)
@@ -179,19 +177,6 @@ class TestSumAgainstDefinition:
             D = direct_sum(M1, M2)
             assert D.total.rank_vector() == defining_sum_ranks(M1, M2)
             assert additivity_check(D).ok
-
-    def test_additivity_reports_a_perturbed_rank(self):
-        rng = random.Random(7)
-        M1 = random_representable(rng, 2, 1, 3)
-        M2 = random_representable(rng, 2, 2, 3)
-        D = direct_sum(M1, M2)
-        V1, V2 = Subspace.full(2, 1), row_space(2, 2, [(1, 1)])
-        box = join(D.iota1.image_of(V1), D.iota2.image_of(V2))
-        ranks = D.total.rank_table()
-        ranks[box] += 1
-        bad = dataclasses.replace(D, total=from_function(2, 3, ranks.__getitem__))
-        checks = {name: (ok, detail) for name, ok, detail in additivity_check(bad).checks}
-        assert checks["additivity"] == (False, [(V1, V2)])
 
 
 class TestCircuits:
@@ -235,6 +220,19 @@ class TestAdditivity:
                   direct_sum(uniform(q, 2, 1), uniform(q, 0, 0))):
             rep = additivity_check(D)
             assert rep.ok, rep.checks
+
+    def test_reports_a_perturbed_box_sum(self):
+        rng = random.Random(7)
+        M1 = random_representable(rng, 2, 1, 3)
+        M2 = random_representable(rng, 2, 2, 3)
+        D = direct_sum(M1, M2)
+        V1, V2 = Subspace.full(2, 1), row_space(2, 2, [(1, 1)])
+        box = join(D.iota1.image_of(V1), D.iota2.image_of(V2))
+        ranks = D.total.rank_table()
+        ranks[box] += 1
+        bad = dataclasses.replace(D, total=from_function(2, 3, ranks.__getitem__))
+        checks = {name: (ok, detail) for name, ok, detail in additivity_check(bad).checks}
+        assert checks["additivity"] == (False, [(V1, V2)])
 
 
 class TestCoproduct:

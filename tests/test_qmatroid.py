@@ -102,36 +102,6 @@ class TestUniform:
             uniform(2, 3, 4)
 
 
-class TestFromMatrix:
-    def test_one_omega_is_uniform(self, gf16):
-        G = Mat(gf16, 1, 2, [1, gf16.omega_val])
-        assert from_matrix(G).same_rank_table(uniform(2, 2, 1))
-
-    def test_identity_is_free(self, gf16):
-        G = Mat(gf16, 3, 3, [1, 0, 0, 0, 1, 0, 0, 0, 1])
-        M = from_matrix(G)
-        assert all(M.rank(S) == S.dim for S in lattice(2, 3).spaces)
-
-    def test_blockdiag_values(self, n2_matroid, t1, t2):
-        assert n2_matroid.rank(t1) == 1
-        assert n2_matroid.rank(t2) == 1
-        assert n2_matroid.matroid_rank == 2
-
-    def test_rank_deficient_rejected(self, gf16):
-        w = gf16.omega_val
-        with pytest.raises(RankDeficientG):
-            from_matrix(Mat(gf16, 2, 2, [1, w, w, gf16.mul(w, w)]))
-
-    def test_memoized_equals_recompute(self, n2_matroid, gf16):
-        # fresh backend against the memoized one, on 100 seeded subspaces
-        fresh = from_matrix(n2_matroid.payload["G"])
-        lat = lattice(2, 4)
-        rng = random.Random(12345)
-        for _ in range(100):
-            S = lat.spaces[rng.randrange(lat.size)]
-            assert n2_matroid.rank(S) == fresh._rank_fn(S)
-
-
 def product_rank(G, V):
     """Reference matrix rank: rank(G Y^T) by a Mat product and Mat.rank,
     with Y the RREF basis of V."""
@@ -161,10 +131,38 @@ def full_rank_matrices(F, k, n, rng):
     return out
 
 
-class TestMatrixRanksAgainstProduct:
+class TestFromMatrix:
+    def test_one_omega_is_uniform(self, gf16):
+        G = Mat(gf16, 1, 2, [1, gf16.omega_val])
+        assert from_matrix(G).same_rank_table(uniform(2, 2, 1))
+
+    def test_identity_is_free(self, gf16):
+        G = Mat(gf16, 3, 3, [1, 0, 0, 0, 1, 0, 0, 0, 1])
+        M = from_matrix(G)
+        assert all(M.rank(S) == S.dim for S in lattice(2, 3).spaces)
+
+    def test_blockdiag_values(self, n2_matroid, t1, t2):
+        assert n2_matroid.rank(t1) == 1
+        assert n2_matroid.rank(t2) == 1
+        assert n2_matroid.matroid_rank == 2
+
+    def test_rank_deficient_rejected(self, gf16):
+        w = gf16.omega_val
+        with pytest.raises(RankDeficientG):
+            from_matrix(Mat(gf16, 2, 2, [1, w, w, gf16.mul(w, w)]))
+
+    def test_memoized_equals_recompute(self, n2_matroid, gf16):
+        # fresh backend against the memoized one, on 100 seeded subspaces
+        fresh = from_matrix(n2_matroid.payload["G"])
+        lat = lattice(2, 4)
+        rng = random.Random(12345)
+        for _ in range(100):
+            S = lat.spaces[rng.randrange(lat.size)]
+            assert n2_matroid.rank(S) == fresh._rank_fn(S)
+
     @pytest.mark.parametrize("q,m", [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5),
                                      (3, 1), (3, 2), (3, 3), (3, 4), (4, 1), (4, 2)])
-    def test_rank_vectors(self, q, m):
+    def test_ranks_against_matrix_product(self, q, m):
         base = ground_field(q)
         F = make_field(base.p, base.k, m)
         n = 4 if q == 2 else 3
