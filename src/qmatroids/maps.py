@@ -12,7 +12,7 @@ as an oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 from . import kernels
 from .errors import (
@@ -184,11 +184,11 @@ def _matrix_table(A: Mat, automorphism: int = 0) -> List[int]:
     return table
 
 
-def _set_is_subspace(codes, q, n):
-    """Check a set of encoded vectors (containing 0) is a subspace."""
-    rows = [decode_vector(c, q, n) for c in codes if c]
-    _, rank = rref(rows, q, n)
-    return q ** rank == len(codes)
+def _codes_subspace(codes, q, n) -> Optional[Subspace]:
+    """The subspace whose vector codes are ``codes`` (a set containing 0),
+    or None if they are not the vectors of a subspace."""
+    basis, rank = rref([decode_vector(c, q, n) for c in codes if c], q, n)
+    return Subspace(q, n, basis) if q ** rank == len(codes) else None
 
 
 def lmap_from_table(q: int, n1: int, n2: int, table_or_fn) -> LMap:
@@ -228,12 +228,12 @@ def lmap_from_table(q: int, n1: int, n2: int, table_or_fn) -> LMap:
             v = decode_vector(code, q, n1)
             codes = {table[encode_vector(vec_scale(lam, v, F), q)]
                      for lam in range(q)}
-            if not _set_is_subspace(codes, q, n2):
+            if _codes_subspace(codes, q, n2) is None:
                 raise NotAnLMap(Subspace.from_rows(q, n1, [v]))
         # 2-spaces
         for W in _two_spaces(q, n1):
             codes = {table[encode_vector(v, q)] for v in W.vectors()}
-            if not _set_is_subspace(codes, q, n2):
+            if _codes_subspace(codes, q, n2) is None:
                 raise NotAnLMap(W)
 
     A, auto, semi = _detect_structure(q, n1, n2, table)
@@ -311,11 +311,15 @@ def preimage(phi: LMap, W: Subspace):
     wmask = 0
     for v in W.vectors():
         wmask |= 1 << encode_vector(v, phi.q)
-    codes = frozenset(v for v, w in enumerate(phi.table) if (wmask >> w) & 1)
-    if _set_is_subspace(codes, phi.q, phi.n1):
-        rows = [decode_vector(c, phi.q, phi.n1) for c in codes if c]
-        return codes, True, Subspace.from_rows(phi.q, phi.n1, rows)
-    return codes, False, None
+    codes, P = _preimage(phi, wmask)
+    return codes, P is not None, P
+
+
+def _preimage(phi: LMap, wmask: int):
+    """The domain codes that phi sends into the codes set in ``wmask``,
+    and the subspace they form (None if they form none)."""
+    codes = frozenset(v for v, w in enumerate(phi.table) if wmask >> w & 1)
+    return codes, _codes_subspace(codes, phi.q, phi.n1)
 
 
 def compose(phi: LMap, psi: LMap) -> LMap:
@@ -505,23 +509,15 @@ def classify_map(phi: LMap, M1, M2, witness_limit: int = 10) -> MapTypeReport:
             weak_viol.append((lat1.spaces[i], r1, r2))
         if r2 != r1 and len(rp_viol) < witness_limit:
             rp_viol.append((lat1.spaces[i], r1, r2))
-    # fibres[w]: the domain codes sent to code w; a preimage is a
-    # subspace iff its vector mask is that of a domain lattice space
-    fibres = [0] * (phi.q ** phi.n2)
-    for v, w in enumerate(phi.table):
-        fibres[w] |= 1 << v
     flats1 = M1.flats().id_mask
     for f in M2.flats().member_ids:
         if len(strong_viol) >= witness_limit:
             break
-        mask = 0
-        for w in mask_ids(lat2.vec_masks[f]):
-            mask |= fibres[w]
-        p = lat1._mask_to_id.get(mask)
-        if p is None:
+        _, P = _preimage(phi, lat2.vec_masks[f])
+        if P is None:
             strong_viol.append((lat2.spaces[f], "preimage is not a subspace"))
-        elif not flats1 >> p & 1:
-            strong_viol.append((lat2.spaces[f], lat1.spaces[p]))
+        elif not flats1 >> lat1.id_of(P) & 1:
+            strong_viol.append((lat2.spaces[f], P))
     return MapTypeReport(
         is_weak=not weak_viol,
         is_strong=not strong_viol,

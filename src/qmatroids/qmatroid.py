@@ -401,9 +401,9 @@ def from_rank_vector(q: int, n: int, values: List[int], kind: str = "functional"
 def from_matrix(G: Mat) -> QMatroid:
     """Matroid on F_q^n with rank(rowspace Y) = rank(G Y^T) over GF(q^m).
 
-    g(v) = G v^T is tabulated once for every code v of F_q^n, by
-    linearity; the rank of a space is the GF(q^m)-rank of the g-images
-    of its basis codes.
+    The rank of a space is the GF(q^m)-rank of the images g(v) = G v^T
+    of its basis rows, each computed once per vector code on first use;
+    the rank vector reads them through the lattice's basis codes.
     """
     spec: FieldSpec = G.spec
     k, n = G.rows, G.cols
@@ -411,21 +411,23 @@ def from_matrix(G: Mat) -> QMatroid:
         raise RankDeficientG(f"G must have full row rank {k}")
     q = spec.q
     add, mul, neg = spec.add, spec.mul, spec.neg
-    # images[c] = G v^T for the vector v with code c: the codes whose
-    # digit i is d add d times column i to the codes below q**i
-    images = [(0,) * k]
-    for i in range(n):
-        column = G.entries[i::n]
-        lower = images[:]
-        for d in range(1, q):
-            head = [mul(d, x) for x in column]
-            images += [tuple(map(add, head, w)) for w in lower]
+    columns = [G.entries[i::n] for i in range(n)]
+    images: Dict[int, list] = {}
 
-    def rank_of(codes) -> int:
+    def image(code: int) -> list:
+        g = images.get(code)
+        if g is None:
+            g = [0] * k
+            for d, column in zip(decode_vector(code, q, n), columns):
+                if d:
+                    g = [add(x, mul(d, y)) for x, y in zip(g, column)]
+            images[code] = g
+        return g
+
+    def rank_of(rows) -> int:
         # each kept row is 1 at its pivot and 0 at the earlier pivots
         basis = []
-        for c in codes:
-            row = images[c]
+        for row in rows:
             for p, b in basis:
                 f = row[p]
                 if f:
@@ -440,10 +442,11 @@ def from_matrix(G: Mat) -> QMatroid:
         return len(basis)
 
     def rank_fn(V: Subspace) -> int:
-        return rank_of(encode_vector(row, q) for row in V.basis)
+        return rank_of(image(encode_vector(row, q)) for row in V.basis)
 
     M = QMatroid(q, n, rank_fn, kind="matrix", payload={"G": G})
-    M._rank_vector_fn = lambda: list(map(rank_of, lattice(q, n).basis_codes))
+    M._rank_vector_fn = lambda: [rank_of(map(image, codes))
+                                 for codes in lattice(q, n).basis_codes]
     return M
 
 

@@ -601,40 +601,18 @@ class SubspaceLattice:
     def basis_codes(self) -> List[tuple]:
         """basis_codes[i] = the codes of the RREF basis rows of space i."""
         if self._basis_codes is None:
-            encode = _pack if self.q == 2 else (lambda row: encode_vector(row, self.q))
-            self._basis_codes = [tuple(map(encode, S.basis)) for S in self.spaces]
+            q = self.q
+            self._basis_codes = [tuple(encode_vector(row, q) for row in S.basis)
+                                 for S in self.spaces]
         return self._basis_codes
 
 
-# masks wider than this many bits are read as bytes by mask_ids
-_WIDE_MASK = 8192
-_NONZERO_BYTE = bytes([0] + [1] * 255)
-_BYTE_BITS = [tuple(b for b in range(8) if byte >> b & 1) for byte in range(256)]
-
-
 def mask_ids(mask: int) -> Iterator[int]:
-    """The positions of the set bits of ``mask``, ascending.
-
-    A narrow mask sheds its lowest bit per step, which costs time in
-    proportion to its width for each bit.  A wide one is converted to
-    bytes once; ``bytes.find`` on a copy flagging the nonzero bytes skips
-    the zero runs, and the bits of each nonzero byte come from a table,
-    so the cost per bit no longer grows with the width.
-    """
-    if mask.bit_length() <= _WIDE_MASK:
-        while mask:
-            low = mask & -mask
-            yield low.bit_length() - 1
-            mask ^= low
-        return
-    raw = mask.to_bytes((mask.bit_length() + 7) >> 3, "little")
-    nonzero = raw.translate(_NONZERO_BYTE)
-    j = nonzero.find(1)
-    while j >= 0:
-        base = j << 3
-        for b in _BYTE_BITS[raw[j]]:
-            yield base + b
-        j = nonzero.find(1, j + 1)
+    """The positions of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _vector_codes(S: Subspace) -> List[int]:

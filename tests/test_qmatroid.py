@@ -3,6 +3,7 @@
 import functools
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -41,7 +42,7 @@ from qmatroids.errors import (
 )
 from qmatroids.fields import ground_field, make_field
 from qmatroids.repro import fprime_closed_form
-from qmatroids.subspaces import decode_vector
+from qmatroids.subspaces import DEFAULT_MAX_VECTORS, decode_vector
 
 
 SWEEP_AMBIENTS = [(2, 3), (3, 2), (2, 4), (3, 3), (4, 2)]
@@ -179,6 +180,27 @@ class TestFromMatrix:
                 fresh = from_matrix(G)  # one space at a time, no vector
                 assert [fresh.rank(S) for S in lat.spaces] == want
         assert zero_column and repeated_column
+
+    def test_ranks_beyond_the_vector_cap(self):
+        # F_2^18 has more vectors than the enumeration cap; one rank maps
+        # the space's basis rows and tabulates no image per vector
+        q, n = 2, 18
+        assert q ** n > DEFAULT_MAX_VECTORS
+        rng = random.Random(18)
+        G = full_rank_matrices(make_field(2, 1, 5), 3, n, rng)[0]
+        spaces = [Subspace.from_rows(q, n, [[rng.randrange(q) for _ in range(n)]
+                                           for _ in range(rng.randrange(1, 5))])
+                  for _ in range(20)]
+        want = [product_rank(G, S) for S in spaces]
+        tracemalloc.start()
+        try:
+            M = from_matrix(G)
+            got = [M.rank(S) for S in spaces]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak < 1 << 20
 
 
 class TestFromRankTable:
