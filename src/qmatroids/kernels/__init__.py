@@ -3,7 +3,6 @@
 from ._pure import (
     BACKEND,
     gf2_factor_search,
-    gf2_lmap_violation,
     gf2_rref,
     gl_iso_search,
 )
@@ -11,5 +10,4 @@ from ._pure import (
 # qbench/layers.py times the GL scan under this name
 gl2_iso_search = gl_iso_search
 
-__all__ = ["BACKEND", "gf2_factor_search", "gf2_lmap_violation", "gf2_rref",
-           "gl_iso_search"]
+__all__ = ["BACKEND", "gf2_factor_search", "gf2_rref", "gl_iso_search"]

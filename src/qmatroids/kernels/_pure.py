@@ -33,35 +33,6 @@ def gf2_rref(rows, ncols):
     return basis, len(basis)
 
 
-def gf2_lmap_violation(table, dim_domain):
-    """First 2-space of F_2^dim_domain whose image set is not XOR-closed.
-
-    ``table`` maps packed domain vectors to packed codomain vectors and
-    must satisfy table[0] == 0.  Returns the violating triple (a, b, a^b)
-    or None.  Checking 1- and 2-spaces suffices: the image of any subspace
-    is the union of the images of the 2-spaces through pairs of its
-    vectors, so pairwise closure propagates upward.
-    """
-    size = 1 << dim_domain
-    for a in range(1, size):
-        ta = table[a]
-        for b in range(a + 1, size):
-            c = a ^ b
-            if c < b:
-                continue
-            tb, tc = table[b], table[c]
-            x = ta ^ tb
-            if x and x != tc and x != ta and x != tb:
-                return (a, b, c)
-            x = ta ^ tc
-            if x and x != tb and x != ta and x != tc:
-                return (a, b, c)
-            x = tb ^ tc
-            if x and x != ta and x != tb and x != tc:
-                return (a, b, c)
-    return None
-
-
 def _triple_ok(s1, s2, s3):
     x = s1 ^ s2
     if x and x != s3 and x != s1 and x != s2:

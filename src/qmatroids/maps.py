@@ -1,12 +1,15 @@
 """Maps between ground spaces that send subspaces to subspaces.
 
 An LMap stores the total table of a map F_q^n1 -> F_q^n2 on encoded
-vectors.  Verification only needs to look at 1- and 2-dimensional
-subspaces of the domain: the image of any subspace is closed under
-addition as soon as the images of the 2-spaces through its vector pairs
-are subspaces, and closed under scaling as soon as the 1-space images
-are.  The brute-force check over all subspaces is kept in the test suite
-as an oracle.
+vectors (base-q codes, see ``subspaces.encode_vector``).  Verification
+only needs to look at 1- and 2-dimensional subspaces of the domain: the
+image of any subspace is closed under addition as soon as the images of
+the 2-spaces through its vector pairs are subspaces, and closed under
+scaling as soon as the 1-space images are.  Both are read on codes for
+every q: a line is the multiples of a code under the domain's
+``code_arithmetic``, a 2-space the span of its basis codes.  The
+image sets of the lines also decide L-equivalence.  The brute-force
+check over all subspaces is kept in the test suite as an oracle.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
-from . import kernels
 from .errors import (
     AmbientMismatch,
     NotAnLMap,
@@ -25,9 +27,11 @@ from .fields import ground_field
 from .subspaces import (
     Mat,
     Subspace,
+    _vector_codes,
     code_arithmetic,
     decode_vector,
     encode_vector,
+    enumerate_subspaces,
     lattice,
     mask_ids,
     rref,
@@ -123,14 +127,21 @@ class LMap:
                 and len(set(self.table)) == self.q ** self.n1)
 
     def inverse(self) -> "LMap":
-        """Inverse of a bijective L-map (itself an L-map)."""
+        """Inverse of a bijective L-map.
+
+        The inverse of a bijective L-map is an L-map, so the inverted
+        table is not verified again: only its structure is detected, and
+        ``verified`` is carried over.
+        """
         if not self.is_bijective():
             raise NotBijective("map is not bijective")
-        size = self.q ** self.n1
-        inv = [0] * size
+        inv = [0] * len(self.table)
         for v, w in enumerate(self.table):
             inv[w] = v
-        return lmap_from_table(self.q, self.n1, self.n2, inv)
+        A, auto, semi = _detect_structure(self.q, self.n2, self.n1, inv)
+        return LMap(self.q, self.n2, self.n1, inv, linear_matrix=A,
+                    automorphism=auto, semilinear_matrix=semi,
+                    verified=self.verified)
 
     def __eq__(self, other):
         return (isinstance(other, LMap)
@@ -174,14 +185,18 @@ def _matrix_table(A: Mat, automorphism: int = 0) -> List[int]:
     F = A.spec
     q = F.q
     add, scale = code_arithmetic(q, A.cols)
-    table = [0]
-    for i in range(A.rows):
-        row = encode_vector(A.row(i), q)
-        lower = table[:]
-        for d in range(1, q):
-            head = scale(F.base_frobenius(d, automorphism), row)
-            table += [add(head, w) for w in lower]
-    return table
+    rows = [encode_vector(A.row(i), q) for i in range(A.rows)]
+    scalars = [F.base_frobenius(d, automorphism) for d in range(1, q)]
+    return _vector_codes(rows, add, scale, scalars)
+
+
+def _line_images(table, q, scale) -> List[frozenset]:
+    """For each nonzero code v of the domain, in code order, the set of
+    table images of the line {c v : c in GF(q)}: the image set of the
+    1-space <v>.  ``scale`` is the domain's ``code_arithmetic`` scaling.
+    """
+    return [frozenset(table[scale(c, v)] for c in range(q))
+            for v in range(1, len(table))]
 
 
 def _codes_subspace(codes, q, n) -> Optional[Subspace]:
@@ -214,36 +229,19 @@ def lmap_from_table(q: int, n1: int, n2: int, table_or_fn) -> LMap:
     if any(not 0 <= x < q ** n2 for x in table):
         raise ValueError("table entry out of codomain range")
 
-    if q == 2:
-        bad = kernels.gf2_lmap_violation(table, n1)
-        if bad is not None:
-            a, b, _ = bad
-            W = Subspace.from_rows(q, n1, [decode_vector(a, q, n1),
-                                           decode_vector(b, q, n1)])
+    add, scale = code_arithmetic(q, n1)
+    for v, image in enumerate(_line_images(table, q, scale), 1):
+        if _codes_subspace(image, q, n2) is None:
+            raise NotAnLMap(Subspace.from_rows(q, n1, [decode_vector(v, q, n1)]))
+    for W in enumerate_subspaces(q, n1, 2):
+        basis = [encode_vector(row, q) for row in W.basis]
+        image = {table[c] for c in _vector_codes(basis, add, scale, range(1, q))}
+        if _codes_subspace(image, q, n2) is None:
             raise NotAnLMap(W)
-    else:
-        F = ground_field(q)
-        # 1-spaces: the image set of <v> must be a subspace
-        for code in range(1, size):
-            v = decode_vector(code, q, n1)
-            codes = {table[encode_vector(vec_scale(lam, v, F), q)]
-                     for lam in range(q)}
-            if _codes_subspace(codes, q, n2) is None:
-                raise NotAnLMap(Subspace.from_rows(q, n1, [v]))
-        # 2-spaces
-        for W in _two_spaces(q, n1):
-            codes = {table[encode_vector(v, q)] for v in W.vectors()}
-            if _codes_subspace(codes, q, n2) is None:
-                raise NotAnLMap(W)
 
     A, auto, semi = _detect_structure(q, n1, n2, table)
     return LMap(q, n1, n2, table, linear_matrix=A, automorphism=auto,
                 semilinear_matrix=semi, verified=True)
-
-
-def _two_spaces(q, n):
-    from .subspaces import enumerate_subspaces
-    return enumerate_subspaces(q, n, 2)
 
 
 def lmap_from_matrix(A: Mat, automorphism: int = 0) -> LMap:
@@ -340,16 +338,9 @@ def l_equivalent(phi: LMap, psi: LMap) -> bool:
     """True iff the induced maps agree on every 1-space of the domain."""
     if phi.domain != psi.domain or phi.codomain != psi.codomain:
         raise AmbientMismatch("maps must share domain and codomain")
-    q, n1 = phi.q, phi.n1
-    F = ground_field(q)
-    result = True
-    for code in range(1, q ** n1):
-        v = decode_vector(code, q, n1)
-        sp = {phi.table[encode_vector(vec_scale(lam, v, F), q)] for lam in range(q)}
-        sq = {psi.table[encode_vector(vec_scale(lam, v, F), q)] for lam in range(q)}
-        if sp != sq:
-            result = False
-            break
+    q = phi.q
+    _, scale = code_arithmetic(q, phi.n1)
+    result = _line_images(phi.table, q, scale) == _line_images(psi.table, q, scale)
     if phi.is_linear and psi.is_linear:
         assert result == _scalar_equivalent(phi, psi), \
             "1-space criterion disagrees with the scalar criterion"
@@ -357,26 +348,10 @@ def l_equivalent(phi: LMap, psi: LMap) -> bool:
 
 
 def _scalar_equivalent(phi: LMap, psi: LMap) -> bool:
-    # linear maps are equivalent iff phi = lambda psi for a nonzero scalar
-    q = phi.q
-    F = ground_field(q)
-    lam = None
-    for code in range(1, q ** phi.n1):
-        a = decode_vector(phi.table[code], q, phi.n2)
-        b = decode_vector(psi.table[code], q, phi.n2)
-        if not any(a) and not any(b):
-            continue
-        if any(a) != any(b):
-            return False
-        j = next(i for i, x in enumerate(b) if x)
-        cand = F.base_mul(a[j], F.base_inv(b[j]))
-        if cand == 0 or a != vec_scale(cand, b, F):
-            return False
-        if lam is None:
-            lam = cand
-        elif lam != cand:
-            return False
-    return True
+    # linear maps are equivalent iff phi = lambda psi for a nonzero scalar:
+    # one pointwise scalar for every vector that psi does not send to 0
+    lam = pointwise_scalars(phi, psi)
+    return lam is not None and len({lam[v] for v in lam if psi.table[v]}) <= 1
 
 
 def pointwise_scalars(phi: LMap, psi: LMap):
@@ -416,21 +391,20 @@ def tweak_equivalent(psi: LMap, w: Sequence[int], tau: int) -> LMap:
     if not psi.is_bijective():
         raise NotBijective("tweak construction needs a bijective map")
     q = psi.q
-    F = ground_field(q)
     if not any(w):
         raise ValueError("w must be nonzero")
     if tau == 0:
         raise ValueError("tau must be nonzero")
     if tau == 1:
         return psi
+    # a bijection has n1 = n2, so domain and codomain share the scaling
+    _, scale = code_arithmetic(q, psi.n1)
     inv = {img: v for v, img in enumerate(psi.table)}
-    pw = decode_vector(psi.table[encode_vector(w, q)], q, psi.n2)
-    target = encode_vector(vec_scale(tau, pw, F), q)
-    w_hat = decode_vector(inv[target], q, psi.n1)
+    w_code = encode_vector(w, q)
+    w_hat = inv[scale(tau, psi.table[w_code])]
     table = list(psi.table)
     for mu in range(q):
-        src = encode_vector(vec_scale(mu, tuple(w), F), q)
-        table[src] = psi.table[encode_vector(vec_scale(mu, w_hat, F), q)]
+        table[scale(mu, w_code)] = psi.table[scale(mu, w_hat)]
     phi = lmap_from_table(q, psi.n1, psi.n2, table)
     assert l_equivalent(phi, psi)
     return phi
@@ -457,15 +431,9 @@ class LClass:
 
     def __hash__(self):
         # hash by the induced 1-space map
-        q, n1 = self.representative.q, self.representative.n1
-        F = ground_field(q)
-        key = []
-        for code in range(1, q ** n1):
-            v = decode_vector(code, q, n1)
-            key.append(frozenset(
-                self.representative.table[encode_vector(vec_scale(l, v, F), q)]
-                for l in range(q)))
-        return hash(tuple(key))
+        phi = self.representative
+        _, scale = code_arithmetic(phi.q, phi.n1)
+        return hash(tuple(_line_images(phi.table, phi.q, scale)))
 
     def __repr__(self):
         return f"LClass({self.representative!r})"

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from . import kernels
-from .errors import ExtensionTooSmall, IndexNotInOmega
+from .errors import ExtensionTooSmall, IndexNotInOmega, SearchBoundExceeded
 from .fields import ground_field, make_field, omega_index_set
 from .maps import (
     LMap,
@@ -574,7 +574,8 @@ def verify_coproduct_suite(q: int = 2, m: int = 4,
         if name.startswith("N^") or name == "sum_itself":
             rep.add(f"{name}_eps_is_identity", tr.epsilon.table == ident.table)
     if exhaustive:
-        rep.counters["exhaustive_linear_maps"] = q ** 16
+        rep.counters["exhaustive_linear_maps"] = \
+            reports[exhaustive_for].exhaustive_scanned
         rep.add("exhaustive_uniqueness",
                 reports[exhaustive_for].exhaustive_count == 1)
     return rep

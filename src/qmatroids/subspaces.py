@@ -1,12 +1,16 @@
 """Exact linear algebra over GF(q) and the subspace lattice of F_q^n.
 
-Vectors over GF(q) are tuples of element indices; a vector is also
-addressable by its integer encoding sum(v_i * q**i) (little-endian base-q
-digits).  Subspaces are canonical: the stored basis is the unique RREF,
+Vectors over GF(q) are tuples of element indices at the interface;
+inside, a vector is its integer code sum(v_i * q**i) (little-endian
+base-q digits), added and scaled by ``code_arithmetic`` for every q.
+The lattice spans each space's basis codes with it to list the space's
+vectors.  Subspaces are canonical: the stored basis is the unique RREF,
 so equal subspaces compare and hash equal.
 
-For q = 2 the row operations are dispatched to the packed kernels in
-:mod:`qmatroids.kernels`.
+RREF is the one routine split by q: for q = 2 the rows are packed into
+the GF(2) kernel of :mod:`qmatroids.kernels`, and for odd
+characteristic elimination needs the digits.  It works on rows of any
+length, beyond the caps where no table of q^n codes may be built.
 """
 
 from __future__ import annotations
@@ -504,12 +508,13 @@ class SubspaceLattice:
     containing both i and j are the up-set of their join, which is the
     one of least dimension and hence the lowest id in
     ``up_masks[i] & up_masks[j]``; likewise the span of some vectors is
-    the lowest id in the AND of their holders.  ``layer_masks[d]`` holds
-    the ids of dimension d, so ``covers_mask(i)``, the upper covers of
-    space i, is ``up_masks[i] & layer_masks[dim + 1]``.  ``sub_masks``,
-    the transpose of ``up_masks``, is built on first use from the
-    covers, and so is ``basis_codes``, the codes of each space's RREF
-    basis rows.  No table changes once built.
+    the lowest id in the AND of their holders.  ``basis_codes[i]`` lists
+    the codes of space i's RREF basis rows, whose span gives its vector
+    codes.  ``layer_masks[d]`` holds the ids of dimension d, so
+    ``covers_mask(i)``, the upper covers of space i, is
+    ``up_masks[i] & layer_masks[dim + 1]``.  ``sub_masks``, the
+    transpose of ``up_masks``, is built on first use from the covers.
+    No table changes once built.
     """
 
     def __init__(self, q: int, n: int, caps: Caps = DEFAULT_CAPS):
@@ -521,29 +526,31 @@ class SubspaceLattice:
         self.size = len(self.spaces)
         self.zero_id = self.index[Subspace.zero(q, n)]
         self.full_id = self.index[Subspace.full(q, n)]
+        self.basis_codes = [tuple(encode_vector(row, q) for row in S.basis)
+                            for S in self.spaces]
+        add, scale = code_arithmetic(q, n)
         self.holders = holders = [0] * (q ** n)
         self.vec_masks = []
-        for i, S in enumerate(self.spaces):
+        for i, codes in enumerate(self.basis_codes):
             bit = 1 << i
             mask = 0
-            for v in _vector_codes(S):
+            for v in _vector_codes(codes, add, scale, range(1, q)):
                 mask |= 1 << v
                 holders[v] |= bit
             self.vec_masks.append(mask)
         self._mask_to_id = {m: i for i, m in enumerate(self.vec_masks)}
         everything = (1 << self.size) - 1
         self.up_masks = []
-        for S in self.spaces:
+        for codes in self.basis_codes:
             up = everything
-            for row in S.basis:
-                up &= holders[encode_vector(row, q)]
+            for c in codes:
+                up &= holders[c]
             self.up_masks.append(up)
         self.layer_masks = [0] * (n + 1)  # ids of each dimension
         for i, d in enumerate(self.dims):
             self.layer_masks[d] |= 1 << i
         self.one_ids = [i for i, d in enumerate(self.dims) if d == 1]
         self._sub_masks = None
-        self._basis_codes = None
 
     def id_of(self, S: Subspace) -> int:
         try:
@@ -597,15 +604,6 @@ class SubspaceLattice:
             self._sub_masks = masks
         return self._sub_masks
 
-    @property
-    def basis_codes(self) -> List[tuple]:
-        """basis_codes[i] = the codes of the RREF basis rows of space i."""
-        if self._basis_codes is None:
-            q = self.q
-            self._basis_codes = [tuple(encode_vector(row, q) for row in S.basis)
-                                 for S in self.spaces]
-        return self._basis_codes
-
 
 def mask_ids(mask: int) -> Iterator[int]:
     """The positions of the set bits of ``mask``, ascending."""
@@ -615,14 +613,20 @@ def mask_ids(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _vector_codes(S: Subspace) -> List[int]:
-    """Encoded vectors of S; at q = 2 the XOR span of its packed rows."""
-    if S.q != 2:
-        return [encode_vector(v, S.q) for v in S.vectors()]
+def _vector_codes(rows, add, scale, scalars) -> List[int]:
+    """The codes of the combinations of the row codes ``rows``, listed by
+    their coefficient codes, where digit value d stands for the scalar
+    ``scalars[d - 1]``.  With scalars 1..q-1 this lists the span of the
+    rows; ``add`` and ``scale`` are ``code_arithmetic``'s.
+
+    The combinations of the first i + 1 rows are those of the first i
+    plus each multiple of row i, so each row is scaled once per scalar.
+    """
     codes = [0]
-    for row in S.basis:
-        r = _pack(row)
-        codes += [c ^ r for c in codes]
+    for r in rows:
+        lower = codes[:]
+        for c in scalars:
+            codes += map(add, itertools.repeat(scale(c, r)), lower)
     return codes
 
 

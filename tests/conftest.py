@@ -13,6 +13,25 @@ from qmatroids import (
 from qmatroids.repro import blockdiag_matroid, example_nonrepresentable
 
 
+def _xor_closed(values):
+    s = set(values)
+    return all(x ^ y in s for x in s for y in s)
+
+
+@pytest.fixture(scope="session")
+def xor_violations():
+    """Oracle for maps of F_2^dim given as tables of codes: the 2-spaces
+    {0, a, b, a^b}, as triples (a, b, a^b) with a < b < a^b in (a, b)
+    order, whose image set with 0 is not XOR-closed."""
+    def violations(table, dim):
+        size = 1 << dim
+        triples = [(a, b, a ^ b) for a in range(1, size)
+                   for b in range(a + 1, size) if a ^ b > b]
+        return [t for t in triples
+                if not _xor_closed([0] + [table[v] for v in t])]
+    return violations
+
+
 @pytest.fixture(scope="session")
 def gf16():
     return make_field(2, 1, 4)

@@ -1,6 +1,7 @@
 """Submodular completion, direct sums, and the coproduct harness."""
 
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -22,6 +23,7 @@ from qmatroids import (
     l_equivalent,
     lattice,
     lclass_scaling_family,
+    lmap_from_matrix,
     lmap_from_table,
     make_field,
     pi_maps,
@@ -35,6 +37,7 @@ from qmatroids import (
 )
 from qmatroids.dirsum import canonical_factoring_map
 from qmatroids.errors import AlphaNotLinear, AlphaNotWeak, TauNotMonotone, TauNotSubmodular
+from qmatroids.fields import ground_field
 from qmatroids.maps import compose
 from qmatroids.repro import blockdiag_matroid
 
@@ -248,7 +251,28 @@ class TestCoproduct:
         for r in reports[:4]:
             assert r.epsilon.table == ident.table
         assert reports[3].exhaustive_count == 1
+        assert reports[3].exhaustive_scanned == 2 ** 16
         assert set(reports[4].epsilon.table) == {0}
+
+    def test_factoring_count_at_q3_is_the_blockwise_scalings(self):
+        # eps' o iota_i = iota_i as maps of subspaces holds for the
+        # (q - 1)^2 blockwise scalings of the identity and no other matrix
+        M1 = uniform(3, 1, 1)
+        D = direct_sum(M1, M1)
+        (report,) = verify_coproduct_lw(M1, M1, [(D.total, D.iota1, D.iota2)],
+                                        exhaustive_for=0)
+        assert (report.exhaustive_count, report.exhaustive_scanned) == (4, 3 ** 4)
+        F = ground_field(3)
+        found = set()
+        for entries in itertools.product(range(3), repeat=4):
+            eps = lmap_from_matrix(Mat(F, 2, 2, entries))
+            if all(compose(eps, iota).image_of(V) == iota.image_of(V)
+                   for iota in (D.iota1, D.iota2)
+                   for V in enumerate_subspaces(3, 1)):
+                found.add(eps.table)
+        scalings = {lclass_scaling_family(identity_map(3, 2), 1, l1, l2).table
+                    for l1 in (1, 2) for l2 in (1, 2)}
+        assert found == scalings and len(found) == 4
 
     def test_alpha_must_be_weak(self):
         M1 = uniform(2, 2, 1)

@@ -35,13 +35,6 @@ def test_pure_rref_canonical():
     assert pivots == sorted(pivots)
 
 
-def test_pure_lmap_violation_detects_open_triple():
-    # images e1, e2, e3 of a 2-space cannot be XOR-closed
-    table = [0, 1, 2, 4]
-    assert _pure.gf2_lmap_violation(table, 2) == (1, 2, 3)
-    assert _pure.gf2_lmap_violation([0, 1, 2, 3], 2) is None
-
-
 def test_pure_factor_search_forced_solution():
     # a free slot completing a triple of two fixed vectors is forced
     fixed = [0, 1, 2, -1]
@@ -67,24 +60,6 @@ def _span(rows):
     return span
 
 
-def _xor_closed(values):
-    s = set(values)
-    return all(x ^ y in s for x in s for y in s)
-
-
-def _two_spaces(dim):
-    """Nonzero triples (a, b, a^b) with a < b < a^b, in (a, b) order."""
-    size = 1 << dim
-    return [(a, b, a ^ b) for a in range(1, size) for b in range(a + 1, size)
-            if a ^ b > b]
-
-
-def _violations(table, dim):
-    """The 2-spaces whose image set, with 0, is not XOR-closed."""
-    return [t for t in _two_spaces(dim)
-            if not _xor_closed([0] + [table[v] for v in t])]
-
-
 def test_rref_against_span():
     rng = random.Random(1)
     for _ in range(800):
@@ -105,20 +80,7 @@ def test_rref_against_span():
         assert _pure.gf2_rref(again, n) == (red, rank)
 
 
-def test_lmap_violation_against_closure():
-    rng = random.Random(3)
-    outcomes = set()
-    for _ in range(400):
-        dn = rng.randint(2, 4)
-        table = [0] + [rng.randrange(16) for _ in range((1 << dn) - 1)]
-        bad = _violations(table, dn)
-        got = _pure.gf2_lmap_violation(table, dn)
-        assert got == (bad[0] if bad else None)
-        outcomes.add(got is None)
-    assert outcomes == {True, False}
-
-
-def test_factor_search_against_enumeration():
+def test_factor_search_against_enumeration(xor_violations):
     rng = random.Random(4)
     outcomes = set()
     for _ in range(150):
@@ -145,7 +107,7 @@ def test_factor_search_against_enumeration():
             cand = list(fixed)
             for v, x in zip(order, values):
                 cand[v] = x
-            if not _violations(cand, dn):
+            if not xor_violations(cand, dn):
                 want = cand
                 break
         assert table == want

@@ -32,7 +32,7 @@ from qmatroids import (
 )
 from qmatroids.errors import NotAnLMap, NotBijective, ZeroNotFixed
 from qmatroids.fields import ground_field
-from qmatroids.maps import LClass, pointwise_scalars
+from qmatroids.maps import LClass, LMap, pointwise_scalars
 from qmatroids.repro import example_nonrepresentable
 from qmatroids.subspaces import decode_vector, encode_vector
 
@@ -80,11 +80,33 @@ class TestFromTable:
             lmap_from_table(2, 2, 2, lambda v: (1, 1))
 
     def test_not_an_lmap_witness(self):
-        # three independent images of a 2-space cannot close up
+        # three independent images of a 2-space cannot close up; three
+        # images closed under XOR can
         table = [0, 1, 2, 4]
         with pytest.raises(NotAnLMap) as ei:
             lmap_from_table(2, 2, 3, table)
         assert ei.value.witness == Subspace.full(2, 2)
+        assert lmap_from_table(2, 2, 3, [0, 1, 2, 3]).is_linear
+
+    def test_verdict_against_closure(self, xor_violations):
+        rng = random.Random(3)
+        outcomes = set()
+        for _ in range(400):
+            dn = rng.randint(2, 4)
+            table = [0] + [rng.randrange(16) for _ in range((1 << dn) - 1)]
+            bad = xor_violations(table, dn)
+            try:
+                lmap_from_table(2, dn, 4, table)
+                witness = None
+            except NotAnLMap as e:
+                witness = e.witness
+            assert (witness is None) == (not bad)
+            if witness is not None:
+                # a 2-space whose image set is not a subspace
+                triple = sorted(encode_vector(v, 2) for v in witness.vectors() if any(v))
+                assert tuple(triple) in bad
+            outcomes.add(witness is None)
+        assert outcomes == {True, False}
 
     @settings(max_examples=120)
     @given(st.lists(st.integers(0, 7), min_size=7, max_size=7))
@@ -105,6 +127,24 @@ class TestFromTable:
         verdict = brute_force_is_lmap(table, 3, 2, 2)
         try:
             lmap_from_table(3, 2, 2, table)
+            got = True
+        except NotAnLMap:
+            got = False
+        assert got == verdict
+
+    @settings(max_examples=120)
+    @given(st.lists(st.integers(0, 3), min_size=4, max_size=4),
+           st.integers(0, 1), st.integers(1, 15), st.integers(1, 15))
+    def test_verifier_matches_bruteforce_f4(self, entries, automorphism, a, b):
+        # GF(4) adds by XOR but scales non-trivially: a (semi)linear table
+        # with two images swapped stays an L-map when a and b share a line
+        # and breaks a line image otherwise (for invertible matrices)
+        A = Mat(ground_field(4), 2, 2, entries)
+        table = list(lmap_from_matrix(A, automorphism=automorphism).table)
+        table[a], table[b] = table[b], table[a]
+        verdict = brute_force_is_lmap(table, 4, 2, 2)
+        try:
+            lmap_from_table(4, 2, 2, table)
             got = True
         except NotAnLMap:
             got = False
@@ -273,7 +313,46 @@ class TestTweak:
         assert phi((1, 1)) == (1, 1)
 
 
+def _bijection(q, kind, rng):
+    F = ground_field(q)
+    while True:
+        A = Mat(F, 3, 3, [rng.randrange(q) for _ in range(9)])
+        if A.rank() == 3:
+            break
+    if kind == "semilinear":
+        return lmap_from_matrix(A, automorphism=1)
+    phi = lmap_from_matrix(A)
+    return tweak_equivalent(phi, (1, 0, 0), 2) if kind == "nonlinear" else phi
+
+
 class TestInverseAndLatticeHom:
+    @pytest.mark.parametrize("q, kind", [
+        (2, "linear"), (3, "linear"), (3, "nonlinear"), (4, "linear"),
+        (4, "semilinear"), (4, "nonlinear")])
+    def test_inverse_matches_verified_inverse_table(self, q, kind):
+        rng = random.Random(q)
+        for _ in range(3):
+            phi = _bijection(q, kind, rng)
+            inv_table = [0] * len(phi.table)
+            for v, w in enumerate(phi.table):
+                inv_table[w] = v
+            want = lmap_from_table(q, 3, 3, inv_table)
+            inv = phi.inverse()
+            assert inv.verified and inv.table == want.table
+            assert (inv.is_linear, inv.automorphism) == (want.is_linear, want.automorphism)
+            assert inv.linear_matrix == want.linear_matrix
+            assert inv.semilinear_matrix == want.semilinear_matrix
+            assert inv.image_ids == want.image_ids
+            assert inv.is_linear == (kind == "linear")
+
+    def test_inverse_keeps_unverified(self):
+        # a bijection of F_2^3 that is not an L-map: its inverse is not one
+        table = [0, 1, 2, 4, 3, 5, 6, 7]
+        with pytest.raises(NotAnLMap):
+            lmap_from_table(2, 3, 3, table)
+        inv = LMap(2, 3, 3, table).inverse()
+        assert not inv.verified and inv.automorphism is None
+
     def test_inverse_of_nonlinear_bijection(self):
         phi = tweak_equivalent(identity_map(3, 2), (1, 0), 2)
         inv = phi.inverse()

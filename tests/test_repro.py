@@ -3,7 +3,7 @@
 import pytest
 
 from qmatroids import repro
-from qmatroids.errors import ExtensionTooSmall, IndexNotInOmega
+from qmatroids.errors import ExtensionTooSmall, IndexNotInOmega, SearchBoundExceeded
 
 
 @pytest.mark.parametrize("item", sorted(repro.ITEMS))
@@ -44,6 +44,11 @@ def test_factor_search_order_independent():
         rep = repro.verify_thm_nonlinear_noncoproduct(2, branch_perm=perm)
         assert rep.passed
         assert [c[:2] for c in rep.checks] == [c[:2] for c in base.checks]
+
+
+def test_thm_4_6_search_is_fixed_to_q2():
+    with pytest.raises(SearchBoundExceeded):
+        repro.verify_thm_nonlinear_noncoproduct(3)
 
 
 def test_thm_4_6_certificate_counters():

@@ -284,7 +284,7 @@ class TestLatticeCache:
             assert (subs[i] >> j) & 1 == below
             assert (ups[j] >> i) & 1 == below
 
-    @pytest.mark.parametrize("q,n", [(q, n) for q, n, _ in ORDER_CASES])
+    @pytest.mark.parametrize("q,n", [(q, n) for q, n, _ in ORDER_CASES] + [(5, 2)])
     def test_vector_and_layer_masks(self, q, n):
         lat = lattice(q, n)
         for i, S in enumerate(lat.spaces):
