@@ -80,12 +80,20 @@ class TestFromTable:
             lmap_from_table(2, 2, 2, lambda v: (1, 1))
 
     def test_not_an_lmap_witness(self):
-        # three independent images of a 2-space cannot close up; three
-        # images closed under XOR can
+        # three independent images of a 2-space cannot close up
         table = [0, 1, 2, 4]
         with pytest.raises(NotAnLMap) as ei:
             lmap_from_table(2, 2, 3, table)
         assert ei.value.witness == Subspace.full(2, 2)
+
+    def test_open_triple_detected(self):
+        # images e1, e2, e3 of a 2-space are not XOR-closed, so the 2-space
+        # spanned by its three nonzero vectors is the witness; images
+        # closed under XOR give a linear map
+        with pytest.raises(NotAnLMap) as ei:
+            lmap_from_table(2, 2, 3, [0, 1, 2, 4])
+        triple = sorted(encode_vector(v, 2) for v in ei.value.witness.vectors() if any(v))
+        assert triple == [1, 2, 3]
         assert lmap_from_table(2, 2, 3, [0, 1, 2, 3]).is_linear
 
     def test_verdict_against_closure(self, xor_violations):
