@@ -6,8 +6,9 @@ coordinate projection.  The completion minimizes tau(X) + dim V - dim X
 over the subspaces X of V.  It is computed up the lattice by the cover
 recursion rank(V) = min(tau(V), 1 + min rank(W) over the hyperplanes W
 of V), which is exact for any integer tau.  Direct sums build tau as a
-list by lattice id, from the summands' rank vectors at the projections'
-image ids, and the identity checks compare ranks by id.
+list by lattice id, from the rank vectors of the pushed summands (the
+pullbacks of the summands through the projections), and the identity
+checks compare ranks by id.
 """
 
 from __future__ import annotations
@@ -35,7 +36,13 @@ from .maps import (
     lmap_from_matrix,
     pi_maps,
 )
-from .qmatroid import QMatroid, from_rank_vector, is_isomorphic, r2_r3_violations
+from .qmatroid import (
+    QMatroid,
+    from_rank_vector,
+    is_isomorphic,
+    pullback,
+    r2_r3_violations,
+)
 from .subspaces import (
     Mat,
     Subspace,
@@ -105,13 +112,9 @@ def direct_sum(M1: QMatroid, M2: QMatroid) -> DirectSum:
     n = n1 + n2
     iota1, iota2 = iota_maps(q, n1, n2)
     pi1, pi2 = pi_maps(q, n1, n2)
-    # rho'_i(V) = rho_i(pi_i V): the summand's rank at the image id
-    pushed = []
-    for Mi, pi in ((M1, pi1), (M2, pi2)):
-        rv = Mi.rank_vector()
-        pushed.append([rv[j] for j in pi.image_ids])
-    P1, P2 = (from_rank_vector(q, n, rv, kind="pushed") for rv in pushed)
-    tau = [a + b for a, b in zip(*pushed)]
+    # rho'_i(V) = rho_i(pi_i V)
+    P1, P2 = pullback(M1, pi1, kind="pushed"), pullback(M2, pi2, kind="pushed")
+    tau = [a + b for a, b in zip(P1.rank_vector(), P2.rank_vector())]
     total = from_rank_vector(q, n, _complete(lattice(q, n), tau), kind="direct_sum",
                              payload={"summands": (M1, M2)})
     D = DirectSum(M1, M2, total, iota1, iota2, pi1, pi2, (P1, P2))
@@ -141,13 +144,8 @@ def dirsum_circuits(D: DirectSum) -> List[Subspace]:
     """
     lat = lattice(*D.ambient)
     r1, r2 = (P.rank_vector() for P in D.pushed)
-    cond_mask = 0
-    for i, d in enumerate(lat.dims):
-        if r1[i] + r2[i] <= d - 1:
-            cond_mask |= 1 << i
-    subs = lat.sub_masks
-    out = [lat.spaces[i] for i in range(lat.size)
-           if (cond_mask >> i) & 1 and subs[i] & cond_mask & ~(1 << i) == 0]
+    cond_mask = sum(1 << i for i, d in enumerate(lat.dims) if r1[i] + r2[i] <= d - 1)
+    out = [lat.spaces[i] for i in lat.minimal_ids(cond_mask)]
     if out != D.total.circuits():
         raise AssertionError("circuit characterization disagrees with rank-derived circuits")
     return out

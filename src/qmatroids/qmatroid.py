@@ -4,9 +4,13 @@ A QMatroid pairs an ambient space F_q^n with a total rank oracle.  Rank
 values are memoized per canonical subspace and, for ambients within the
 enumeration caps, materialized as a vector aligned with the shared
 lattice cache, which makes the exhaustive axiom sweeps and closure
-computations table lookups.  Matrix matroids, pushforwards, completions
-and direct sums fill that vector by lattice id, without a rank call per
-subspace.
+computations table lookups.  Matrix matroids, completions and direct
+sums fill that vector by lattice id, without a rank call per subspace.
+Every matroid read through a map -- restriction, contraction,
+pushforward, the pushed summands of a direct sum and the Frobenius
+twist of the semilinear isomorphism search -- is a :func:`pullback`,
+with rank(V) = rank_M(phi(V) + X) - rank_M(X): single ranks through
+the image of V, the rank vector through the map's image ids.
 """
 
 from __future__ import annotations
@@ -27,15 +31,16 @@ from .errors import (
     SearchBoundExceeded,
 )
 from .fields import FieldSpec, ground_field
+from .maps import embedding_map, lmap_from_matrix
 from .subspaces import (
     Mat,
     Subspace,
     code_arithmetic,
     decode_vector,
     encode_vector,
+    join,
     lattice,
     mask_ids,
-    quotient_map,
 )
 
 
@@ -159,55 +164,48 @@ class FlatFamily:
 
 
 def check_flat_axioms(fam: FlatFamily, limit: Optional[int] = 10) -> AxiomReport:
-    """Exhaustively verify F1-F3; the report carries witnesses.
+    """Exhaustively verify F1-F3; the report carries up to ``limit``
+    violations of :func:`flat_violations`, with witnesses."""
+    violations = list(itertools.islice(flat_violations(fam), limit))
+    return AxiomReport(ok=not violations, violations=violations)
+
+
+def flat_violations(fam: FlatFamily):
+    """Every F1, F2 and F3 violation of ``fam``, streamed in that order.
 
     F2 meets every pair of members (an AND of vector masks).  F3 asks, for
     every member F and every vector outside F, that exactly one cover of
     F in the family contains it; the vectors in no cover or in several
     are read off two masks (in at least one cover, in at least two), and
-    each such (F, vector) pair is reported with those covers.
+    each such (F, vector) pair is reported with those covers.  F3 is
+    checked only when the full space is a member.
     """
     lat = lattice(fam.q, fam.n)
     vm = lat.vec_masks
     ids = fam.member_ids
     member_vms = {vm[i] for i in ids}
-    violations = []
-
-    def room():
-        return limit is None or len(violations) < limit
-
     full = Subspace.full(fam.q, fam.n)
     if full not in fam.members:
-        violations.append(("F1", full, None))
+        yield ("F1", full, None)
     for k, a in enumerate(ids):
-        if not room():
-            break
         va = vm[a]
         for b in ids[k + 1:]:
-            if not room():
-                break
             m = va & vm[b]
             if m not in member_vms:
-                violations.append(("F2", (lat.spaces[a], lat.spaces[b]),
-                                   lat.spaces[lat._mask_to_id[m]]))
-    if full in fam.members:
-        everything = (1 << fam.q ** fam.n) - 1
-        for f in ids:
-            if not room():
-                break
-            covers = fam._cover_ids(f)
-            once = twice = 0  # vectors in at least one, two covers of F
-            for c in covers:
-                twice |= once & vm[c]
-                once |= vm[c]
-            for code in mask_ids((everything & ~once | twice) & ~vm[f]):
-                hits = [lat.spaces[c] for c in covers if (vm[c] >> code) & 1]
-                violations.append(("F3", (lat.spaces[f],
-                                          decode_vector(code, fam.q, fam.n)),
-                                   hits))
-                if not room():
-                    break
-    return AxiomReport(ok=not violations, violations=violations)
+                yield ("F2", (lat.spaces[a], lat.spaces[b]),
+                       lat.spaces[lat._mask_to_id[m]])
+    if full not in fam.members:
+        return
+    everything = (1 << fam.q ** fam.n) - 1
+    for f in ids:
+        covers = fam._cover_ids(f)
+        once = twice = 0  # vectors in at least one, two covers of F
+        for c in covers:
+            twice |= once & vm[c]
+            once |= vm[c]
+        for code in mask_ids((everything & ~once | twice) & ~vm[f]):
+            hits = [lat.spaces[c] for c in covers if (vm[c] >> code) & 1]
+            yield ("F3", (lat.spaces[f], decode_vector(code, fam.q, fam.n)), hits)
 
 
 # ---------------------------------------------------------------------------
@@ -310,17 +308,8 @@ class QMatroid:
         if self._circuits is None:
             lat = lattice(self.q, self.n)
             rv = self.rank_vector()
-            dep_mask = 0
-            for i in range(lat.size):
-                if rv[i] < lat.dims[i]:
-                    dep_mask |= 1 << i
-            subs = lat.sub_masks
-            out = []
-            for i in range(lat.size):
-                if (dep_mask >> i) & 1:
-                    if subs[i] & dep_mask & ~(1 << i) == 0:
-                        out.append(lat.spaces[i])
-            self._circuits = out
+            dep_mask = sum(1 << i for i in range(lat.size) if rv[i] < lat.dims[i])
+            self._circuits = [lat.spaces[i] for i in lat.minimal_ids(dep_mask)]
         return self._circuits
 
     def loops(self) -> List[Subspace]:
@@ -335,35 +324,20 @@ class QMatroid:
         """M|_X, re-coordinatized to F_q^dim(X) through X's RREF basis."""
         if (X.q, X.n) != (self.q, self.n):
             raise AmbientMismatch("restriction subspace outside the ambient")
-
-        def rank_fn(V: Subspace) -> int:
-            rows = map(X.vector_at, V.basis)
-            return self.rank(Subspace.from_rows(self.q, self.n, rows))
-
-        return QMatroid(self.q, X.dim, rank_fn, kind="restriction",
+        return pullback(self, embedding_map(X), kind="restriction",
                         payload={"parent": self, "subspace": X})
 
     def contraction(self, X: Subspace) -> "QMatroid":
-        """M/X on the quotient coordinates of quotient_map(X)."""
+        """M/X on the coordinates at the non-pivot columns of X's RREF
+        basis: the unit vectors there span a complement of X."""
         if (X.q, X.n) != (self.q, self.n):
             raise AmbientMismatch("contraction subspace outside the ambient")
-        pi, qdim = quotient_map(X)
         piv = set(X.pivots())
-        nonpiv = [j for j in range(self.n) if j not in piv]
-        rx = self.rank(X)
-
-        def lift(w):
-            v = [0] * self.n
-            for c, j in zip(w, nonpiv):
-                v[j] = c
-            return tuple(v)
-
-        def rank_fn(W: Subspace) -> int:
-            rows = list(X.basis) + [lift(w) for w in W.basis]
-            return self.rank(Subspace.from_rows(self.q, self.n, rows)) - rx
-
-        return QMatroid(self.q, qdim, rank_fn, kind="contraction",
-                        payload={"parent": self, "subspace": X, "projection": pi})
+        eye = Subspace.full(self.q, self.n).basis
+        units = Subspace(self.q, self.n, tuple(eye[j] for j in range(self.n)
+                                               if j not in piv))
+        return pullback(self, embedding_map(units), X, kind="contraction",
+                        payload={"parent": self, "subspace": X})
 
     def __repr__(self):
         return f"QMatroid(F{self.q}^{self.n}, kind={self.kind!r})"
@@ -486,17 +460,36 @@ def pushforward(M: QMatroid, phi) -> QMatroid:
     """The matroid with rank(V) = rank_M(phi^{-1}(V)) for bijective phi."""
     if not phi.is_bijective():
         raise NotBijective("pushforward needs an L-isomorphism")
-    inv = phi.inverse()
+    return pullback(M, phi.inverse(), kind="pushforward",
+                    payload={"source": M, "map": phi})
+
+
+def pullback(M: QMatroid, phi, X: Optional[Subspace] = None,
+             kind: str = "pullback", payload=None) -> QMatroid:
+    """The matroid on phi's domain with rank(V) = rank_M(phi(V) + X) - rank_M(X)
+    (rank_M(phi(V)) when X is None).
+
+    A single rank joins ``phi.image_of(V)`` with X, so it needs no
+    lattice; the rank vector reads M's rank vector at the join of X's id
+    with each of ``phi.image_ids``.
+    """
+    if phi.codomain != M.ambient():
+        raise AmbientMismatch("the map's codomain is not the matroid's ambient")
+    rx = 0 if X is None else M.rank(X)
 
     def rank_fn(V: Subspace) -> int:
-        return M.rank(inv.image_of(V))
+        image = phi.image_of(V)
+        return M.rank(image if X is None else join(image, X)) - rx
 
     def rank_vector() -> List[int]:
         rv = M.rank_vector()
-        return [rv[j] for j in inv.image_ids]
+        if X is None:
+            return [rv[j] for j in phi.image_ids]
+        lat = lattice(M.q, M.n)
+        x = lat.id_of(X)
+        return [rv[lat.join_id(x, j)] - rx for j in phi.image_ids]
 
-    P = QMatroid(phi.q, phi.n2, rank_fn, kind="pushforward",
-                 payload={"source": M, "map": phi})
+    P = QMatroid(phi.q, phi.n1, rank_fn, kind=kind, payload=payload)
     P._rank_vector_fn = rank_vector
     return P
 
@@ -584,14 +577,13 @@ def is_isomorphic(M1: QMatroid, M2: QMatroid, mode: str = "linear",
     if _gl_order(n, q) * len(autos) > 10 ** 8:
         raise SearchBoundExceeded(f"|GL({n},{q})| x |Aut| exceeds 10^8")
 
-    from .maps import lmap_from_matrix
-
     lat = lattice(q, n)
     rv1 = M1.rank_vector()
     rv2 = M2.rank_vector()
     # the standard flag <e_1..e_j>
-    eye = Subspace.full(q, n).basis
-    flag_ids = [lat.id_of(Subspace(q, n, eye[:j])) for j in range(1, n + 1)]
+    units = Subspace.full(q, n).basis
+    flag_ids = [lat.id_of(Subspace(q, n, units[:j])) for j in range(1, n + 1)]
+    eye = Mat(F, n, n, [x for row in units for x in row])
     # dependent spaces discriminate fastest; fixed deterministic order
     order = sorted(range(lat.size),
                    key=lambda i: (0 if rv1[i] < lat.dims[i] else 1, lat.dims[i], i))
@@ -601,17 +593,10 @@ def is_isomorphic(M1: QMatroid, M2: QMatroid, mode: str = "linear",
     leaves = nodes = 0
     witness = None
     for j in autos:
-        if j == 0:
-            rv1_t = rv1
-        else:
-            # a candidate v -> sigma_j(v) A is rank-preserving iff the linear
-            # part A satisfies rank2(A T) = rank1(sigma_j^{-1} T) for all T
-            inv_j = (F.k - j) % F.k
-            def _twist(S):
-                rows = [tuple(F.base_frobenius(x, inv_j) for x in row)
-                        for row in S.basis]
-                return Subspace.from_rows(q, n, rows)
-            rv1_t = [rv1[lat.id_of(_twist(S))] for S in lat.spaces]
+        # a candidate v -> sigma_j(v) A is rank-preserving iff the linear
+        # part A satisfies rank2(A T) = rank1(sigma_j^{-1} T) for all T
+        rv1_t = rv1 if j == 0 else pullback(
+            M1, lmap_from_matrix(eye, automorphism=(F.k - j) % F.k)).rank_vector()
         rows, found_leaves, found_nodes = kernels.gl_iso_search(
             n, q, lat.holders, space_codes, [rv1_t[i] for i in order], rv2,
             [rv1_t[i] for i in flag_ids], prune, add, scale)

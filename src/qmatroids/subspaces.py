@@ -66,8 +66,10 @@ def vec_scale(c, v, F: FieldSpec):
     return tuple(F.base_mul(c, x) for x in v)
 
 
+@lru_cache(maxsize=None)
 def code_arithmetic(q: int, n: int):
-    """(add, scale): the sum of two codes of F_q^n and a scalar times a code.
+    """(add, scale): the sum of two codes of F_q^n and a scalar times a code,
+    built once per (q, n).
 
     In characteristic 2 the sum is XOR.  Otherwise it adds one term per
     digit, read from a table of (a + b) * q**i by digit value.  Products
@@ -584,6 +586,13 @@ class SubspaceLattice:
         it whose dimension is one more."""
         d = self.dims[i]
         return self.up_masks[i] & self.layer_masks[d + 1] if d < self.n else 0
+
+    def minimal_ids(self, mask: int) -> List[int]:
+        """The ids set in ``mask`` with no other id of ``mask`` below them,
+        ascending."""
+        subs = self.sub_masks
+        return [i for i in range(self.size)
+                if (mask >> i) & 1 and subs[i] & mask & ~(1 << i) == 0]
 
     @property
     def sub_masks(self):

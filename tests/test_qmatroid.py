@@ -41,6 +41,7 @@ from qmatroids.errors import (
     TauNotSubmodular,
 )
 from qmatroids.fields import ground_field, make_field
+from qmatroids.qmatroid import from_rank_vector, pullback
 from qmatroids.repro import fprime_closed_form
 from qmatroids.subspaces import DEFAULT_MAX_VECTORS, decode_vector
 
@@ -617,6 +618,109 @@ class TestMinors:
                 assert R.rank(S) == M.rank(emb.image_of(S))
 
 
+def _random_matroid(spec, k, n, rng):
+    while True:
+        G = Mat(spec, k, n, [rng.randrange(spec.order) for _ in range(k * n)])
+        if G.rank() == k:
+            return from_matrix(G)
+
+
+def _random_ranks(q, n, rng):
+    # an arbitrary integer on every space: pullbacks must transport any
+    # rank function, valid or not
+    lat = lattice(q, n)
+    return from_rank_vector(q, n, [rng.randrange(lat.dims[i] + 2)
+                                   for i in range(lat.size)])
+
+
+def _restriction_by_coordinates(M, X):
+    """Ranks of M|X by id: each space S <= X, in coordinates of X's basis."""
+    lat = lattice(M.q, X.dim)
+    rv = [None] * lat.size
+    for S in lattice(M.q, M.n).spaces:
+        if contains(X, S):
+            V = Subspace.from_rows(M.q, X.dim, [X.coordinates_of(r) for r in S.basis])
+            rv[lat.id_of(V)] = M.rank(S)
+    return rv
+
+
+def _contraction_by_quotient(M, X):
+    """Ranks of M/X by id: rank(V + X) - rank(X) at the quotient image of V."""
+    from qmatroids import quotient_map
+    pi, d = quotient_map(X)
+    lat = lattice(M.q, d)
+    rx = M.rank(X)
+    rv = [None] * lat.size
+    for V in lattice(M.q, M.n).spaces:
+        i, r = lat.id_of(pi.image_of(V)), M.rank(join(V, X)) - rx
+        assert rv[i] in (None, r)
+        rv[i] = r
+    return rv
+
+
+def _frobenius_twist(S, j):
+    """sigma^j applied to every entry of S's basis rows, re-reduced."""
+    F = ground_field(S.q)
+    return Subspace.from_rows(S.q, S.n, [tuple(F.base_frobenius(x, j) for x in row)
+                                         for row in S.basis])
+
+
+class TestPullback:
+    """Rank vectors of the pullbacks against their per-space ranks and
+    against each minor's definition, computed without ``pullback``."""
+
+    @staticmethod
+    def _inputs(q, uniform_sum):
+        rng = random.Random(q)
+        if q == 2:
+            return [uniform_sum.total, _random_ranks(2, 3, rng)]
+        spec = make_field(3, 1, 3)
+        return [_random_matroid(spec, 2, 3, rng), _random_ranks(3, 3, rng)]
+
+    @staticmethod
+    def _agree(P, want):
+        spaces = lattice(P.q, P.n).spaces
+        assert P.rank_vector() == [P.rank(V) for V in spaces] == want
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_restriction_and_contraction(self, q, uniform_sum):
+        for M in self._inputs(q, uniform_sum):
+            for X in lattice(M.q, M.n).spaces:
+                self._agree(M.restriction(X), _restriction_by_coordinates(M, X))
+                self._agree(M.contraction(X), _contraction_by_quotient(M, X))
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_pushforward(self, q, uniform_sum):
+        from qmatroids.maps import preimage
+        F = ground_field(q)
+        rng = random.Random(10 + q)
+        for M in self._inputs(q, uniform_sum):
+            for _ in range(3):
+                while True:
+                    A = Mat(F, M.n, M.n, [rng.randrange(q) for _ in range(M.n ** 2)])
+                    if A.rank() == M.n:
+                        break
+                phi = lmap_from_matrix(A)
+                self._agree(pushforward(M, phi),
+                            [M.rank(preimage(phi, W)[2])
+                             for W in lattice(q, M.n).spaces])
+
+    @pytest.mark.parametrize("q, n", [(4, 2), (4, 3), (8, 2)])
+    def test_semilinear_twist(self, q, n):
+        F = ground_field(q)
+        eye = Mat(F, n, n, [int(i == j) for i in range(n) for j in range(n)])
+        M = _random_ranks(q, n, random.Random(q + n))
+        for j in range(1, F.k):
+            twisted = pullback(M, lmap_from_matrix(eye, automorphism=j))
+            self._agree(twisted, [M.rank(_frobenius_twist(S, j))
+                                  for S in lattice(q, n).spaces])
+
+    def test_codomain_must_be_the_ambient(self):
+        with pytest.raises(AmbientMismatch):
+            pullback(uniform(2, 3, 1), lmap_from_matrix(
+                Mat(ground_field(2), 2, 2, [1, 0, 0, 1])))
+
+
 class TestRoundtrips:
     def test_rank_to_flats_to_rank(self, repro_matroids):
         for name, M in repro_matroids.items():
@@ -702,6 +806,21 @@ class TestIsIsomorphic:
             witness = is_isomorphic(M, N, mode="semilinear")
             assert witness is not None
             for S in lattice(4, n).spaces:
+                assert N.rank(witness.image_of(S)) == M.rank(S)
+
+    def test_semilinear_witness_gf8(self):
+        # Aut(GF(8)) has order 3, so sigma^j and sigma^-j differ; these
+        # arbitrary ranks are linearly isomorphic to neither Frobenius
+        # image, and the witness must map every space onto one of its rank
+        F8 = ground_field(8)
+        M = _random_ranks(8, 2, random.Random(9))
+        for a in (1, 2):
+            N = pushforward(M, lmap_from_matrix(Mat(F8, 2, 2, [1, 0, 0, 1]),
+                                                automorphism=a))
+            assert is_isomorphic(M, N) is None
+            witness = is_isomorphic(M, N, mode="semilinear")
+            assert witness is not None
+            for S in lattice(8, 2).spaces:
                 assert N.rank(witness.image_of(S)) == M.rank(S)
 
     def test_semilinear_scan_exhausts_every_twist(self):

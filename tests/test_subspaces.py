@@ -330,6 +330,22 @@ class TestLatticeCache:
             assert scale(c, v) == encode_vector(
                 vec_scale(c, decode_vector(v, q, n), F), q)
 
+    def test_code_arithmetic_built_once(self):
+        assert code_arithmetic(3, 4) is code_arithmetic(3, 4)
+        assert code_arithmetic(3, 4) is not code_arithmetic(3, 3)
+
+    @pytest.mark.parametrize("q,n", [(2, 4), (3, 3)])
+    def test_minimal_ids_against_containment(self, q, n):
+        lat = lattice(q, n)
+        rng = random.Random(q * 10 + n)
+        for density in (0.1, 0.5, 0.9):
+            mask = sum(1 << i for i in range(lat.size) if rng.random() < density)
+            want = [i for i in range(lat.size) if (mask >> i) & 1
+                    and not any((mask >> j) & 1 and j != i and lat.contains_ids(i, j)
+                                for j in range(lat.size))]
+            assert lat.minimal_ids(mask) == want
+        assert lat.minimal_ids(0) == []
+
     def test_vector_encoding_roundtrip(self):
         for code in range(81):
             assert encode_vector(decode_vector(code, 3, 4), 3) == code
