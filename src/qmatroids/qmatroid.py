@@ -10,7 +10,9 @@ Every matroid read through a map -- restriction, contraction,
 pushforward, the pushed summands of a direct sum and the Frobenius
 twist of the semilinear isomorphism search -- is a :func:`pullback`,
 with rank(V) = rank_M(phi(V) + X) - rank_M(X): single ranks through
-the image of V, the rank vector through the map's image ids.
+the image of V, the rank vector through the map's image ids, except
+that a proper minor of a matroid whose ranks are not materialized ranks
+its own spaces, so minors of matroids beyond the caps keep working.
 """
 
 from __future__ import annotations
@@ -291,10 +293,9 @@ class QMatroid:
             members = [S for i, S in enumerate(lat.spaces)
                        if self.closure_id(i) == i]
             fam = FlatFamily(self.q, self.n, members)
-            report = check_flat_axioms(fam, limit=1)
-            if not report.ok:
-                raise FlatAxiomViolation(report.violations[0][0],
-                                         report.violations[0][1])
+            first = next(flat_violations(fam), None)
+            if first:
+                raise FlatAxiomViolation(*first[:2])
             self._flats = fam
         return self._flats
 
@@ -332,12 +333,10 @@ class QMatroid:
         basis: the unit vectors there span a complement of X."""
         if (X.q, X.n) != (self.q, self.n):
             raise AmbientMismatch("contraction subspace outside the ambient")
-        piv = set(X.pivots())
-        eye = Subspace.full(self.q, self.n).basis
-        units = Subspace(self.q, self.n, tuple(eye[j] for j in range(self.n)
-                                               if j not in piv))
-        return pullback(self, embedding_map(units), X, kind="contraction",
-                        payload={"parent": self, "subspace": X})
+        units = tuple(e for j, e in enumerate(Subspace.full(self.q, self.n).basis)
+                      if j not in X.pivots())
+        return pullback(self, embedding_map(Subspace(self.q, self.n, units)), X,
+                        kind="contraction", payload={"parent": self, "subspace": X})
 
     def __repr__(self):
         return f"QMatroid(F{self.q}^{self.n}, kind={self.kind!r})"
@@ -445,9 +444,9 @@ def from_rank_table(q: int, n: int, table: Dict[Subspace, int]) -> QMatroid:
 
 def from_flats(fam: FlatFamily) -> QMatroid:
     """Matroid with rank(V) = height of the smallest flat containing V."""
-    report = check_flat_axioms(fam, limit=1)
-    if not report.ok:
-        raise FlatAxiomViolation(report.violations[0][0], report.violations[0][1])
+    first = next(flat_violations(fam), None)
+    if first:
+        raise FlatAxiomViolation(*first[:2])
     heights = fam.heights
 
     def rank_fn(V: Subspace) -> int:
@@ -470,8 +469,11 @@ def pullback(M: QMatroid, phi, X: Optional[Subspace] = None,
     (rank_M(phi(V)) when X is None).
 
     A single rank joins ``phi.image_of(V)`` with X, so it needs no
-    lattice; the rank vector reads M's rank vector at the join of X's id
-    with each of ``phi.image_ids``.
+    lattice.  The rank vector reads M's rank vector at the join of X's id
+    with each of ``phi.image_ids`` unless M's lattice is larger than
+    phi's domain's and M's ranks are not yet materialized.  Then (a
+    proper minor) it ranks the domain's spaces one by one, so M's
+    lattice, which may lie beyond the caps, is never built.
     """
     if phi.codomain != M.ambient():
         raise AmbientMismatch("the map's codomain is not the matroid's ambient")
@@ -482,6 +484,8 @@ def pullback(M: QMatroid, phi, X: Optional[Subspace] = None,
         return M.rank(image if X is None else join(image, X)) - rx
 
     def rank_vector() -> List[int]:
+        if phi.n1 < M.n and M._rank_vector is None:
+            return [P.rank(V) for V in lattice(P.q, P.n).spaces]
         rv = M.rank_vector()
         if X is None:
             return [rv[j] for j in phi.image_ids]
@@ -508,14 +512,10 @@ def check_rank_axioms(M: QMatroid, limit: Optional[int] = 10) -> AxiomReport:
     """
     lat = lattice(M.q, M.n)
     rv = M.rank_vector()
-    violations = []
-    for i in range(lat.size):
-        if limit is not None and len(violations) >= limit:
-            break
-        if not 0 <= rv[i] <= lat.dims[i]:
-            violations.append(("R1", (lat.spaces[i],), rv[i]))
-    rest = None if limit is None else max(0, limit - len(violations))
-    violations.extend(itertools.islice(r2_r3_violations(lat, rv), rest))
+    r1 = (("R1", (lat.spaces[i],), rv[i]) for i in range(lat.size)
+          if not 0 <= rv[i] <= lat.dims[i])
+    violations = list(itertools.islice(
+        itertools.chain(r1, r2_r3_violations(lat, rv)), limit))
     return AxiomReport(ok=not violations, violations=violations)
 
 

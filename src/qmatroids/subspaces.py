@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import prod
 from typing import Iterable, Iterator, List, Optional, Sequence
 
@@ -74,11 +74,18 @@ def code_arithmetic(q: int, n: int):
     In characteristic 2 the sum is XOR.  Otherwise it adds one term per
     digit, read from a table of (a + b) * q**i by digit value.  Products
     come from one table of q^n codes per scalar; over GF(2) the only
-    nonzero scalar is 1 and no table is built.
+    nonzero scalar is 1 and no table is built.  Nor is one built for an
+    ambient beyond the enumeration caps: each call decodes its codes to
+    digits, so a map into it costs its own domain's q^n1 calls only.
     """
     F = ground_field(q)
     if q == 2:
         return operator.xor, lambda c, v: v if c else 0
+    if q ** n > DEFAULT_MAX_VECTORS or count_subspaces(q, n) > DEFAULT_MAX_SUBSPACES:
+        at = partial(decode_vector, q=q, n=n)
+        add = lambda u, v: encode_vector(vec_add(at(u), at(v), F), q)
+        return (operator.xor if F.p == 2 else add), (
+            lambda c, v: encode_vector(vec_scale(c, at(v), F), q))
     digits = [decode_vector(code, q, n) for code in range(q ** n)]
     scaled = [[encode_vector(vec_scale(c, v, F), q) for v in digits]
               for c in range(q)]

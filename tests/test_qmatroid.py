@@ -43,7 +43,12 @@ from qmatroids.errors import (
 from qmatroids.fields import ground_field, make_field
 from qmatroids.qmatroid import from_rank_vector, pullback
 from qmatroids.repro import fprime_closed_form
-from qmatroids.subspaces import DEFAULT_MAX_VECTORS, decode_vector
+from qmatroids.subspaces import (
+    DEFAULT_MAX_SUBSPACES,
+    DEFAULT_MAX_VECTORS,
+    count_subspaces,
+    decode_vector,
+)
 
 
 SWEEP_AMBIENTS = [(2, 3), (3, 2), (2, 4), (3, 3), (4, 2)]
@@ -618,13 +623,6 @@ class TestMinors:
                 assert R.rank(S) == M.rank(emb.image_of(S))
 
 
-def _random_matroid(spec, k, n, rng):
-    while True:
-        G = Mat(spec, k, n, [rng.randrange(spec.order) for _ in range(k * n)])
-        if G.rank() == k:
-            return from_matrix(G)
-
-
 def _random_ranks(q, n, rng):
     # an arbitrary integer on every space: pullbacks must transport any
     # rank function, valid or not
@@ -675,7 +673,8 @@ class TestPullback:
         if q == 2:
             return [uniform_sum.total, _random_ranks(2, 3, rng)]
         spec = make_field(3, 1, 3)
-        return [_random_matroid(spec, 2, 3, rng), _random_ranks(3, 3, rng)]
+        return [from_matrix(full_rank_matrices(spec, 2, 3, rng)[0]),
+                _random_ranks(3, 3, rng)]
 
     @staticmethod
     def _agree(P, want):
@@ -685,9 +684,15 @@ class TestPullback:
     @pytest.mark.parametrize("q", [2, 3])
     def test_restriction_and_contraction(self, q, uniform_sum):
         for M in self._inputs(q, uniform_sum):
+            M.rank_vector()
             for X in lattice(M.q, M.n).spaces:
-                self._agree(M.restriction(X), _restriction_by_coordinates(M, X))
-                self._agree(M.contraction(X), _contraction_by_quotient(M, X))
+                # a minor reads M's ranks by id when they are materialized
+                # or it has M's dimension, else it ranks its own spaces
+                fresh = from_function(M.q, M.n, M.rank)
+                for N in (M, fresh):
+                    self._agree(N.restriction(X), _restriction_by_coordinates(M, X))
+                    self._agree(N.contraction(X), _contraction_by_quotient(M, X))
+                assert (fresh._rank_vector is None) == (0 < X.dim < M.n)
 
     @pytest.mark.parametrize("q", [2, 3])
     def test_pushforward(self, q, uniform_sum):
@@ -714,6 +719,52 @@ class TestPullback:
             twisted = pullback(M, lmap_from_matrix(eye, automorphism=j))
             self._agree(twisted, [M.rank(_frobenius_twist(S, j))
                                   for S in lattice(q, n).spaces])
+
+    def test_minors_beyond_the_parents_lattice(self):
+        # F_2^10 has more subspaces than the enumeration cap; minors of
+        # small dimension rank their own lattice without the parent's
+        q, n = 2, 10
+        rng = random.Random(10)
+        X = Subspace.from_rows(q, n, [[rng.randrange(q) for _ in range(n)]
+                                      for _ in range(3)])
+        assert X.dim == 3
+        Y = Subspace.from_rows(q, n, [[rng.randrange(q) for _ in range(n)]
+                                      for _ in range(7)])
+        assert Y.dim == 7
+        R = uniform(q, n, 2).restriction(X)
+        C = uniform(q, n, 8).contraction(Y)
+        dims = lattice(q, 3).dims
+        assert R.rank_vector() == [min(d, 2) for d in dims]
+        assert C.rank_vector() == [min(d, 1) for d in dims]
+        assert R.flats().members == uniform(q, 3, 2).flats().members
+        assert R.circuits() == uniform(q, 3, 2).circuits()
+        assert C.circuits() == uniform(q, 3, 1).circuits()
+
+    @pytest.mark.parametrize("n", [9, 11])
+    def test_restriction_beyond_the_caps(self, n):
+        # F_3^9 has more subspaces than the enumeration cap, F_3^11 more
+        # vectors too; a rank of a restriction maps the basis rows of a
+        # space of X and builds no table over the parent's vectors
+        q = 3
+        assert count_subspaces(q, n) > DEFAULT_MAX_SUBSPACES
+        rng = random.Random(n)
+        G = full_rank_matrices(make_field(3, 1, 2), 3, n, rng)[0]
+        X = Subspace.from_rows(q, n, [[rng.randrange(q) for _ in range(n)]
+                                      for _ in range(4)])
+        spaces = [Subspace.from_rows(q, X.dim, [[rng.randrange(q) for _ in range(X.dim)]
+                                                for _ in range(rng.randrange(1, 4))])
+                  for _ in range(10)]
+        want = [product_rank(G, Subspace.from_rows(q, n, map(X.vector_at, S.basis)))
+                for S in spaces]
+        tracemalloc.start()
+        try:
+            R = from_matrix(G).restriction(X)
+            got = [R.rank(S) for S in spaces]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak < 1 << 20
 
     def test_codomain_must_be_the_ambient(self):
         with pytest.raises(AmbientMismatch):

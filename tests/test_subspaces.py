@@ -26,6 +26,7 @@ from qmatroids import (
 from qmatroids.errors import AmbientMismatch, EnumerationCapExceeded
 from qmatroids.fields import ground_field
 from qmatroids.subspaces import (
+    DEFAULT_MAX_SUBSPACES,
     Caps,
     code_arithmetic,
     count_subspaces,
@@ -329,6 +330,19 @@ class TestLatticeCache:
         for c, v in itertools.product(range(q), range(q ** n)):
             assert scale(c, v) == encode_vector(
                 vec_scale(c, decode_vector(v, q, n), F), q)
+
+    @pytest.mark.parametrize("q,n", [(3, 9), (3, 11), (4, 9)])
+    def test_code_arithmetic_beyond_the_caps(self, q, n):
+        # no q^n tables there: sample codes against tuple arithmetic
+        assert count_subspaces(q, n) > DEFAULT_MAX_SUBSPACES
+        F = ground_field(q)
+        add, scale = code_arithmetic(q, n)
+        rng = random.Random(q * 100 + n)
+        for _ in range(200):
+            u, v, c = rng.randrange(q ** n), rng.randrange(q ** n), rng.randrange(q)
+            du, dv = decode_vector(u, q, n), decode_vector(v, q, n)
+            assert add(u, v) == encode_vector(vec_add(du, dv, F), q)
+            assert scale(c, v) == encode_vector(vec_scale(c, dv, F), q)
 
     def test_code_arithmetic_built_once(self):
         assert code_arithmetic(3, 4) is code_arithmetic(3, 4)
