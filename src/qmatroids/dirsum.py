@@ -49,7 +49,6 @@ from .subspaces import (
     _vector_codes,
     code_arithmetic,
     lattice,
-    mask_ids,
 )
 
 
@@ -74,16 +73,9 @@ def _complete(lat, tv: List[int]) -> List[int]:
     """Ranks by lattice id of the completion of ``tv``, a rank list by id."""
     # rank(V) = min(tau(V), 1 + min rank(W) over the hyperplanes W of V):
     # every X < V lies in a hyperplane of V; ids ascend with dimension
-    subs = lat.sub_masks
     values = []
-    for i in range(lat.size):
-        best = tv[i]
-        d = lat.dims[i]
-        if d:
-            for w in mask_ids(subs[i] & lat.layer_masks[d - 1]):
-                if values[w] < best - 1:
-                    best = values[w] + 1
-        values.append(best)
+    for t, below in zip(tv, lat.lower):
+        values.append(min([t] + [values[w] + 1 for w in below]))
     return values
 
 

@@ -429,7 +429,7 @@ class FieldElem:
                 and other.spec == self.spec and other.val == self.val)
 
     def __hash__(self):
-        return hash((id(self.spec), self.val))
+        return hash((self.spec, self.val))
 
     def __bool__(self):
         return self.val != 0

@@ -18,6 +18,7 @@ its own spaces, so minors of matroids beyond the caps keep working.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
@@ -54,11 +55,11 @@ class AxiomReport:
     """Result of an exhaustive axiom sweep; empty violations = pass.
 
     Each violation is (axiom, witnesses, values).  The rank sweep visits
-    every space (R1), every space and upper cover (R2) and every diamond
-    (R3), so its R2 witnesses are cover pairs and its R3 witnesses the
-    two middles of a diamond; each is also a violation of the pairwise
-    axiom.  The flat sweep reports F1, F2 on pairs of members and F3 on
-    (member, outside vector) pairs.
+    every space (R1), every space and upper cover (R2) and every height-2
+    interval (R3), so its R2 witnesses are cover pairs and its R3
+    witnesses two middles of an interval; each is also a violation of the
+    pairwise axiom.  The flat sweep reports F1, F2 on pairs of members
+    and F3 on (member, outside vector) pairs.
     """
     ok: bool
     violations: list = field(default_factory=list)
@@ -106,19 +107,19 @@ class FlatFamily:
         since every member below it has a lower id; dropping its up-set
         and repeating yields each minimal member once.
         """
-        up = lattice(self.q, self.n).up_masks
-        rest = up[i] & self.id_mask & ~(1 << i)
+        above = lattice(self.q, self.n).above
+        rest = above(i) & self.id_mask & ~(1 << i)
         covers = []
         while rest:
             j = (rest & -rest).bit_length() - 1
             covers.append(j)
-            rest &= ~up[j]
+            rest &= ~above(j)
         return covers
 
     def closure_of(self, V: Subspace) -> Subspace:
         """Meet of all members containing V (the smallest such member)."""
         lat = lattice(self.q, self.n)
-        above = lat.up_masks[lat.id_of(V)] & self.id_mask
+        above = lat.above(lat.id_of(V)) & self.id_mask
         if not above:
             raise FlatAxiomViolation("F1", V)
         acc = -1
@@ -274,11 +275,10 @@ class QMatroid:
         the same rank.  A 1-space X outside V with rank(V+X) = rank(V)
         spans such a cover with V, and each such cover is spanned so."""
         lat = lattice(self.q, self.n)
-        rv = self.rank_vector()
-        acc = lat.up_masks[i]
-        for j in mask_ids(lat.covers_mask(i)):
-            if rv[j] == rv[i]:
-                acc &= lat.up_masks[j]
+        rv, vm, acc = self.rank_vector(), lat.vec_masks, lat.above(i)
+        for j in lat.upper[i]:
+            if rv[j] == rv[i]:  # V and a vector of j outside V span j
+                acc &= lat.holders[(vm[j] & ~vm[i]).bit_length() - 1]
         return (acc & -acc).bit_length() - 1
 
     def closure(self, V: Subspace) -> Subspace:
@@ -490,8 +490,9 @@ def pullback(M: QMatroid, phi, X: Optional[Subspace] = None,
         if X is None:
             return [rv[j] for j in phi.image_ids]
         lat = lattice(M.q, M.n)
-        x = lat.id_of(X)
-        return [rv[lat.join_id(x, j)] - rx for j in phi.image_ids]
+        up_x = lat.above(lat.id_of(X))
+        joins = (up_x & lat.above(j) for j in phi.image_ids)
+        return [rv[(up & -up).bit_length() - 1] - rx for up in joins]
 
     P = QMatroid(phi.q, phi.n1, rank_fn, kind=kind, payload=payload)
     P._rank_vector_fn = rank_vector
@@ -506,9 +507,9 @@ def check_rank_axioms(M: QMatroid, limit: Optional[int] = 10) -> AxiomReport:
 
     R1 sweeps every subspace (the zero space first, so rank(0) != 0 is
     its first entry); R2 and R3 come from :func:`r2_r3_violations`, which
-    visits every cover pair and every diamond.  Violations (up to
-    ``limit``) carry witnesses: a space for R1, a space and an upper
-    cover for R2, the two middle spaces of a diamond for R3.
+    visits every cover pair and every height-2 interval.  Violations (up
+    to ``limit``) carry witnesses: a space for R1, a space and an upper
+    cover for R2, two middle spaces of an interval for R3.
     """
     lat = lattice(M.q, M.n)
     rv = M.rank_vector()
@@ -521,32 +522,40 @@ def check_rank_axioms(M: QMatroid, limit: Optional[int] = 10) -> AxiomReport:
 
 def r2_r3_violations(lat, values: List[int]):
     """Every R2 violation of ``values`` (ranks by lattice id) on a cover
-    pair, then every R3 violation on a diamond, as (axiom, witnesses,
-    values) triples, streamed in lattice order.
+    pair, then every R3 violation on a height-2 interval, as (axiom,
+    witnesses, values) triples, streamed in lattice order.
 
     R2 holds for every containment iff it holds for every space V and
     each upper cover W of V (a chain of covers joins nested spaces); its
-    witness is (V, W) with values (rank V, rank W).  A diamond is a space
-    A with two upper covers B and C, B before C in lattice order: their
-    meet is A and their join, which covers both, is the lowest id in
-    ``up_masks[B] & up_masks[C]``.  R3 holds for every pair iff it holds
-    on every diamond, by induction on the heights of the pair above its
-    meet using only modularity of the lattice, not R2.  The witness is
-    (B, C) with values (rank(B v C) + rank A, rank B + rank C).  Each
-    witness is thus a genuine pairwise violation, and every R2 failure
-    shows up among the cover pairs, which all come before any R3 entry.
+    witness is (V, W) with values (rank V, rank W).  R3 holds for every
+    pair iff it holds on every diamond (a space A, two upper covers and
+    their join L), by induction on the heights of the pair above its
+    meet using only modularity of the lattice, not R2.  On the diamonds
+    of an interval [A, L] it holds iff rank L + rank A <= the two
+    smallest ranks of its q + 1 middles summed (Byrne-Ceria-Jurrius,
+    *Constructions of new q-cryptomorphisms*).  A failing interval, by A
+    and then L, is reported by those middles (B, C), ties to the lower
+    id, B before C, with values (rank L + rank A, rank B + rank C): a
+    genuine pairwise violation.  All R2 entries come first.
     """
-    spaces = lat.spaces
+    spaces, upper = lat.spaces, lat.upper
     for i in range(lat.size):
-        for j in mask_ids(lat.covers_mask(i)):
+        for j in upper[i]:
             if values[i] > values[j]:
                 yield ("R2", (spaces[i], spaces[j]), (values[i], values[j]))
     for a in range(lat.size):
-        covers = list(mask_ids(lat.covers_mask(a)))
-        for b, c in itertools.combinations(covers, 2):
-            lhs = values[lat.join_id(b, c)] + values[a]
-            if lhs > values[b] + values[c]:
-                yield ("R3", (spaces[b], spaces[c]), (lhs, values[b] + values[c]))
+        middles = defaultdict(list)  # the covers of A below each L, ascending
+        for b in upper[a]:
+            for top in upper[b]:
+                middles[top].append(b)
+        failing = []
+        for top, mids in middles.items():
+            b, c = sorted(mids, key=values.__getitem__)[:2]
+            if values[top] + values[a] > values[b] + values[c]:
+                failing.append((top, min(b, c), max(b, c)))
+        for top, b, c in sorted(failing):
+            yield ("R3", (spaces[b], spaces[c]),
+                   (values[top] + values[a], values[b] + values[c]))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
 from math import prod
 from typing import Iterable, Iterator, List, Optional, Sequence
 
@@ -507,23 +507,20 @@ def quotient_map(X: Subspace):
 class SubspaceLattice:
     """Materialized subspace lattice of F_q^n with structure tables.
 
-    Spaces are indexed in enumeration order, so ids ascend with
-    dimension.  The order is held in bitmask tables: ``vec_masks[i]``
-    has bit v set for each encoded vector v of space i, its transpose
+    Spaces are indexed in enumeration order, so each dimension is a run
+    of consecutive ids, ascending with it.  ``vec_masks[i]`` has bit v
+    set for each encoded vector v of space i, and its transpose
     ``holders[v]`` has bit i set for each space i containing vector v
-    (``holders[0]`` holds every id), and ``up_masks[i]`` has bit j set
-    for each space j containing space i.  Meets are vector-mask
-    intersections.  Joins and spans come from up-sets: the spaces
-    containing both i and j are the up-set of their join, which is the
-    one of least dimension and hence the lowest id in
-    ``up_masks[i] & up_masks[j]``; likewise the span of some vectors is
-    the lowest id in the AND of their holders.  ``basis_codes[i]`` lists
-    the codes of space i's RREF basis rows, whose span gives its vector
-    codes.  ``layer_masks[d]`` holds the ids of dimension d, so
-    ``covers_mask(i)``, the upper covers of space i, is
-    ``up_masks[i] & layer_masks[dim + 1]``.  ``sub_masks``, the
-    transpose of ``up_masks``, is built on first use from the covers.
-    No table changes once built.
+    (``holders[0]`` holds every id).  Meets are vector-mask
+    intersections.  ``basis_codes[i]`` lists the codes of space i's RREF
+    basis rows.  The AND of the holders of some vectors holds the spaces
+    containing them, and its lowest id is their span: ``above(i)`` ANDs
+    over space i's basis codes on each call, and a join spans both
+    spaces' basis codes.  The covering relation is held once, as
+    ascending id lists: ``upper[i]``, the upper covers of space i, and
+    its transpose ``lower[j]``, the hyperplanes of space j.
+    ``sub_masks``, N^2 bits, is built from ``lower`` on first use.  No
+    table changes once built.
     """
 
     def __init__(self, q: int, n: int, caps: Caps = DEFAULT_CAPS):
@@ -534,7 +531,6 @@ class SubspaceLattice:
         self.dims = [S.dim for S in self.spaces]
         self.size = len(self.spaces)
         self.zero_id = self.index[Subspace.zero(q, n)]
-        self.full_id = self.index[Subspace.full(q, n)]
         self.basis_codes = [tuple(encode_vector(row, q) for row in S.basis)
                             for S in self.spaces]
         add, scale = code_arithmetic(q, n)
@@ -548,16 +544,22 @@ class SubspaceLattice:
                 holders[v] |= bit
             self.vec_masks.append(mask)
         self._mask_to_id = {m: i for i, m in enumerate(self.vec_masks)}
-        everything = (1 << self.size) - 1
-        self.up_masks = []
-        for codes in self.basis_codes:
-            up = everything
-            for c in codes:
-                up &= holders[c]
-            self.up_masks.append(up)
-        self.layer_masks = [0] * (n + 1)  # ids of each dimension
-        for i, d in enumerate(self.dims):
-            self.layer_masks[d] |= 1 << i
+        ids = list(range(self.size))  # one int object per id for all lists
+        first = [self.dims.index(d) for d in range(n + 1)] + [self.size] * 2
+        self.upper, self.lower = [], [[] for _ in ids]
+        for d in range(n + 1):
+            lo, hi = first[d + 1], first[d + 2]  # the ids of dimension d + 1
+            layer = [(h >> lo) & ((1 << (hi - lo)) - 1) for h in holders]
+            for i in ids[first[d]:lo]:
+                up = reduce(operator.and_, map(layer.__getitem__, self.basis_codes[i]),
+                            layer[0])
+                bits, covers = bin(up)[:1:-1], []  # mask_ids inlined: a third faster
+                k = bits.find("1")
+                while k >= 0:
+                    covers.append(ids[lo + k])
+                    self.lower[lo + k].append(i)
+                    k = bits.find("1", k + 1)
+                self.upper.append(covers)
         self.one_ids = [i for i, d in enumerate(self.dims) if d == 1]
         self._sub_masks = None
 
@@ -576,23 +578,18 @@ class SubspaceLattice:
         return self._mask_to_id[self.vec_masks[i] & self.vec_masks[j]]
 
     def join_id(self, i: int, j: int) -> int:
-        common = self.up_masks[i] & self.up_masks[j]
-        return (common & -common).bit_length() - 1
+        return self.span_id(self.basis_codes[i] + self.basis_codes[j])
+
+    def above(self, i: int) -> int:
+        """Bitmask of the ids of the spaces containing space i."""
+        return reduce(operator.and_, map(self.holders.__getitem__, self.basis_codes[i]),
+                      self.holders[0])
 
     def span_id(self, codes: Iterable[int]) -> int:
         """Id of the span of the vectors with these codes: the lowest id
         in the AND of their holders (the zero space for no codes)."""
-        holders = self.holders
-        up = holders[0]
-        for c in codes:
-            up &= holders[c]
+        up = reduce(operator.and_, map(self.holders.__getitem__, codes), self.holders[0])
         return (up & -up).bit_length() - 1
-
-    def covers_mask(self, i: int) -> int:
-        """Bitmask of the upper covers of space i: the spaces containing
-        it whose dimension is one more."""
-        d = self.dims[i]
-        return self.up_masks[i] & self.layer_masks[d + 1] if d < self.n else 0
 
     def minimal_ids(self, mask: int) -> List[int]:
         """The ids set in ``mask`` with no other id of ``mask`` below them,
@@ -607,12 +604,8 @@ class SubspaceLattice:
         if self._sub_masks is None:
             # the subspaces of a space are itself and those of its
             # hyperplanes (the spaces it covers), whose ids are lower
-            hyperplanes = [[] for _ in range(self.size)]
-            for j in range(self.size):
-                for i in mask_ids(self.covers_mask(j)):
-                    hyperplanes[i].append(j)
             masks = []
-            for i, below in enumerate(hyperplanes):
+            for i, below in enumerate(self.lower):
                 mask = 1 << i
                 for j in below:
                     mask |= masks[j]
@@ -622,11 +615,15 @@ class SubspaceLattice:
 
 
 def mask_ids(mask: int) -> Iterator[int]:
-    """The positions of the set bits of ``mask``, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    """The positions of the set bits of ``mask``, ascending, in one pass
+    over ``bin`` of the mask without its trailing zeros: O(width) plus
+    O(set bits)."""
+    low = (mask & -mask).bit_length() - 1
+    bits = bin(mask >> low)[:1:-1] if mask else ""  # bits[k]: bit low + k
+    k = bits.find("1")
+    while k >= 0:
+        yield low + k
+        k = bits.find("1", k + 1)
 
 
 def _vector_codes(rows, add, scale, scalars) -> List[int]:

@@ -16,7 +16,13 @@ from qmatroids.errors import (
     NonPrimitiveModulus,
     ReducibleModulus,
 )
-from qmatroids.fields import frobenius_fixed, ground_field, prime_power
+from qmatroids.fields import (
+    FieldElem,
+    FieldSpec,
+    frobenius_fixed,
+    ground_field,
+    prime_power,
+)
 
 
 class TestMakeField:
@@ -78,6 +84,16 @@ class TestArith:
         other = make_field(2, 1, 3)
         with pytest.raises(FieldMismatch):
             gf16.one + other.one
+
+    def test_equal_fields_hash_elements_alike(self):
+        # two FieldSpec objects for one field: their elements compare
+        # equal, so they must hash equal and a set keeps one of each
+        F, G = (FieldSpec(2, 1, 4, (0, 1), (1, 1, 0, 0, 1)) for _ in range(2))
+        assert F is not G and F == G
+        for v in range(F.order):
+            a, b = FieldElem(F, v), FieldElem(G, v)
+            assert a == b and hash(a) == hash(b)
+        assert len({FieldElem(F, 3), FieldElem(G, 3)}) == 1
 
     def test_division_by_zero(self, gf16):
         with pytest.raises(DivisionByZero):

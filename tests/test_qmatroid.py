@@ -378,6 +378,23 @@ class TestCheckFlatAxioms:
         assert any(ax == "F2" for ax, _, _ in report.violations)
 
 
+def _one_failing_diamond(q, n):
+    """Ranks min(dim, 1) except 0 on the second and last line of the first
+    plane, and that pair of lines.
+
+    Only the interval from the zero space to that plane breaks R3, and
+    only at that one of its diamonds: rank 1 + 0 exceeds 0 + 0 there,
+    while every other pair of its middles has a rank-1 line.  The two
+    lines are not the plane's first two, so the witness must pick them
+    by rank.
+    """
+    S = lattice(q, n).spaces
+    plane = next(V for V in S if V.dim == 2)
+    lines = [i for i, V in enumerate(S) if V.dim == 1 and contains(plane, V)]
+    pair = (lines[1], lines[-1])
+    return [0 if i in pair else min(V.dim, 1) for i, V in enumerate(S)], pair
+
+
 @functools.lru_cache(maxsize=None)
 def _order_tables(q, n):
     """Containment, meets, joins and vector membership of the spaces of
@@ -908,7 +925,9 @@ class TestAxiomSweeps:
         # the defining checks (R2 on every containment, R3 on every pair)
         # judge each input; the report must agree on the verdict, list
         # the R1 failures exactly, and draw its R2/R3 witnesses from
-        # them; in full it is the cover and diamond failures, in order
+        # them; in full it is the cover failures, then one witness per
+        # height-2 interval [A, L] with a failing diamond, by A and L:
+        # the diamond whose middles have the least (rank, id) keys
         lat = lattice(q, n)
         S = lat.spaces
         ids = {V: i for i, V in enumerate(S)}
@@ -921,8 +940,16 @@ class TestAxiomSweeps:
                   for i in range(lat.size)]
         diamonds = [(a, b, c, ids[join(S[b], S[c])]) for a in range(lat.size)
                     for b, c in itertools.combinations(covers[a], 2)]
+        intervals = {}  # (A, L) -> the middle pairs (B, C) of its diamonds
+        for a, b, c, top in diamonds:
+            intervals.setdefault((a, top), []).append((b, c))
+        assert all(len(mids) == q * (q + 1) // 2 for mids in intervals.values())
+        inputs = list(_rank_inputs(q, n, random.Random(10 * q + n)))
+        if q == 3:
+            single, witness = _one_failing_diamond(q, n)
+            inputs.append(single)
         classes = set()
-        for rv in _rank_inputs(q, n, random.Random(10 * q + n)):
+        for rv in inputs:
             r1 = [("R1", (S[i],), rv[i]) for i in range(lat.size)
                   if not 0 <= rv[i] <= S[i].dim]
             want = r1 + [("R2", (S[j], S[i]), (rv[j], rv[i]))
@@ -934,10 +961,19 @@ class TestAxiomSweeps:
             local = [("R2", (S[i], S[j]), (rv[i], rv[j]))
                      for i in range(lat.size) for j in covers[i]
                      if rv[i] > rv[j]]
-            for a, b, c, top in diamonds:
+            failing_diamonds = []
+            for (a, top), mids in sorted(intervals.items()):
                 lhs = rv[top] + rv[a]
-                if lhs > rv[b] + rv[c]:
+                failing = [(b, c) for b, c in mids if lhs > rv[b] + rv[c]]
+                failing_diamonds += failing
+                if failing:
+                    b, c = min(mids, key=lambda bc: sorted((rv[x], x) for x in bc))
+                    assert (b, c) in failing
                     local.append(("R3", (S[b], S[c]), (lhs, rv[b] + rv[c])))
+            if q == 3 and rv is single:
+                assert failing_diamonds == [witness]
+                assert [v for v in local if v[0] == "R3"] == [
+                    ("R3", (S[witness[0]], S[witness[1]]), (1, 0))]
             M = from_function(q, n, lambda V: rv[ids[V]])
             full = check_rank_axioms(M, limit=None)
             assert full.ok == (not want)

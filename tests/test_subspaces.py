@@ -274,16 +274,22 @@ class TestLatticeCache:
             assert lat.spaces[lat.meet_id(i, j)] == meet(lat.spaces[i], lat.spaces[j])
             assert lat.spaces[lat.join_id(i, j)] == join(lat.spaces[i], lat.spaces[j])
 
-    @pytest.mark.parametrize("q,n,samples", ORDER_CASES)
+    @pytest.mark.parametrize("q,n,samples", ORDER_CASES + [(5, 2, None)])
     def test_order_tables_against_vector_masks(self, q, n, samples):
-        # sub_masks and up_masks against pairwise containment of vector
-        # sets, so each is the transpose of the other
+        # sub_masks, above and the cover lists against pairwise
+        # containment of vector sets and dimensions: a cover is a space
+        # containing another whose dimension is one more
         lat = lattice(q, n)
-        vm, subs, ups = lat.vec_masks, lat.sub_masks, lat.up_masks
+        vm, dims, subs = lat.vec_masks, lat.dims, lat.sub_masks
         for i, j in lattice_pairs(lat, samples):
             below = vm[i] & vm[j] == vm[j]  # space j <= space i
             assert (subs[i] >> j) & 1 == below
-            assert (ups[j] >> i) & 1 == below
+            assert (lat.above(j) >> i) & 1 == below
+        for i in range(lat.size):
+            assert lat.upper[i] == [j for j in range(lat.size) if dims[j] == dims[i] + 1
+                                    and vm[j] & vm[i] == vm[i]]
+            assert lat.lower[i] == [j for j in range(lat.size) if dims[j] == dims[i] - 1
+                                    and vm[i] & vm[j] == vm[j]]
 
     @pytest.mark.parametrize("q,n", [(q, n) for q, n, _ in ORDER_CASES] + [(5, 2)])
     def test_vector_and_layer_masks(self, q, n):
@@ -295,7 +301,9 @@ class TestLatticeCache:
             assert len(members) == q ** S.dim
             assert [(lat.holders[code] >> i) & 1 for code in range(q ** n)] == [
                 int(code in members) for code in range(q ** n)]
-            assert [d for d in range(n + 1) if (lat.layer_masks[d] >> i) & 1] == [S.dim]
+        # each dimension d is one run of consecutive ids, [n choose d]_q long
+        runs = [len(list(group)) for _, group in itertools.groupby(lat.dims)]
+        assert runs == [gaussian_binomial(n, d, q) for d in range(n + 1)]
 
     @pytest.mark.parametrize("q,n", [(2, 4), (3, 3), (4, 2), (5, 2)])
     def test_vectors_in_coefficient_order(self, q, n):
