@@ -28,7 +28,6 @@ from .subspaces import (
     lattice,
     meet,
     one_spaces,
-    quotient_map,
     row_space,
     rref,
     subspaces_of,

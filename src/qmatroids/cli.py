@@ -206,9 +206,9 @@ def cmd_iso(args) -> int:
     stats = {}
     witness = is_isomorphic(M1, M2, mode=args.mode, stats=stats)
     if witness is None:
+        why = stats["refused"] or f"exhausted {stats['candidates']} candidates"
         _emit({"isomorphic": False, **stats} if args.format == "json"
-              else f"not isomorphic (exhausted {stats['candidates']} candidates)",
-              args.format)
+              else f"not isomorphic ({why})", args.format)
         return EXIT_CHECK_FAILED
     A = witness.linear_matrix or witness.semilinear_matrix
     rows = [list(A.row(i)) for i in range(A.rows)]

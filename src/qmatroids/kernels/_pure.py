@@ -104,35 +104,36 @@ def gf2_factor_search(fixed, dim_domain, order, value_order):
     return None, nodes
 
 
-def gl_iso_search(n, q, holders, space_codes, ranks1, ranks2, flag_ranks1,
-                  prune, add, scale):
-    """Exhaustive scan of GL(n, q) for a rank-preserving bijection.
+def gl_iso_search(n, q, holders, candidates, checks, ranks2, add, scale):
+    """Depth-first scan of GL(n, q) for a rank-preserving bijection.
 
-    Vectors of F_q^n are base-q codes, added and scaled by ``add`` and
-    ``scale``.  holders[v] is the bitmask of the lattice ids of the spaces
-    containing code v; ids ascend with dimension, so the span of some
-    codes is the lowest set bit of the AND of their holders.
-    space_codes[i] lists the basis codes of the i-th space to check and
-    ranks1[i] its source rank; ranks2 holds the target ranks by lattice
-    id, and flag_ranks1[j] the source rank of <e_1..e_(j+1)>, used for
-    flag pruning.
+    Vectors of F_q^n are base-q codes, e_(d+1) having code q^d, added and
+    scaled by ``add`` and ``scale``.  holders[v] is the bitmask of the
+    lattice ids of the spaces containing code v; ids ascend with
+    dimension, so the span of some codes is the lowest set bit of the AND
+    of their holders.
 
-    Row j of a candidate is the image of e_(j+1); rows are tried in
-    ascending code order.  Returns (rows_or_None, leaves, nodes): rows is
-    the first witness as codes, leaves counts full-depth candidates
-    checked and nodes all partial extensions.  With prune=False, leaves
-    equals |GL(n, q)| when no witness exists.
+    Row d of a candidate is the image of e_(d+1), tried in the order of
+    ``candidates[d]`` and skipped when it lies in the span of the earlier
+    rows.  Once rows[0:d] are placed the image of every domain code below
+    q^d is known: checks[d] lists the (basis codes, source rank) pairs of
+    the spaces checked then, all of whose basis codes are below q^d, and
+    ranks2 holds the target ranks by lattice id.
+
+    Returns (rows_or_None, leaves, nodes): rows is the first witness as
+    codes, leaves counts the candidates reaching depth n and nodes every
+    row placed.  With every nonzero code as a candidate for every row
+    and every check at depth n this is the plain scan of GL(n, q), whose
+    leaves equal |GL(n, q)| when no witness exists.
     """
-    size = q ** n
     everything = holders[0]
-    checks = list(zip(space_codes, ranks1))
     rows = [0] * n
     # image[c]: the image of domain code c, for the codes of <e_1..e_depth>
     image = [0]
     stats = [0, 0]  # leaves, nodes
 
-    def leaf_ok():
-        for codes, rank in checks:
+    def fits(depth):
+        for codes, rank in checks[depth]:
             up = everything
             for c in codes:
                 up &= holders[image[c]]
@@ -144,22 +145,20 @@ def gl_iso_search(n, q, holders, space_codes, ranks1, ranks2, flag_ranks1,
         # up: the ids of the spaces containing rows[0:depth]
         if depth == n:
             stats[0] += 1
-            return leaf_ok()
+            return fits(depth)
+        if not fits(depth):
+            return False
         span = (up & -up).bit_length() - 1
-        for v in range(1, size):
+        for v in candidates[depth]:
             if holders[v] >> span & 1:
                 continue
             stats[1] += 1
-            new_up = up & holders[v]
-            if prune and (ranks2[(new_up & -new_up).bit_length() - 1]
-                          != flag_ranks1[depth]):
-                continue
             rows[depth] = v
             base = len(image)
             for a in range(1, q):
                 av = scale(a, v)
                 image.extend([add(av, w) for w in image[:base]])
-            found = rec(depth + 1, new_up)
+            found = rec(depth + 1, up & holders[v])
             del image[base:]
             if found:
                 return True

@@ -18,7 +18,7 @@ its own spaces, so minors of matroids beyond the caps keep working.
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
@@ -568,15 +568,53 @@ def _gl_order(n: int, q: int) -> int:
     return out
 
 
+def _point_colours(lat, rv: List[int], slots: Dict[tuple, int]) -> Dict[int, tuple]:
+    """The colour of each 1-space, by lattice id: the (dim, rank)
+    histogram of the spaces containing it, the point itself included (so
+    the colour holds its rank), counted at the positions ``slots`` gives
+    each (dim, rank) pair of ``rv``.  A rank-preserving bijection maps
+    each point to one of the same colour."""
+    slot = [slots[key] for key in zip(lat.dims, rv)]
+    colours = {}
+    for p in lat.one_ids:
+        counts = [0] * len(slots)
+        for i in mask_ids(lat.above(p)):
+            counts[slot[i]] += 1
+        colours[p] = tuple(counts)
+    return colours
+
+
+def _flag_depth(codes, q: int) -> int:
+    """The least d with every code below q^d: the space spanned by the
+    vectors with these codes lies in <e_1..e_d>."""
+    top, d = max(codes, default=0), 0
+    while top >= q ** d:
+        d += 1
+    return d
+
+
 def is_isomorphic(M1: QMatroid, M2: QMatroid, mode: str = "linear",
                   prune: bool = True, stats: Optional[dict] = None):
     """Search GL(n, q) (times Aut(F_q) in semilinear mode) for a
     rank-preserving bijection M1 -> M2.
 
-    Returns a witness LMap or None; None is definitive since the search
-    is exhaustive.  ``stats``, when given, receives leaf and node counts.
-    With prune=True, partial candidates are discarded as soon as the
-    image of the standard flag has the wrong rank.
+    Returns a witness LMap, the first rank-preserving matrix in the scan
+    order of ``kernels.gl_iso_search`` (the linear part first, then the
+    automorphism), or None; None is definitive since the search is
+    exhaustive.  ``stats``, when given, receives leaf and node counts,
+    the number of candidates and ``refused``: the invariant that told
+    the matroids apart without a scan, or None.
+
+    With prune=True the search is colour-refined, in the manner of
+    McKay-Piperno (*Practical graph isomorphism II*, JSC 2014), with one
+    round of colouring.  It refuses when the (dim, rank) histograms of
+    the two matroids differ, and then when the multisets of their point
+    colours (:func:`_point_colours`) differ; a Frobenius twist permutes
+    the lattice, so one comparison covers every automorphism.  Otherwise
+    the image of e_(d+1) ranges over the points of the colour of
+    <e_(d+1)>, and every space inside <e_1..e_d> is checked as soon as
+    the first d rows are placed.  With prune=False every invertible
+    matrix up to the first witness is a leaf, checked on every space.
     """
     if M1.ambient() != M2.ambient():
         raise AmbientMismatch("isomorphism search needs equal ambients")
@@ -589,33 +627,53 @@ def is_isomorphic(M1: QMatroid, M2: QMatroid, mode: str = "linear",
     lat = lattice(q, n)
     rv1 = M1.rank_vector()
     rv2 = M2.rank_vector()
-    # the standard flag <e_1..e_j>
-    units = Subspace.full(q, n).basis
-    flag_ids = [lat.id_of(Subspace(q, n, units[:j])) for j in range(1, n + 1)]
-    eye = Mat(F, n, n, [x for row in units for x in row])
-    # dependent spaces discriminate fastest; fixed deterministic order
-    order = sorted(range(lat.size),
-                   key=lambda i: (0 if rv1[i] < lat.dims[i] else 1, lat.dims[i], i))
-    space_codes = [lat.basis_codes[i] for i in order]
-    add, scale = code_arithmetic(q, n)
-
+    refused = witness = None
     leaves = nodes = 0
-    witness = None
-    for j in autos:
-        # a candidate v -> sigma_j(v) A is rank-preserving iff the linear
-        # part A satisfies rank2(A T) = rank1(sigma_j^{-1} T) for all T
-        rv1_t = rv1 if j == 0 else pullback(
-            M1, lmap_from_matrix(eye, automorphism=(F.k - j) % F.k)).rank_vector()
-        rows, found_leaves, found_nodes = kernels.gl_iso_search(
-            n, q, lat.holders, space_codes, [rv1_t[i] for i in order], rv2,
-            [rv1_t[i] for i in flag_ids], prune, add, scale)
-        leaves += found_leaves
-        nodes += found_nodes
-        if rows is not None:
-            A = Mat(F, n, n, [x for r in rows for x in decode_vector(r, q, n)])
-            witness = lmap_from_matrix(A, automorphism=j)
-            break
+    if prune:
+        histogram = Counter(zip(lat.dims, rv1))
+        if histogram != Counter(zip(lat.dims, rv2)):
+            refused = "(dim, rank) histograms differ"
+        else:
+            slots = {key: k for k, key in enumerate(histogram)}
+            colours1 = _point_colours(lat, rv1, slots)
+            colours2 = _point_colours(lat, rv2, slots)
+            if Counter(colours1.values()) != Counter(colours2.values()):
+                refused = "point colours differ"
+    if refused is None:
+        eye = Mat(F, n, n, [x for row in Subspace.full(q, n).basis for x in row])
+        # dependent spaces discriminate fastest; fixed deterministic order
+        order = sorted(range(lat.size),
+                       key=lambda i: (0 if rv1[i] < lat.dims[i] else 1, lat.dims[i], i))
+        codes = lat.basis_codes
+        depths = [_flag_depth(codes[i], q) if prune else n for i in order]
+        add, scale = code_arithmetic(q, n)
+        if prune:  # the colour of <v> for each nonzero code v
+            target = [colours2[lat.span_id((v,))] for v in range(1, q ** n)]
+        for j in autos:
+            # a candidate v -> sigma_j(v) A is rank-preserving iff the linear
+            # part A satisfies rank2(A T) = rank1(sigma_j^{-1} T) for all T
+            rv1_t = rv1 if j == 0 else pullback(
+                M1, lmap_from_matrix(eye, automorphism=(F.k - j) % F.k)).rank_vector()
+            checks = [[] for _ in range(n + 1)]
+            for i, d in zip(order, depths):
+                checks[d].append((codes[i], rv1_t[i]))
+            if prune:
+                # row d takes the codes whose point has the colour of <e_(d+1)>
+                source = colours1 if j == 0 else _point_colours(lat, rv1_t, slots)
+                wanted = (source[lat.span_id((q ** d,))] for d in range(n))
+                candidates = [[v for v, c in enumerate(target, 1) if c == want]
+                              for want in wanted]
+            else:
+                candidates = [range(1, q ** n)] * n
+            rows, found_leaves, found_nodes = kernels.gl_iso_search(
+                n, q, lat.holders, candidates, checks, rv2, add, scale)
+            leaves += found_leaves
+            nodes += found_nodes
+            if rows is not None:
+                A = Mat(F, n, n, [x for r in rows for x in decode_vector(r, q, n)])
+                witness = lmap_from_matrix(A, automorphism=j)
+                break
     if stats is not None:
         stats.update(leaves=leaves, nodes=nodes,
-                     candidates=_gl_order(n, q) * len(autos))
+                     candidates=_gl_order(n, q) * len(autos), refused=refused)
     return witness

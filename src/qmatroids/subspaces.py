@@ -473,34 +473,6 @@ def one_spaces(V: Subspace) -> list:
     return out
 
 
-def quotient_map(X: Subspace):
-    """The projection of F_q^n onto the quotient by X, in coordinates.
-
-    The quotient coordinates are indexed by the non-pivot columns of X's
-    RREF basis; the kernel of the returned linear map is exactly X.
-    Returns (LMap, quotient_dim).
-    """
-    from . import maps  # deferred: maps depends on this module
-
-    F = ground_field(X.q)
-    n = X.n
-    piv = X.pivots()
-    nonpiv = [j for j in range(n) if j not in piv]
-    rows = []
-    for i in range(n):
-        e = [0] * n
-        e[i] = 1
-        for bi, p in enumerate(piv):
-            c = e[p]
-            if c:
-                row = X.basis[bi]
-                e = [F.base_add(x, F.base_neg(F.base_mul(c, y)))
-                     for x, y in zip(e, row)]
-        rows.append([e[j] for j in nonpiv])
-    A = Mat(F, n, len(nonpiv), [x for row in rows for x in row])
-    return maps.lmap_from_matrix(A), len(nonpiv)
-
-
 # ---------------------------------------------------------------------------
 # the cached lattice
 

@@ -33,7 +33,6 @@ from qmatroids import (
     lmap_from_matrix,
     make_field,
     preimage,
-    quotient_map,
     row_space,
     trivial,
     tweak_equivalent,
@@ -53,6 +52,8 @@ from qmatroids.repro import (
     fprime_closed_form,
 )
 from qmatroids.subspaces import rref
+
+from helpers import quotient_map
 
 
 @contextmanager

@@ -183,6 +183,21 @@ class TestIsoCommand:
         assert main(["iso", str(a), str(b)]) == 1
         assert "not isomorphic" in capsys.readouterr().out
 
+    def test_refused_pair_names_the_invariant(self, tmp_path, capsys):
+        # N^(1) has three dependent 2-spaces, N^(2) two: no scan is needed
+        a = tmp_path / "a.json"
+        b = tmp_path / "b.json"
+        dump_json(matroid_to_dict(blockdiag_matroid(2, 4, 1)), str(a))
+        dump_json(matroid_to_dict(blockdiag_matroid(2, 4, 2)), str(b))
+        assert main(["iso", str(a), str(b)]) == 1
+        out = capsys.readouterr().out
+        assert "not isomorphic ((dim, rank) histograms differ)" in out
+        assert "exhausted" not in out
+        assert main(["--format", "json", "iso", str(a), str(b)]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc == {"isomorphic": False, "refused": "(dim, rank) histograms differ",
+                       "leaves": 0, "nodes": 0, "candidates": 20160}
+
     def test_isomorphic_exit_0(self, blockdiag_spec, capsys):
         assert main(["iso", blockdiag_spec, blockdiag_spec]) == 0
 

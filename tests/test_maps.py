@@ -23,7 +23,6 @@ from qmatroids import (
     lmap_from_table,
     meet,
     preimage,
-    quotient_map,
     row_space,
     trivial,
     tweak_equivalent,
@@ -35,6 +34,8 @@ from qmatroids.fields import ground_field
 from qmatroids.maps import LClass, LMap, pointwise_scalars
 from qmatroids.repro import example_nonrepresentable
 from qmatroids.subspaces import decode_vector, encode_vector
+
+from helpers import quotient_map
 
 
 def brute_force_is_lmap(table, q, n1, n2):

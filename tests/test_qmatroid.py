@@ -50,6 +50,8 @@ from qmatroids.subspaces import (
     decode_vector,
 )
 
+from helpers import quotient_map
+
 
 SWEEP_AMBIENTS = [(2, 3), (3, 2), (2, 4), (3, 3), (4, 2)]
 
@@ -620,7 +622,6 @@ class TestMinors:
 
     def test_contraction_well_defined(self, spread_matroid):
         # the stated value is independent of the preimage chosen
-        from qmatroids import quotient_map
         lat = lattice(2, 4)
         for X in [row_space(2, 4, [(1, 0, 0, 0)]),
                   row_space(2, 4, [(1, 1, 0, 0), (0, 0, 1, 1)])]:
@@ -661,7 +662,6 @@ def _restriction_by_coordinates(M, X):
 
 def _contraction_by_quotient(M, X):
     """Ranks of M/X by id: rank(V + X) - rank(X) at the quotient image of V."""
-    from qmatroids import quotient_map
     pi, d = quotient_map(X)
     lat = lattice(M.q, d)
     rx = M.rank(X)
@@ -898,7 +898,7 @@ class TestIsIsomorphic:
         assert is_isomorphic(uniform(4, 2, 1), uniform(4, 2, 2),
                              mode="semilinear", prune=False, stats=stats) is None
         assert stats == {"leaves": 2 * 180, "nodes": 2 * (15 + 180),
-                         "candidates": 2 * 180}
+                         "candidates": 2 * 180, "refused": None}
 
 
 class TestPushforward:

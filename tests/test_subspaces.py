@@ -18,7 +18,6 @@ from qmatroids import (
     lattice,
     meet,
     one_spaces,
-    quotient_map,
     row_space,
     rref,
     subspaces_of,
@@ -36,6 +35,8 @@ from qmatroids.subspaces import (
     vec_add,
     vec_scale,
 )
+
+from helpers import quotient_map
 
 
 class TestRref:
