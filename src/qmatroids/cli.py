@@ -12,7 +12,7 @@ import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
-from . import kernels, repro
+from . import repro
 from .errors import (
     EnumerationCapExceeded,
     ParseError,
@@ -265,7 +265,6 @@ def cmd_selftest(args) -> int:
     for item in ("ex-2-2", "ex-5-5"):
         if not repro.run_item(item).passed:
             failures.append(("repro", item))
-    _emit(f"kernel backend: {kernels.BACKEND}", "text")
     if failures:
         _emit(f"selftest FAILED: {failures[:5]}", "text")
         return EXIT_CHECK_FAILED

@@ -1,13 +1,17 @@
 """Maps between ground spaces that send subspaces to subspaces.
 
 An LMap stores the total table of a map F_q^n1 -> F_q^n2 on encoded
-vectors (base-q codes, see ``subspaces.encode_vector``).  Verification
-only needs to look at 1- and 2-dimensional subspaces of the domain: the
-image of any subspace is closed under addition as soon as the images of
-the 2-spaces through its vector pairs are subspaces, and closed under
-scaling as soon as the 1-space images are.  Both are read on codes for
-every q: a line is the multiples of a code under the domain's
-``code_arithmetic``, a 2-space the span of its basis codes.  The
+vectors (base-q codes, see ``subspaces.encode_vector``), and every
+verdict on it is read on codes; tuples appear only where vectors enter
+or leave.  Verification only needs to look at 1- and 2-dimensional
+subspaces of the domain: the image of any subspace is closed under
+addition as soon as the images of the 2-spaces through its vector pairs
+are subspaces, and closed under scaling as soon as the 1-space images
+are.  A line is the multiples of a code under the domain's
+``code_arithmetic``, a 2-space the span of its basis codes, and an
+image set is a subspace iff it holds q^rank codes, the rank read off
+the codes by ``subspaces.code_rref``.  A preimage is a code mask, a
+subspace iff the domain lattice has a space with that vector mask.  The
 image sets of the lines also decide L-equivalence.  The brute-force
 check over all subspaces is kept in the test suite as an oracle.
 """
@@ -15,7 +19,7 @@ check over all subspaces is kept in the test suite as an oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from .errors import (
     AmbientMismatch,
@@ -29,13 +33,12 @@ from .subspaces import (
     Subspace,
     _vector_codes,
     code_arithmetic,
+    code_rref,
     decode_vector,
     encode_vector,
     enumerate_subspaces,
     lattice,
     mask_ids,
-    rref,
-    vec_scale,
 )
 
 
@@ -98,11 +101,9 @@ class LMap:
         """
         if (V.q, V.n) != (self.q, self.n1):
             raise AmbientMismatch("subspace does not live in the domain")
-        q = self.q
-        vectors = V.basis if self._spans_by_basis else V.vectors()
-        codes = {self.table[encode_vector(v, q)] for v in vectors}
-        return Subspace.from_rows(q, self.n2,
-                                  [decode_vector(c, q, self.n2) for c in codes if c])
+        codes = ([encode_vector(row, self.q) for row in V.basis]
+                 if self._spans_by_basis else V.vector_codes())
+        return Subspace.from_codes(self.q, self.n2, map(self.table.__getitem__, codes))
 
     @property
     def image_ids(self) -> List[int]:
@@ -199,11 +200,10 @@ def _line_images(table, q, scale) -> List[frozenset]:
             for v in range(1, len(table))]
 
 
-def _codes_subspace(codes, q, n) -> Optional[Subspace]:
-    """The subspace whose vector codes are ``codes`` (a set containing 0),
-    or None if they are not the vectors of a subspace."""
-    basis, rank = rref([decode_vector(c, q, n) for c in codes if c], q, n)
-    return Subspace(q, n, basis) if q ** rank == len(codes) else None
+def _is_subspace(codes, q, n) -> bool:
+    """True iff the codes (a set containing 0) are the vectors of a
+    subspace of F_q^n: their span has no more vectors than they do."""
+    return q ** code_rref(codes, q, n)[1] == len(codes)
 
 
 def lmap_from_table(q: int, n1: int, n2: int, table_or_fn) -> LMap:
@@ -229,14 +229,12 @@ def lmap_from_table(q: int, n1: int, n2: int, table_or_fn) -> LMap:
     if any(not 0 <= x < q ** n2 for x in table):
         raise ValueError("table entry out of codomain range")
 
-    add, scale = code_arithmetic(q, n1)
+    _, scale = code_arithmetic(q, n1)
     for v, image in enumerate(_line_images(table, q, scale), 1):
-        if _codes_subspace(image, q, n2) is None:
-            raise NotAnLMap(Subspace.from_rows(q, n1, [decode_vector(v, q, n1)]))
+        if not _is_subspace(image, q, n2):
+            raise NotAnLMap(Subspace.from_codes(q, n1, [v]))
     for W in enumerate_subspaces(q, n1, 2):
-        basis = [encode_vector(row, q) for row in W.basis]
-        image = {table[c] for c in _vector_codes(basis, add, scale, range(1, q))}
-        if _codes_subspace(image, q, n2) is None:
+        if not _is_subspace({table[c] for c in W.vector_codes()}, q, n2):
             raise NotAnLMap(W)
 
     A, auto, semi = _detect_structure(q, n1, n2, table)
@@ -307,17 +305,22 @@ def preimage(phi: LMap, W: Subspace):
     if (W.q, W.n) != (phi.q, phi.n2):
         raise AmbientMismatch("subspace does not live in the codomain")
     wmask = 0
-    for v in W.vectors():
-        wmask |= 1 << encode_vector(v, phi.q)
-    codes, P = _preimage(phi, wmask)
-    return codes, P is not None, P
+    for w in W.vector_codes():
+        wmask |= 1 << w
+    codes = frozenset(mask_ids(_preimage_mask(phi, wmask)))
+    P = Subspace.from_codes(phi.q, phi.n1, codes)
+    is_subspace = phi.q ** P.dim == len(codes)
+    return codes, is_subspace, P if is_subspace else None
 
 
-def _preimage(phi: LMap, wmask: int):
-    """The domain codes that phi sends into the codes set in ``wmask``,
-    and the subspace they form (None if they form none)."""
-    codes = frozenset(v for v, w in enumerate(phi.table) if wmask >> w & 1)
-    return codes, _codes_subspace(codes, phi.q, phi.n1)
+def _preimage_mask(phi: LMap, wmask: int) -> int:
+    """The mask of the domain codes that phi sends into the codes set in
+    ``wmask``."""
+    mask = 0
+    for v, w in enumerate(phi.table):
+        if wmask >> w & 1:
+            mask |= 1 << v
+    return mask
 
 
 def compose(phi: LMap, psi: LMap) -> LMap:
@@ -361,19 +364,15 @@ def pointwise_scalars(phi: LMap, psi: LMap):
     admits no scalar.
     """
     q = phi.q
-    F = ground_field(q)
+    _, scale = code_arithmetic(q, phi.n2)
     out = {}
-    for code in range(1, q ** phi.n1):
-        a = decode_vector(phi.table[code], q, phi.n2)
-        b = decode_vector(psi.table[code], q, phi.n2)
-        if not any(a) and not any(b):
+    for code, a, b in zip(range(1, q ** phi.n1), phi.table[1:], psi.table[1:]):
+        if not a and not b:
             out[code] = 1
             continue
-        if any(a) != any(b):
-            return None
-        j = next(i for i, x in enumerate(b) if x)
-        lam = F.base_mul(a[j], F.base_inv(b[j]))
-        if lam == 0 or a != vec_scale(lam, b, F):
+        # a nonzero b has at most one scalar multiple equal to a
+        lam = next((c for c in range(1, q) if scale(c, b) == a), None) if b else None
+        if lam is None:
             return None
         out[code] = lam
     return out
@@ -481,11 +480,12 @@ def classify_map(phi: LMap, M1, M2, witness_limit: int = 10) -> MapTypeReport:
     for f in M2.flats().member_ids:
         if len(strong_viol) >= witness_limit:
             break
-        _, P = _preimage(phi, lat2.vec_masks[f])
-        if P is None:
+        # the preimage is a subspace iff its code mask is a space's
+        i = lat1._mask_to_id.get(_preimage_mask(phi, lat2.vec_masks[f]))
+        if i is None:
             strong_viol.append((lat2.spaces[f], "preimage is not a subspace"))
-        elif not flats1 >> lat1.id_of(P) & 1:
-            strong_viol.append((lat2.spaces[f], P))
+        elif not flats1 >> i & 1:
+            strong_viol.append((lat2.spaces[f], lat1.spaces[i]))
     return MapTypeReport(
         is_weak=not weak_viol,
         is_strong=not strong_viol,

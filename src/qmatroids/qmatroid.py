@@ -44,6 +44,7 @@ from .subspaces import (
     join,
     lattice,
     mask_ids,
+    row_rank,
 )
 
 
@@ -383,7 +384,7 @@ def from_matrix(G: Mat) -> QMatroid:
     if G.rank() != k:
         raise RankDeficientG(f"G must have full row rank {k}")
     q = spec.q
-    add, mul, neg = spec.add, spec.mul, spec.neg
+    add, mul = spec.add, spec.mul
     columns = [G.entries[i::n] for i in range(n)]
     images: Dict[int, list] = {}
 
@@ -397,28 +398,11 @@ def from_matrix(G: Mat) -> QMatroid:
             images[code] = g
         return g
 
-    def rank_of(rows) -> int:
-        # each kept row is 1 at its pivot and 0 at the earlier pivots
-        basis = []
-        for row in rows:
-            for p, b in basis:
-                f = row[p]
-                if f:
-                    f = neg(f)
-                    row = [add(x, mul(f, y)) for x, y in zip(row, b)]
-            p = next((j for j, x in enumerate(row) if x), None)
-            if p is not None:
-                inv = spec.inv(row[p])
-                basis.append((p, [mul(inv, x) for x in row]))
-                if len(basis) == k:
-                    break
-        return len(basis)
-
     def rank_fn(V: Subspace) -> int:
-        return rank_of(image(encode_vector(row, q)) for row in V.basis)
+        return row_rank(spec, (image(encode_vector(row, q)) for row in V.basis), k)
 
     M = QMatroid(q, n, rank_fn, kind="matrix", payload={"G": G})
-    M._rank_vector_fn = lambda: [rank_of(map(image, codes))
+    M._rank_vector_fn = lambda: [row_rank(spec, map(image, codes), k)
                                  for codes in lattice(q, n).basis_codes]
     return M
 

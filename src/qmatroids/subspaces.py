@@ -7,10 +7,13 @@ The lattice spans each space's basis codes with it to list the space's
 vectors.  Subspaces are canonical: the stored basis is the unique RREF,
 so equal subspaces compare and hash equal.
 
-RREF is the one routine split by q: for q = 2 the rows are packed into
-the GF(2) kernel of :mod:`qmatroids.kernels`, and for odd
-characteristic elimination needs the digits.  It works on rows of any
-length, beyond the caps where no table of q^n codes may be built.
+Row reduction runs on codes too (``code_rref``): over GF(2) a code is
+already a packed row of the GF(2) kernel in :mod:`qmatroids.kernels`,
+and for q > 2 elimination adds and scales codes with
+``code_arithmetic``, which decodes per call beyond the caps where no
+table of q^n codes may be built.  Rows given as tuples are checked and
+encoded on the way in (``rref``, ``Subspace.from_rows``) and decoded
+on the way out.
 """
 
 from __future__ import annotations
@@ -160,29 +163,7 @@ class Mat:
         return Mat(self.spec, self.rows, other.cols, out)
 
     def rank(self) -> int:
-        F = self.spec
-        mat = [list(r) for r in self.iter_rows()]
-        rank = 0
-        for c in range(self.cols):
-            piv = None
-            for i in range(rank, len(mat)):
-                if mat[i][c]:
-                    piv = i
-                    break
-            if piv is None:
-                continue
-            mat[rank], mat[piv] = mat[piv], mat[rank]
-            inv = F.inv(mat[rank][c])
-            for i in range(rank + 1, len(mat)):
-                f = mat[i][c]
-                if f:
-                    factor = F.mul(f, inv)
-                    mat[i] = [F.sub(x, F.mul(factor, y))
-                              for x, y in zip(mat[i], mat[rank])]
-            rank += 1
-            if rank == len(mat):
-                break
-        return rank
+        return row_rank(self.spec, self.iter_rows(), min(self.rows, self.cols))
 
     def __eq__(self, other):
         return (isinstance(other, Mat) and self.spec == other.spec
@@ -196,53 +177,75 @@ class Mat:
         return f"Mat({self.rows}x{self.cols} over GF({self.spec.q}^{self.spec.m}))"
 
 
+def row_rank(spec: FieldSpec, rows: Iterable[Sequence[int]], cap: int) -> int:
+    """GF(q^m)-rank of the rows (sequences of element indices), counted
+    up to ``cap``: the scan stops at the cap'th independent row."""
+    add, mul, neg = spec.add, spec.mul, spec.neg
+    basis = []  # each kept row is 1 at its pivot and 0 at the earlier pivots
+    for row in rows:
+        for p, b in basis:
+            f = row[p]
+            if f:
+                f = neg(f)
+                row = [add(x, mul(f, y)) for x, y in zip(row, b)]
+        p = next((j for j, x in enumerate(row) if x), None)
+        if p is not None:
+            inv = spec.inv(row[p])
+            basis.append((p, [mul(inv, x) for x in row]))
+            if len(basis) == cap:
+                break
+    return len(basis)
+
+
 # ---------------------------------------------------------------------------
 # RREF over the ground field
 
+def code_rref(codes: Iterable[int], q: int, n: int):
+    """Unique RREF of the vectors of F_q^n with these codes: (the codes of
+    its rows by ascending pivot, rank), no zero rows.
+
+    A row's pivot is its lowest nonzero digit, scaled to 1.  Over GF(2)
+    the codes are the packed rows of ``kernels.gf2_rref``; otherwise
+    Gauss-Jordan elimination runs with ``code_arithmetic(q, n)``.
+    """
+    if q == 2:
+        return kernels.gf2_rref(codes, n)
+    F = ground_field(q)
+    add, scale = code_arithmetic(q, n)
+    basis = {}  # q**pivot -> row code
+    for r in codes:
+        for w, b in basis.items():
+            d = r // w % q
+            if d:
+                r = add(r, scale(F.base_neg(d), b))
+        if r:
+            w = 1
+            while not r // w % q:
+                w *= q
+            r = scale(F.base_inv(r // w % q), r)
+            for v, b in basis.items():
+                d = b // w % q
+                if d:
+                    basis[v] = add(b, scale(F.base_neg(d), r))
+            basis[w] = r
+    return [basis[w] for w in sorted(basis)], len(basis)
+
+
+def _row_codes(rows: Iterable[Sequence[int]], q: int, n: int) -> List[int]:
+    """The codes of rows given as vectors of F_q^n; ValueError for a row
+    of another length or with an entry that is not an int in range(q)."""
+    codes = []
+    for row in rows:
+        if len(row) != n or not all(isinstance(x, int) and 0 <= x < q for x in row):
+            raise ValueError(f"row {tuple(row)!r} is not a vector of F_{q}^{n}")
+        codes.append(encode_vector(row, q))
+    return codes
+
+
 def rref(rows: Sequence[Sequence[int]], q: int, n: int):
     """Unique RREF of the given rows; returns (rows, rank), no zero rows."""
-    if q == 2:
-        packed = [_pack(r) for r in rows]
-        red, rank = kernels.gf2_rref(packed, n)
-        return tuple(_unpack(r, n) for r in red), rank
-    F = ground_field(q)
-    mat = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = None
-        for i in range(r, len(mat)):
-            if mat[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = F.base_inv(mat[r][c])
-        if inv != 1:
-            mat[r] = [F.base_mul(inv, x) for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [F.base_add(x, F.base_neg(F.base_mul(f, y)))
-                          for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return tuple(tuple(row) for row in mat[:r]), r
-
-
-def _pack(row) -> int:
-    bits = 0
-    for i, v in enumerate(row):
-        if v:
-            bits |= 1 << i
-    return bits
-
-
-def _unpack(bits: int, n: int):
-    return tuple((bits >> i) & 1 for i in range(n))
+    red, rank = code_rref(_row_codes(rows, q, n), q, n)
+    return tuple(decode_vector(c, q, n) for c in red), rank
 
 
 # ---------------------------------------------------------------------------
@@ -261,8 +264,13 @@ class Subspace:
 
     @classmethod
     def from_rows(cls, q: int, n: int, rows: Iterable[Sequence[int]]) -> "Subspace":
-        basis, _ = rref(list(rows), q, n)
-        return cls(q, n, basis)
+        return cls.from_codes(q, n, _row_codes(rows, q, n))
+
+    @classmethod
+    def from_codes(cls, q: int, n: int, codes: Iterable[int]) -> "Subspace":
+        """The span of the vectors with these codes."""
+        red, _ = code_rref(codes, q, n)
+        return cls(q, n, tuple(decode_vector(c, q, n) for c in red))
 
     @classmethod
     def zero(cls, q: int, n: int) -> "Subspace":
@@ -290,15 +298,17 @@ class Subspace:
     def contains_vector(self, vec: Sequence[int]) -> bool:
         return self.coordinates_of(vec) is not None
 
+    def vector_codes(self) -> List[int]:
+        """The codes of all q^dim vectors, in coefficient-lexicographic order."""
+        q = self.q
+        add, scale = code_arithmetic(q, self.n)
+        # prefixing the multiples of each earlier row keeps the order
+        rows = [encode_vector(row, q) for row in reversed(self.basis)]
+        return _vector_codes(rows, add, scale, range(1, q))
+
     def vectors(self) -> Iterator[tuple]:
         """All q^dim vectors, in coefficient-lexicographic order."""
-        F = ground_field(self.q)
-        out = [(0,) * self.n]
-        # prefixing the multiples of each earlier row keeps the order
-        for row in reversed(self.basis):
-            multiples = [vec_scale(c, row, F) for c in range(1, self.q)]
-            out += [vec_add(m, v, F) for m in multiples for v in out]
-        return iter(out)
+        return (decode_vector(c, self.q, self.n) for c in self.vector_codes())
 
     def coordinates_of(self, vec: Sequence[int]):
         """Coefficients of vec in this basis; None if vec lies outside."""

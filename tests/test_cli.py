@@ -246,8 +246,7 @@ class TestReproCommand:
 class TestSelftest:
     def test_selftest_passes(self, capsys):
         assert main(["selftest"]) == 0
-        out = capsys.readouterr().out
-        assert "selftest passed" in out
+        assert capsys.readouterr().out == "selftest passed\n"
 
 
 @pytest.mark.parametrize("command, doc", [

@@ -36,7 +36,7 @@ from qmatroids.subspaces import (
     vec_scale,
 )
 
-from helpers import quotient_map
+from helpers import quotient_map, reference_rref
 
 
 class TestRref:
@@ -58,16 +58,45 @@ class TestRref:
         assert red == ((1, 2),)  # scaled by 2^{-1} = 2
 
     @settings(max_examples=150)
-    @given(st.lists(st.tuples(*[st.integers(0, 1)] * 4), max_size=5))
-    def test_idempotent_and_canonical(self, rows):
-        red, rank = rref(rows, 2, 4)
-        red2, rank2 = rref(list(red), 2, 4)
+    @given(st.sampled_from([2, 3, 4]).flatmap(lambda q: st.tuples(
+        st.just(q), st.lists(st.tuples(*[st.integers(0, q - 1)] * 4), max_size=5))))
+    def test_idempotent_and_canonical(self, q_rows):
+        q, rows = q_rows
+        red, rank = rref(rows, q, 4)
+        red2, rank2 = rref(list(red), q, 4)
         assert (red, rank) == (red2, rank2)
         assert rank == len(red)
         pivots = [next(j for j, x in enumerate(r) if x) for r in red]
         assert pivots == sorted(pivots)
         for i, p in enumerate(pivots):
             assert all(red[k][p] == (1 if k == i else 0) for k in range(rank))
+
+    @pytest.mark.parametrize("q,n,trials", [
+        (2, 4, 300), (2, 7, 200), (3, 4, 300), (3, 11, 40), (4, 3, 300), (5, 3, 300)])
+    def test_against_reference_elimination(self, q, n, trials):
+        # (3, 11) is beyond the enumeration caps: code arithmetic decodes per call
+        rng = random.Random(q * 100 + n)
+        for _ in range(trials):
+            rows = [tuple(rng.randrange(q) if rng.random() < 0.7 else 0 for _ in range(n))
+                    for _ in range(rng.randint(0, n + 2))]
+            want = reference_rref(rows, q, n)
+            assert rref(rows, q, n) == want, rows
+            codes = [encode_vector(row, q) for row in rows]
+            assert Subspace.from_codes(q, n, codes).basis == want[0], rows
+
+    @pytest.mark.parametrize("q,n,rows", [
+        (2, 3, [(2, 0, 0)]),
+        (2, 3, [(1, 0, 0, 1)]),
+        (2, 2, [(1, 1, 1)]),
+        (3, 2, [(5, 1)]),
+        (3, 2, [(1, -1)]),
+        (2, 2, [(1.0, 0)]),
+    ])
+    def test_malformed_rows_rejected(self, q, n, rows):
+        with pytest.raises(ValueError, match=f"not a vector of F_{q}\\^{n}"):
+            rref(rows, q, n)
+        with pytest.raises(ValueError, match=f"not a vector of F_{q}\\^{n}"):
+            Subspace.from_rows(q, n, rows)
 
     @settings(max_examples=100)
     @given(st.lists(st.tuples(*[st.integers(0, 1)] * 4), min_size=1, max_size=4),
