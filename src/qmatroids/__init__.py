@@ -54,7 +54,6 @@ from .maps import (
     compose,
     embedding_map,
     identity_map,
-    image_subspace,
     iota_maps,
     is_weak_linear_via_circuits,
     l_equivalent,

@@ -194,11 +194,12 @@ class CoproductTargetReport:
     unique_structural: bool  # linearity forces eps from the alpha_i
     exhaustive_count: Optional[int] = None  # linear factoring maps found
     exhaustive_scanned: Optional[int] = None  # linear maps the count covers
+    exhaustive_expected: Optional[int] = None  # the count unique eps allows
 
     @property
     def ok(self):
         agree = self.eps_weak_bruteforce == self.eps_weak_circuits
-        unique = self.exhaustive_count in (None, 1)
+        unique = self.exhaustive_count == self.exhaustive_expected
         return (self.factors and self.eps_weak_bruteforce and agree
                 and self.unique_structural and unique)
 
@@ -230,8 +231,10 @@ def verify_coproduct_lw(M1: QMatroid, M2: QMatroid,
     criterion, and checked unique among linear maps: structurally always,
     and for the target index given in ``exhaustive_for`` by counting,
     over all q^(n*n') matrices, the linear maps eps' with eps' o iota_i
-    equal to alpha_i as maps of subspaces.  That count is 1 at q = 2; at
-    q > 2 the blockwise scalings of eps also factor, (q - 1)^2 in all.
+    equal to alpha_i as maps of subspaces.  A nonzero linear map is fixed
+    on subspaces exactly up to a nonzero scalar, so eps is unique up to
+    blockwise scaling (thm-6-1) when the count is (q - 1)^k, with k the
+    number of nonzero alpha_i: 1 at q = 2, (q - 1)^2 for two embeddings.
     """
     D = direct_sum(M1, M2)
     out = []
@@ -246,13 +249,15 @@ def verify_coproduct_lw(M1: QMatroid, M2: QMatroid,
                    and compose(eps, D.iota2).table == a2.table)
         weak_bf = classify_map(eps, D.total, N).is_weak
         weak_circ = is_weak_linear_via_circuits(eps, D.total, N)
-        count = scanned = None
+        count = scanned = expected = None
         if exhaustive_for == idx:
             count, scanned = _count_linear_factoring_maps(a1, a2)
+            expected = (a1.q - 1) ** sum(any(a.table) for a in (a1, a2))
         out.append(CoproductTargetReport(
             epsilon=eps, factors=factors, eps_weak_bruteforce=weak_bf,
             eps_weak_circuits=weak_circ, unique_structural=True,
-            exhaustive_count=count, exhaustive_scanned=scanned))
+            exhaustive_count=count, exhaustive_scanned=scanned,
+            exhaustive_expected=expected))
     return out
 
 

@@ -8,7 +8,7 @@ subspaces of the domain: the image of any subspace is closed under
 addition as soon as the images of the 2-spaces through its vector pairs
 are subspaces, and closed under scaling as soon as the 1-space images
 are.  A line is the multiples of a code under the domain's
-``code_arithmetic``, a 2-space the span of its basis codes, and an
+``code_arithmetic``, a 2-space the span of its RREF row codes, and an
 image set is a subspace iff it holds q^rank codes, the rank read off
 the codes by ``subspaces.code_rref``.  A preimage is a code mask, a
 subspace iff the domain lattice has a space with that vector mask.  The
@@ -101,8 +101,7 @@ class LMap:
         """
         if (V.q, V.n) != (self.q, self.n1):
             raise AmbientMismatch("subspace does not live in the domain")
-        codes = ([encode_vector(row, self.q) for row in V.basis]
-                 if self._spans_by_basis else V.vector_codes())
+        codes = V.codes if self._spans_by_basis else V.vector_codes()
         return Subspace.from_codes(self.q, self.n2, map(self.table.__getitem__, codes))
 
     @property
@@ -295,10 +294,6 @@ def pi_maps(q: int, n1: int, n2: int):
 
 # ---------------------------------------------------------------------------
 # image, preimage, composition, equivalence
-
-def image_subspace(phi: LMap, V: Subspace) -> Subspace:
-    return phi.image_of(V)
-
 
 def preimage(phi: LMap, W: Subspace):
     """Preimage of W: (encoded vector set, is_subspace, Subspace or None)."""

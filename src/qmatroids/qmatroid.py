@@ -40,7 +40,6 @@ from .subspaces import (
     Subspace,
     code_arithmetic,
     decode_vector,
-    encode_vector,
     join,
     lattice,
     mask_ids,
@@ -334,8 +333,8 @@ class QMatroid:
         basis: the unit vectors there span a complement of X."""
         if (X.q, X.n) != (self.q, self.n):
             raise AmbientMismatch("contraction subspace outside the ambient")
-        units = tuple(e for j, e in enumerate(Subspace.full(self.q, self.n).basis)
-                      if j not in X.pivots())
+        pivots = X.pivots()
+        units = tuple(self.q ** j for j in range(self.n) if j not in pivots)
         return pullback(self, embedding_map(Subspace(self.q, self.n, units)), X,
                         kind="contraction", payload={"parent": self, "subspace": X})
 
@@ -399,7 +398,7 @@ def from_matrix(G: Mat) -> QMatroid:
         return g
 
     def rank_fn(V: Subspace) -> int:
-        return row_rank(spec, (image(encode_vector(row, q)) for row in V.basis), k)
+        return row_rank(spec, map(image, V.codes), k)
 
     M = QMatroid(q, n, rank_fn, kind="matrix", payload={"G": G})
     M._rank_vector_fn = lambda: [row_rank(spec, map(image, codes), k)
@@ -624,7 +623,7 @@ def is_isomorphic(M1: QMatroid, M2: QMatroid, mode: str = "linear",
             if Counter(colours1.values()) != Counter(colours2.values()):
                 refused = "point colours differ"
     if refused is None:
-        eye = Mat(F, n, n, [x for row in Subspace.full(q, n).basis for x in row])
+        eye = Mat(F, n, n, [int(i == j) for i in range(n) for j in range(n)])
         # dependent spaces discriminate fastest; fixed deterministic order
         order = sorted(range(lat.size),
                        key=lambda i: (0 if rv1[i] < lat.dims[i] else 1, lat.dims[i], i))

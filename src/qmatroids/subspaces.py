@@ -1,19 +1,19 @@
 """Exact linear algebra over GF(q) and the subspace lattice of F_q^n.
 
-Vectors over GF(q) are tuples of element indices at the interface;
-inside, a vector is its integer code sum(v_i * q**i) (little-endian
-base-q digits), added and scaled by ``code_arithmetic`` for every q.
-The lattice spans each space's basis codes with it to list the space's
-vectors.  Subspaces are canonical: the stored basis is the unique RREF,
-so equal subspaces compare and hash equal.
+A vector of F_q^n is its integer code sum(v_i * q**i) (little-endian
+base-q digits), added and scaled by ``code_arithmetic`` for every q.  A
+``Subspace`` is the tuple of the codes of its unique RREF rows, so equal
+subspaces compare and hash equal; enumeration, joins, containment,
+coordinates and the lattice's tables all work on those codes.  Tuples
+of digits appear only at the boundary: ``rref`` and
+``Subspace.from_rows`` check and encode rows given as tuples, and
+``Subspace.basis`` decodes the rows for printing and JSON.
 
-Row reduction runs on codes too (``code_rref``): over GF(2) a code is
+Row reduction runs on codes (``code_rref``): over GF(2) a code is
 already a packed row of the GF(2) kernel in :mod:`qmatroids.kernels`,
 and for q > 2 elimination adds and scales codes with
 ``code_arithmetic``, which decodes per call beyond the caps where no
-table of q^n codes may be built.  Rows given as tuples are checked and
-encoded on the way in (``rref``, ``Subspace.from_rows``) and decoded
-on the way out.
+table of q^n codes may be built.
 """
 
 from __future__ import annotations
@@ -252,15 +252,16 @@ def rref(rows: Sequence[Sequence[int]], q: int, n: int):
 # canonical subspaces
 
 class Subspace:
-    """A subspace of F_q^n, stored as its unique RREF basis (no zero rows)."""
+    """A subspace of F_q^n, stored as the codes of its unique RREF rows
+    (no zero rows), by ascending pivot."""
 
-    __slots__ = ("q", "n", "basis", "_hash")
+    __slots__ = ("q", "n", "codes", "_hash")
 
-    def __init__(self, q: int, n: int, basis):
+    def __init__(self, q: int, n: int, codes: tuple):
         self.q = q
         self.n = n
-        self.basis = basis
-        self._hash = hash((q, n, basis))
+        self.codes = codes
+        self._hash = hash((q, n, codes))
 
     @classmethod
     def from_rows(cls, q: int, n: int, rows: Iterable[Sequence[int]]) -> "Subspace":
@@ -269,8 +270,7 @@ class Subspace:
     @classmethod
     def from_codes(cls, q: int, n: int, codes: Iterable[int]) -> "Subspace":
         """The span of the vectors with these codes."""
-        red, _ = code_rref(codes, q, n)
-        return cls(q, n, tuple(decode_vector(c, q, n) for c in red))
+        return cls(q, n, tuple(code_rref(codes, q, n)[0]))
 
     @classmethod
     def zero(cls, q: int, n: int) -> "Subspace":
@@ -278,19 +278,24 @@ class Subspace:
 
     @classmethod
     def full(cls, q: int, n: int) -> "Subspace":
-        eye = tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
-        return cls(q, n, eye)
+        return cls(q, n, tuple(q ** i for i in range(n)))
+
+    @property
+    def basis(self):
+        """The RREF rows as tuples of digits, decoded on each read."""
+        return tuple(decode_vector(c, self.q, self.n) for c in self.codes)
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.codes)
 
     @property
     def is_zero(self) -> bool:
-        return not self.basis
+        return not self.codes
 
     def pivots(self):
-        return tuple(next(j for j, x in enumerate(row) if x) for row in self.basis)
+        """The pivot of each row: its lowest nonzero digit."""
+        return tuple(map(partial(_pivot, q=self.q), self.codes))
 
     def ambient(self):
         return (self.q, self.n)
@@ -300,11 +305,9 @@ class Subspace:
 
     def vector_codes(self) -> List[int]:
         """The codes of all q^dim vectors, in coefficient-lexicographic order."""
-        q = self.q
-        add, scale = code_arithmetic(q, self.n)
+        add, scale = code_arithmetic(self.q, self.n)
         # prefixing the multiples of each earlier row keeps the order
-        rows = [encode_vector(row, q) for row in reversed(self.basis)]
-        return _vector_codes(rows, add, scale, range(1, q))
+        return _vector_codes(self.codes[::-1], add, scale, range(1, self.q))
 
     def vectors(self) -> Iterator[tuple]:
         """All q^dim vectors, in coefficient-lexicographic order."""
@@ -312,42 +315,29 @@ class Subspace:
 
     def coordinates_of(self, vec: Sequence[int]):
         """Coefficients of vec in this basis; None if vec lies outside."""
-        F = ground_field(self.q)
-        v = list(vec)
-        coeffs = []
-        for row in self.basis:
-            p = next(j for j, x in enumerate(row) if x)
-            c = v[p]
-            coeffs.append(c)
-            if c:
-                for j in range(self.n):
-                    v[j] = F.base_add(v[j], F.base_neg(F.base_mul(c, row[j])))
-        if any(v):
-            return None
-        return tuple(coeffs)
+        return self._coordinates(encode_vector(vec, self.q))
+
+    def _coordinates(self, code: int):
+        # in RREF the coefficient of a row is the vector's digit at its pivot
+        q = self.q
+        coeffs = tuple(code // q ** p % q for p in self.pivots())
+        return coeffs if self._combination(coeffs) == code else None
+
+    def _combination(self, coeffs: Sequence[int]) -> int:
+        add, scale = code_arithmetic(self.q, self.n)
+        return reduce(add, map(scale, coeffs, self.codes), 0)
 
     def vector_at(self, coeffs: Sequence[int]) -> tuple:
         """The combination of the basis rows with these coefficients."""
-        F = ground_field(self.q)
-        v = [0] * self.n
-        for c, row in zip(coeffs, self.basis):
-            if c:
-                for j, x in enumerate(row):
-                    if x:
-                        v[j] = F.base_add(v[j], F.base_mul(c, x))
-        return tuple(v)
+        return decode_vector(self._combination(coeffs), self.q, self.n)
 
     def to_dict(self):
         return {"ambient_n": self.n, "q": self.q,
                 "basis": [list(r) for r in self.basis]}
 
-    @classmethod
-    def from_dict(cls, d) -> "Subspace":
-        return cls.from_rows(d["q"], d["ambient_n"], d["basis"])
-
     def __eq__(self, other):
         return (isinstance(other, Subspace)
-                and (self.q, self.n, self.basis) == (other.q, other.n, other.basis))
+                and (self.q, self.n, self.codes) == (other.q, other.n, other.codes))
 
     def __hash__(self):
         return self._hash
@@ -363,6 +353,15 @@ class Subspace:
         return f"<{rows or '0'}|F{self.q}^{self.n}>"
 
 
+def _pivot(code: int, q: int) -> int:
+    """The position of the lowest nonzero digit of a nonzero code."""
+    j = 0
+    while not code % q:
+        code //= q
+        j += 1
+    return j
+
+
 def _check_same_ambient(U: Subspace, V: Subspace):
     if (U.q, U.n) != (V.q, V.n):
         raise AmbientMismatch(f"ambients differ: {U.ambient()} vs {V.ambient()}")
@@ -370,24 +369,19 @@ def _check_same_ambient(U: Subspace, V: Subspace):
 
 def join(U: Subspace, V: Subspace) -> Subspace:
     _check_same_ambient(U, V)
-    return Subspace.from_rows(U.q, U.n, list(U.basis) + list(V.basis))
+    return Subspace.from_codes(U.q, U.n, U.codes + V.codes)
 
 
 def complement(U: Subspace) -> Subspace:
     """Orthogonal complement under the standard dot product."""
     F = ground_field(U.q)
-    n = U.n
-    pivots = set(U.pivots())
-    piv_list = U.pivots()
-    free = [j for j in range(n) if j not in pivots]
-    rows = []
-    for j in free:
-        v = [0] * n
-        v[j] = 1
-        for i, p in enumerate(piv_list):
-            v[p] = F.base_neg(U.basis[i][j])
-        rows.append(v)
-    return Subspace.from_rows(U.q, n, rows)
+    q, n = U.q, U.n
+    pivots = U.pivots()
+    # e_j minus, at each pivot, the entry of that pivot's row in column j
+    rows = [q ** j + sum(F.base_neg(b // q ** j % q) * q ** p
+                         for p, b in zip(pivots, U.codes))
+            for j in range(n) if j not in pivots]
+    return Subspace.from_codes(q, n, rows)
 
 
 def meet(U: Subspace, V: Subspace) -> Subspace:
@@ -403,7 +397,7 @@ def contains(U: Subspace, V: Subspace) -> bool:
     _check_same_ambient(U, V)
     if V.dim > U.dim:
         return False
-    return all(U.contains_vector(row) for row in V.basis)
+    return all(U._coordinates(c) is not None for c in V.codes)
 
 
 def row_space(q: int, n: int, rows: Iterable[Sequence[int]]) -> Subspace:
@@ -441,26 +435,23 @@ def enumerate_subspaces(q: int, n: int, d: Optional[int] = None,
     """All subspaces of F_q^n, dimension d only if given.
 
     Deterministic order: by dimension, then pivot-column set in colex
-    order, then lexicographically on the free entries.
+    order, then lexicographically on the free entries, row by row.  A
+    row's code is q^pivot plus each free digit times q^column.
     """
     _check_caps(q, n, d, caps)
     dims = [d] if d is not None else list(range(n + 1))
     for k in dims:
-        if k == 0:
-            yield Subspace.zero(q, n)
-            continue
         for pivots in sorted(itertools.combinations(range(n), k),
                              key=lambda t: tuple(reversed(t))):
-            pivset = set(pivots)
-            free_pos = [(i, j) for i in range(k)
-                        for j in range(pivots[i] + 1, n) if j not in pivset]
-            for values in itertools.product(range(q), repeat=len(free_pos)):
-                rows = [[0] * n for _ in range(k)]
-                for i, p in enumerate(pivots):
-                    rows[i][p] = 1
-                for (i, j), v in zip(free_pos, values):
-                    rows[i][j] = v
-                yield Subspace(q, n, tuple(tuple(r) for r in rows))
+            options = []  # each row's codes, lexicographic on its free digits
+            for p in pivots:
+                row = [q ** p]
+                for j in range(p + 1, n):
+                    if j not in pivots:
+                        row = [c + v * q ** j for c in row for v in range(q)]
+                options.append(row)
+            for codes in itertools.product(*options):
+                yield Subspace(q, n, codes)
 
 
 def subspaces_of(V: Subspace, d: Optional[int] = None,
@@ -468,19 +459,22 @@ def subspaces_of(V: Subspace, d: Optional[int] = None,
     """All subspaces of V (of dimension d if given), canonical in the ambient."""
     if d is not None and d > V.dim:
         return
-    for inner in enumerate_subspaces(V.q, V.dim, d, caps):
-        yield Subspace.from_rows(V.q, V.n, map(V.vector_at, inner.basis))
+    q = V.q
+    for inner in enumerate_subspaces(q, V.dim, d, caps):
+        # RREF rows of coefficients give RREF rows of the ambient: each
+        # has digit 1 at its pivot row's pivot and 0 at the others'
+        yield Subspace(q, V.n, tuple(V._combination(decode_vector(c, q, V.dim))
+                                     for c in inner.codes))
 
 
 def one_spaces(V: Subspace) -> list:
     """The (q^dim - 1)/(q - 1) one-dimensional subspaces of V."""
-    out = []
-    # canonical projective representatives: first nonzero coefficient is 1
-    for k in range(V.dim):
-        for tail in itertools.product(range(V.q), repeat=V.dim - k - 1):
-            v = V.vector_at((0,) * k + (1,) + tail)
-            out.append(Subspace.from_rows(V.q, V.n, [v]))
-    return out
+    add, scale = code_arithmetic(V.q, V.n)
+    # canonical projective representatives: row k plus a combination of
+    # the later rows has first nonzero coefficient 1, so it is reduced
+    return [Subspace(V.q, V.n, (add(row, v),))
+            for k, row in enumerate(V.codes)
+            for v in _vector_codes(V.codes[:k:-1], add, scale, range(1, V.q))]
 
 
 # ---------------------------------------------------------------------------
@@ -494,11 +488,11 @@ class SubspaceLattice:
     set for each encoded vector v of space i, and its transpose
     ``holders[v]`` has bit i set for each space i containing vector v
     (``holders[0]`` holds every id).  Meets are vector-mask
-    intersections.  ``basis_codes[i]`` lists the codes of space i's RREF
-    basis rows.  The AND of the holders of some vectors holds the spaces
-    containing them, and its lowest id is their span: ``above(i)`` ANDs
-    over space i's basis codes on each call, and a join spans both
-    spaces' basis codes.  The covering relation is held once, as
+    intersections.  ``basis_codes[i]`` is ``spaces[i].codes``, the
+    codes of space i's RREF rows, not a copy.  The AND of the holders of
+    some vectors holds the spaces containing them, and its lowest id is
+    their span: ``above(i)`` ANDs over space i's basis codes on each
+    call, and a join spans both spaces' basis codes.  The covering relation is held once, as
     ascending id lists: ``upper[i]``, the upper covers of space i, and
     its transpose ``lower[j]``, the hyperplanes of space j.
     ``sub_masks``, N^2 bits, is built from ``lower`` on first use.  No
@@ -513,8 +507,7 @@ class SubspaceLattice:
         self.dims = [S.dim for S in self.spaces]
         self.size = len(self.spaces)
         self.zero_id = self.index[Subspace.zero(q, n)]
-        self.basis_codes = [tuple(encode_vector(row, q) for row in S.basis)
-                            for S in self.spaces]
+        self.basis_codes = [S.codes for S in self.spaces]
         add, scale = code_arithmetic(q, n)
         self.holders = holders = [0] * (q ** n)
         self.vec_masks = []

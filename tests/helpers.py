@@ -1,5 +1,7 @@
 """Reference constructions shared by several test modules."""
 
+import itertools
+
 from qmatroids import Mat, ground_field, lmap_from_matrix
 
 
@@ -23,6 +25,34 @@ def reference_rref(rows, q, n):
                           for x, y in zip(mat[i], mat[r])]
         r += 1
     return tuple(tuple(row) for row in mat[:r]), r
+
+
+def reference_subspaces(q, n):
+    """The RREF bases of the subspaces of F_q^n, as tuples of digit tuples
+    built entry by entry: by dimension, then pivot-column set in colex
+    order, then lexicographically on the free entries."""
+    for k in range(n + 1):
+        for pivots in sorted(itertools.combinations(range(n), k),
+                             key=lambda t: tuple(reversed(t))):
+            free_pos = [(i, j) for i in range(k)
+                        for j in range(pivots[i] + 1, n) if j not in pivots]
+            for values in itertools.product(range(q), repeat=len(free_pos)):
+                rows = [[0] * n for _ in range(k)]
+                for i, p in enumerate(pivots):
+                    rows[i][p] = 1
+                for (i, j), v in zip(free_pos, values):
+                    rows[i][j] = v
+                yield tuple(tuple(r) for r in rows)
+
+
+def reference_combination(coeffs, rows, q):
+    """The combination of the digit tuples ``rows`` with these
+    coefficients, by digit-list arithmetic."""
+    F = ground_field(q)
+    v = [0] * len(rows[0])
+    for c, row in zip(coeffs, rows):
+        v = [F.base_add(x, F.base_mul(c, y)) for x, y in zip(v, row)]
+    return tuple(v)
 
 
 def quotient_map(X):

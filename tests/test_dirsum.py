@@ -250,7 +250,7 @@ class TestCoproduct:
         ident = identity_map(2, 4)
         for r in reports[:4]:
             assert r.epsilon.table == ident.table
-        assert reports[3].exhaustive_count == 1
+        assert reports[3].exhaustive_count == reports[3].exhaustive_expected == 1
         assert reports[3].exhaustive_scanned == 2 ** 16
         assert set(reports[4].epsilon.table) == {0}
 
@@ -262,6 +262,7 @@ class TestCoproduct:
         (report,) = verify_coproduct_lw(M1, M1, [(D.total, D.iota1, D.iota2)],
                                         exhaustive_for=0)
         assert (report.exhaustive_count, report.exhaustive_scanned) == (4, 3 ** 4)
+        assert report.exhaustive_expected == 4 and report.ok
         F = ground_field(3)
         found = set()
         for entries in itertools.product(range(3), repeat=4):
@@ -273,6 +274,11 @@ class TestCoproduct:
         scalings = {lclass_scaling_family(identity_map(3, 2), 1, l1, l2).table
                     for l1 in (1, 2) for l2 in (1, 2)}
         assert found == scalings and len(found) == 4
+        # a zero alpha_i fixes its block to zero: one scaling fewer
+        (report,) = verify_coproduct_lw(
+            M1, M1, [(trivial(3, 2), zero_map(3, 1, 2), D.iota2)], exhaustive_for=0)
+        assert (report.exhaustive_count, report.exhaustive_expected) == (2, 2)
+        assert report.ok
 
     def test_alpha_must_be_weak(self):
         M1 = uniform(2, 2, 1)

@@ -75,6 +75,14 @@ def test_blockdiag_q3_dichotomy_sweep():
         assert rep.passed, rep.summary()
 
 
+def test_coproduct_suite_at_q3():
+    # at q = 3 the embeddings factor through the (q - 1)^2 = 4 blockwise
+    # scalings of eps, found among all 3^16 linear maps of F_3^4
+    rep = repro.verify_coproduct_suite(3, 4)
+    assert rep.passed, rep.summary()
+    assert rep.counters["exhaustive_linear_maps"] == 3 ** 16
+
+
 def test_blockdiag_embeddings_mixed_blocks():
     # identity block over the base field next to a (1, w) block
     from qmatroids import make_field

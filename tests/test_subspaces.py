@@ -36,7 +36,16 @@ from qmatroids.subspaces import (
     vec_scale,
 )
 
-from helpers import quotient_map, reference_rref
+from helpers import (
+    quotient_map,
+    reference_combination,
+    reference_rref,
+    reference_subspaces,
+)
+
+# every ambient within the caps with at most 400 spaces, q in {2, 3, 4, 5}
+SMALL_AMBIENTS = [(q, n) for q in (2, 3, 4, 5) for n in range(1, 8)
+                  if count_subspaces(q, n) <= 400]
 
 
 class TestRref:
@@ -120,6 +129,15 @@ class TestRowSpace:
         S = row_space(2, 2, [(1, 0), (1, 0)])
         assert S.dim == 1
 
+    def test_rows_are_stored_as_codes(self):
+        # (2, 1, 0) scales to (1, 2, 0): code 1 + 2 * 3; the tuple basis is
+        # decoded on each read, not stored
+        S = row_space(3, 3, [(2, 1, 0), (0, 0, 1)])
+        assert S.codes == (7, 9) and S.pivots() == (0, 2)
+        assert S.basis == ((1, 2, 0), (0, 0, 1))
+        assert Subspace.__slots__ == ("q", "n", "codes", "_hash")
+        assert S == Subspace(3, 3, (7, 9)) and hash(S) == hash(Subspace(3, 3, (7, 9)))
+
 
 class TestJoinMeet:
     def test_axes(self):
@@ -183,10 +201,26 @@ class TestEnumeration:
     def test_tiny(self):
         assert [S.dim for S in enumerate_subspaces(2, 1)] == [0, 1]
 
-    @pytest.mark.parametrize("q,n", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3)])
+    @pytest.mark.parametrize("q,n", SMALL_AMBIENTS)
     def test_counts_match_gaussian(self, q, n):
         for d in range(n + 1):
             assert len(list(enumerate_subspaces(q, n, d))) == gaussian_binomial(n, d, q)
+
+    @pytest.mark.parametrize("q,n", SMALL_AMBIENTS)
+    def test_against_tuple_enumeration(self, q, n):
+        # the code-native lattice lists the bases of the digit-tuple
+        # enumeration, in its order, and holds each space's codes once
+        lat = lattice(q, n)
+        assert [S.basis for S in lat.spaces] == list(reference_subspaces(q, n))
+        assert all(codes is S.codes for codes, S in zip(lat.basis_codes, lat.spaces))
+        # subspaces_of and one_spaces: that enumeration of F_q^dim V,
+        # carried into V through its basis and reduced
+        for V in lat.spaces:
+            inner = [reference_rref([reference_combination(c, V.basis, q) for c in rows],
+                                    q, n)[0] for rows in reference_subspaces(q, V.dim)]
+            assert [S.basis for S in subspaces_of(V)] == inner
+            assert [S.basis for S in one_spaces(V)] == [
+                b for b in inner if len(b) == 1]
 
     def test_each_exactly_once(self):
         all_spaces = list(enumerate_subspaces(3, 3))
@@ -314,6 +348,7 @@ class TestLatticeCache:
         for i, j in lattice_pairs(lat, samples):
             below = vm[i] & vm[j] == vm[j]  # space j <= space i
             assert (subs[i] >> j) & 1 == below
+            assert contains(lat.spaces[i], lat.spaces[j]) == below
             assert (lat.above(j) >> i) & 1 == below
         for i in range(lat.size):
             assert lat.upper[i] == [j for j in range(lat.size) if dims[j] == dims[i] + 1
