@@ -74,8 +74,17 @@ from .dirsum import (
     submodular_completion,
     verify_coproduct_lw,
 )
-from . import repro
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name in dir() if not name.startswith("_")] + ["repro"]
+
+
+def __getattr__(name):
+    # the reproduction suite is loaded on first use, so a command that does
+    # not run it does not compile it; import_module, not ``from . import``,
+    # which would look the name up here again
+    if name == "repro":
+        import importlib
+        return importlib.import_module(".repro", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

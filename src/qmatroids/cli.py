@@ -8,11 +8,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
-from . import repro
 from .errors import (
     EnumerationCapExceeded,
     ParseError,
@@ -220,12 +217,17 @@ def cmd_iso(args) -> int:
 
 
 def cmd_repro(args) -> int:
+    from . import repro
     if args.item == "list":
         for name in sorted(repro.ITEMS):
             _emit(name, "text")
         return EXIT_OK
+    if args.item != "all" and args.item not in repro.ITEMS:
+        raise ParseError(f"unknown repro item {args.item!r} "
+                         "(try 'qmatroids repro list')")
     items = sorted(repro.ITEMS) if args.item == "all" else [args.item]
     if args.jobs > 1 and len(items) > 1:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
             reports = list(pool.map(repro.run_item, items))
     else:
@@ -245,9 +247,12 @@ def cmd_repro(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    rng = random.Random(args.seed)
+    import random
+
+    from . import repro
     from .fields import make_field
     from .subspaces import rref
+    rng = random.Random(args.seed)
     failures = []
     F = make_field(2, 1, 4)
     elems = list(range(F.order))

@@ -14,7 +14,6 @@ checks compare ranks by id.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -79,17 +78,16 @@ def _complete(lat, tv: List[int]) -> List[int]:
     return values
 
 
-@dataclass
 class DirectSum:
     """M1 (+) M2 with its embeddings, projections and pushed summands."""
-    m1: QMatroid
-    m2: QMatroid
-    total: QMatroid
-    iota1: LMap
-    iota2: LMap
-    pi1: LMap
-    pi2: LMap
-    pushed: Tuple[QMatroid, QMatroid]
+    __slots__ = ("m1", "m2", "total", "iota1", "iota2", "pi1", "pi2", "pushed")
+
+    def __init__(self, m1: QMatroid, m2: QMatroid, total: QMatroid,
+                 iota1: LMap, iota2: LMap, pi1: LMap, pi2: LMap,
+                 pushed: Tuple[QMatroid, QMatroid]):
+        self.m1, self.m2, self.total = m1, m2, total
+        self.iota1, self.iota2, self.pi1, self.pi2 = iota1, iota2, pi1, pi2
+        self.pushed = pushed
 
     @property
     def ambient(self):
@@ -143,10 +141,12 @@ def dirsum_circuits(D: DirectSum) -> List[Subspace]:
     return out
 
 
-@dataclass
 class CheckReport:
     """Pass/fail verdicts with witnesses, one entry per named check."""
-    checks: list = field(default_factory=list)
+    __slots__ = ("checks",)
+
+    def __init__(self):
+        self.checks = []
 
     def add(self, name: str, ok: bool, detail=None):
         self.checks.append((name, bool(ok), detail))
@@ -185,16 +185,34 @@ def additivity_check(D: DirectSum) -> CheckReport:
 # ---------------------------------------------------------------------------
 # coproduct verification in the linear-weak setting
 
-@dataclass
 class CoproductTargetReport:
-    epsilon: LMap
-    factors: bool            # eps o iota_i == alpha_i
-    eps_weak_bruteforce: bool
-    eps_weak_circuits: bool
-    unique_structural: bool  # linearity forces eps from the alpha_i
-    exhaustive_count: Optional[int] = None  # linear factoring maps found
-    exhaustive_scanned: Optional[int] = None  # linear maps the count covers
-    exhaustive_expected: Optional[int] = None  # the count unique eps allows
+    """The verdicts on one target: ``factors`` is eps o iota_i == alpha_i,
+    ``unique_structural`` that linearity forces eps from the alpha_i, and
+    ``exhaustive_count`` the linear factoring maps found among the
+    ``exhaustive_scanned`` linear maps, against the ``exhaustive_expected``
+    a unique eps allows (all three None without a scan)."""
+    __slots__ = ("epsilon", "factors", "eps_weak_bruteforce", "eps_weak_circuits",
+                 "unique_structural", "exhaustive_count", "exhaustive_scanned",
+                 "exhaustive_expected")
+
+    def __init__(self, epsilon: LMap, factors: bool, eps_weak_bruteforce: bool,
+                 eps_weak_circuits: bool, unique_structural: bool,
+                 exhaustive_count: Optional[int] = None,
+                 exhaustive_scanned: Optional[int] = None,
+                 exhaustive_expected: Optional[int] = None):
+        self.epsilon = epsilon
+        self.factors = factors
+        self.eps_weak_bruteforce = eps_weak_bruteforce
+        self.eps_weak_circuits = eps_weak_circuits
+        self.unique_structural = unique_structural
+        self.exhaustive_count = exhaustive_count
+        self.exhaustive_scanned = exhaustive_scanned
+        self.exhaustive_expected = exhaustive_expected
+
+    def __repr__(self):
+        # a failed target is the detail of its repro check, printed as is
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"CoproductTargetReport({fields})"
 
     @property
     def ok(self):

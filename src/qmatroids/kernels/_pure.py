@@ -17,20 +17,18 @@ def gf2_rref(rows, ncols):
     Returns (rref_rows, rank) with rref_rows sorted by pivot column and
     containing no zero rows.  Pivot of a row is its lowest set bit.
     """
-    basis = []  # kept sorted by pivot column
+    basis = {}  # pivot bit -> the reduced row holding it
     for r in rows:
-        for b in basis:
-            low = b & -b
+        for low, b in basis.items():
             if r & low:
                 r ^= b
         if r:
             low = r & -r
-            for i, b in enumerate(basis):
+            for p, b in basis.items():
                 if b & low:
-                    basis[i] = b ^ r
-            basis.append(r)
-            basis.sort(key=lambda x: x & -x)
-    return basis, len(basis)
+                    basis[p] = b ^ r
+            basis[low] = r
+    return [basis[p] for p in sorted(basis)], len(basis)
 
 
 def _triple_ok(s1, s2, s3):

@@ -18,8 +18,7 @@ check over all subspaces is kept in the test suite as an oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 from .errors import (
     AmbientMismatch,
@@ -436,16 +435,17 @@ class LClass:
 # ---------------------------------------------------------------------------
 # classification against q-matroids
 
-@dataclass
 class MapTypeReport:
-    is_weak: bool
-    is_strong: bool
-    is_rank_preserving: bool
-    witnesses: dict = field(default_factory=dict)
+    __slots__ = ("is_weak", "is_strong", "is_rank_preserving", "witnesses")
 
-    def __post_init__(self):
-        if self.is_rank_preserving and not self.is_weak:
+    def __init__(self, is_weak: bool, is_strong: bool, is_rank_preserving: bool,
+                 witnesses: Optional[dict] = None):
+        if is_rank_preserving and not is_weak:
             raise AssertionError("rank-preserving must imply weak")
+        self.is_weak = is_weak
+        self.is_strong = is_strong
+        self.is_rank_preserving = is_rank_preserving
+        self.witnesses = {} if witnesses is None else witnesses
 
 
 def classify_map(phi: LMap, M1, M2, witness_limit: int = 10) -> MapTypeReport:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from . import kernels
@@ -50,7 +49,6 @@ from .subspaces import (
 # ---------------------------------------------------------------------------
 # axiom reports
 
-@dataclass
 class AxiomReport:
     """Result of an exhaustive axiom sweep; empty violations = pass.
 
@@ -61,8 +59,11 @@ class AxiomReport:
     pairwise axiom.  The flat sweep reports F1, F2 on pairs of members
     and F3 on (member, outside vector) pairs.
     """
-    ok: bool
-    violations: list = field(default_factory=list)
+    __slots__ = ("ok", "violations")
+
+    def __init__(self, ok: bool, violations: Optional[list] = None):
+        self.ok = ok
+        self.violations = [] if violations is None else violations
 
     def __bool__(self):
         return self.ok

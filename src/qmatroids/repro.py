@@ -9,8 +9,7 @@ given the default field moduli.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import kernels
 from .errors import ExtensionTooSmall, IndexNotInOmega, SearchBoundExceeded
@@ -44,12 +43,14 @@ from .dirsum import (
 from .subspaces import Mat, Subspace, join, lattice, meet
 
 
-@dataclass
 class ReproReport:
-    item: str
-    checks: List[tuple] = field(default_factory=list)
-    counters: Dict[str, int] = field(default_factory=dict)
-    wall_time: float = 0.0
+    __slots__ = ("item", "checks", "counters", "wall_time")
+
+    def __init__(self, item: str):
+        self.item = item
+        self.checks = []
+        self.counters = {}
+        self.wall_time = 0.0
 
     def add(self, name: str, ok: bool, detail=None):
         self.checks.append((name, bool(ok), detail))

@@ -20,10 +20,9 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
 from math import prod
-from typing import Iterable, Iterator, List, Optional, Sequence
+from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence
 
 from . import kernels
 from .errors import AmbientMismatch, EnumerationCapExceeded
@@ -33,8 +32,7 @@ DEFAULT_MAX_VECTORS = 1 << 16
 DEFAULT_MAX_SUBSPACES = 10 ** 7
 
 
-@dataclass(frozen=True)
-class Caps:
+class Caps(NamedTuple):
     """Enumeration guard rails."""
     max_vectors: int = DEFAULT_MAX_VECTORS
     max_subspaces: int = DEFAULT_MAX_SUBSPACES

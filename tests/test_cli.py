@@ -4,11 +4,14 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qmatroids
 from qmatroids import lattice, uniform
 from qmatroids.cli import main
 from qmatroids.jsonio import (
@@ -19,6 +22,17 @@ from qmatroids.jsonio import (
     matroid_to_dict,
 )
 from qmatroids.repro import blockdiag_matroid
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def _python(*args):
+    """A fresh interpreter with the package's sources on its path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=120)
 
 
 @pytest.fixture()
@@ -218,6 +232,12 @@ class TestReproCommand:
         assert main(["repro", "ex-5-5"]) == 0
         assert "[ex-5-5] PASS" in capsys.readouterr().out
 
+    def test_unknown_item_exit_2(self):
+        child = _python("-m", "qmatroids.cli", "repro", "nosuch")
+        assert child.returncode == 2
+        assert child.stderr.startswith("parse error: unknown repro item 'nosuch'")
+        assert "Traceback" not in child.stderr
+
     def test_run_item_json(self, capsys):
         assert main(["--format", "json", "repro", "thm-4-6"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -271,6 +291,44 @@ def test_malformed_spec_exit_2(command, doc, tmp_path, uniform_spec, capsys):
 def test_usage_error_exit_2(capsys):
     assert main(["no-such-command"]) == 2
     assert main([]) == 2
+
+
+class TestColdStart:
+    # qbench/layers.py wraps functions of these modules, reading them from
+    # sys.modules right after `import qmatroids.cli`
+    EAGER = {"qmatroids.subspaces", "qmatroids.kernels", "qmatroids.qmatroid",
+             "qmatroids.maps", "qmatroids.dirsum", "qmatroids.jsonio"}
+    # loaded by the commands or classes that use them, not by every command
+    LAZY = {"dataclasses", "inspect", "concurrent.futures", "qmatroids.repro"}
+
+    def test_cli_import_adds_only_what_every_command_needs(self):
+        listing = "import sys; print('\\n'.join(sys.modules))"
+        bare = _python("-c", listing)
+        cli = _python("-c", "import qmatroids.cli; " + listing)
+        assert bare.returncode == cli.returncode == 0, bare.stderr + cli.stderr
+        added = set(cli.stdout.split()) - set(bare.stdout.split())
+        assert not added & self.LAZY
+        assert self.EAGER <= added
+
+    @pytest.mark.parametrize("statement", [
+        "import qmatroids; repro = qmatroids.repro",
+        "from qmatroids import repro",
+        "from qmatroids import *",
+    ])
+    def test_repro_loads_on_first_use(self, statement):
+        child = _python("-c", f"""
+import sys
+{statement}
+assert repro is sys.modules["qmatroids.repro"] is sys.modules["qmatroids"].repro
+print(sorted(repro.ITEMS))
+""")
+        assert child.returncode == 0, child.stderr
+        assert "thm-5-6" in child.stdout
+
+    def test_unknown_attribute(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            qmatroids.no_such_name
+        assert "repro" in qmatroids.__all__
 
 
 # ---------------------------------------------------------------------------

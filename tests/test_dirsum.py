@@ -1,12 +1,12 @@
 """Submodular completion, direct sums, and the coproduct harness."""
 
-import dataclasses
 import itertools
 import random
 
 import pytest
 
 from qmatroids import (
+    DirectSum,
     Mat,
     Subspace,
     additivity_check,
@@ -233,7 +233,8 @@ class TestAdditivity:
         box = join(D.iota1.image_of(V1), D.iota2.image_of(V2))
         ranks = D.total.rank_table()
         ranks[box] += 1
-        bad = dataclasses.replace(D, total=from_function(2, 3, ranks.__getitem__))
+        bad = DirectSum(D.m1, D.m2, from_function(2, 3, ranks.__getitem__),
+                        D.iota1, D.iota2, D.pi1, D.pi2, D.pushed)
         checks = {name: (ok, detail) for name, ok, detail in additivity_check(bad).checks}
         assert checks["additivity"] == (False, [(V1, V2)])
 

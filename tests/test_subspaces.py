@@ -15,6 +15,7 @@ from qmatroids import (
     enumerate_subspaces,
     gaussian_binomial,
     join,
+    kernels,
     lattice,
     meet,
     one_spaces,
@@ -92,6 +93,19 @@ class TestRref:
             assert rref(rows, q, n) == want, rows
             codes = [encode_vector(row, q) for row in rows]
             assert Subspace.from_codes(q, n, codes).basis == want[0], rows
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_gf2_kernel_on_more_rows_than_columns(self, n):
+        # every row past the rank reduces to zero; the kernel returns the
+        # reduced rows by ascending pivot bit
+        rng = random.Random(n)
+        for _ in range(100):
+            rows = [tuple(rng.randrange(2) for _ in range(n))
+                    for _ in range(rng.randint(n + 1, 3 * n))]
+            want_rows, want_rank = reference_rref(rows, 2, n)
+            codes, rank = kernels.gf2_rref([encode_vector(row, 2) for row in rows], n)
+            assert rank == want_rank, rows
+            assert tuple(decode_vector(c, 2, n) for c in codes) == want_rows, rows
 
     @pytest.mark.parametrize("q,n,rows", [
         (2, 3, [(2, 0, 0)]),
