@@ -77,7 +77,9 @@ from .dirsum import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")] + ["repro"]
+# the public functions and classes, not the submodules that importing them binds
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and callable(value)) + ["repro"]
 
 
 def __getattr__(name):

@@ -583,11 +583,6 @@ def in_base_field(a: FieldElem) -> bool:
     return a.val < a.spec.q
 
 
-def frobenius_fixed(a: FieldElem) -> bool:
-    """Cross-check for in_base_field: a is in GF(q) iff a^q = a."""
-    return a.spec.pow(a.val, a.spec.q) == a.val
-
-
 def omega_index_set(spec: FieldSpec) -> frozenset:
     """The exponents i in {1,...,q^m-2} with omega^i outside the base field.
 

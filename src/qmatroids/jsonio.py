@@ -138,15 +138,6 @@ def matroid_from_dict(d: dict) -> QMatroid:
     raise ParseError(f"unknown matroid kind {kind!r}")
 
 
-def map_to_dict(phi: LMap) -> dict:
-    if phi.is_linear:
-        A = phi.linear_matrix
-        return {"kind": "matrix", "q": phi.q, "n1": phi.n1, "n2": phi.n2,
-                "rows": [list(A.row(i)) for i in range(A.rows)]}
-    return {"kind": "table", "q": phi.q, "n1": phi.n1, "n2": phi.n2,
-            "images": list(phi.table[1:])}
-
-
 def map_from_dict(d: dict) -> LMap:
     kind, q, n1, n2 = _header(d, "map", ("n1", "n2"))
     if kind == "matrix":

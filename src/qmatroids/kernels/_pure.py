@@ -106,8 +106,9 @@ def gl_iso_search(n, q, holders, candidates, checks, ranks2, add, scale):
     """Depth-first scan of GL(n, q) for a rank-preserving bijection.
 
     Vectors of F_q^n are base-q codes, e_(d+1) having code q^d, added and
-    scaled by ``add`` and ``scale``.  holders[v] is the bitmask of the
-    lattice ids of the spaces containing code v; ids ascend with
+    scaled by ``add`` and ``scale``; for even q, ``add`` must be the XOR
+    of codes, as it is in characteristic 2.  holders[v] is the bitmask of
+    the lattice ids of the spaces containing code v; ids ascend with
     dimension, so the span of some codes is the lowest set bit of the AND
     of their holders.
 
@@ -118,6 +119,12 @@ def gl_iso_search(n, q, holders, candidates, checks, ranks2, add, scale):
     the spaces checked then, all of whose basis codes are below q^d, and
     ranks2 holds the target ranks by lattice id.
 
+    The last row is scanned in one flat loop.  Each basis code of a space
+    in checks[n] is split once into lo = code mod q^(n-1) and its top
+    digit t, and a leaf computes the image of a code, image(lo) + t times
+    the last row, only when a check reads it.  Every leaf is checked
+    against the spaces of checks[n] in order, until the first that fails.
+
     Returns (rows_or_None, leaves, nodes): rows is the first witness as
     codes, leaves counts the candidates reaching depth n and nodes every
     row placed.  With every nonzero code as a candidate for every row
@@ -127,8 +134,13 @@ def gl_iso_search(n, q, holders, candidates, checks, ranks2, add, scale):
     everything = holders[0]
     rows = [0] * n
     # image[c]: the image of domain code c, for the codes of <e_1..e_depth>
+    # with depth < n; a leaf reads a code from its split (lo, t) instead
     image = [0]
     stats = [0, 0]  # leaves, nodes
+    xor = q % 2 == 0
+    top = q ** (n - 1) if n else 1
+    last = [([(c % top, c // top) for c in codes], rank) for codes, rank in checks[n]]
+    multiples = [None] * q ** n  # multiples[v][t]: t times v, as needed
 
     def fits(depth):
         for codes, rank in checks[depth]:
@@ -139,14 +151,41 @@ def gl_iso_search(n, q, holders, candidates, checks, ranks2, add, scale):
                 return False
         return True
 
+    def last_row(span):
+        # rows[0:n-1] are placed and span is the id of their span; each
+        # candidate for rows[n-1] is a node and a leaf
+        tried, found = 0, False
+        for v in candidates[n - 1]:
+            if holders[v] >> span & 1:
+                continue
+            tried += 1
+            times = multiples[v]
+            if times is None:
+                times = multiples[v] = [scale(t, v) for t in range(q)]
+            for pairs, rank in last:
+                up = everything
+                if xor:
+                    for lo, t in pairs:
+                        up &= holders[image[lo] ^ times[t]]
+                else:
+                    for lo, t in pairs:
+                        up &= holders[add(times[t], image[lo]) if t else image[lo]]
+                if ranks2[(up & -up).bit_length() - 1] != rank:
+                    break
+            else:  # no space failed: v completes the witness
+                rows[n - 1], found = v, True
+                break
+        stats[0] += tried
+        stats[1] += tried
+        return found
+
     def rec(depth, up):
-        # up: the ids of the spaces containing rows[0:depth]
-        if depth == n:
-            stats[0] += 1
-            return fits(depth)
+        # up: the ids of the spaces containing rows[0:depth], depth < n
         if not fits(depth):
             return False
         span = (up & -up).bit_length() - 1
+        if depth == n - 1:
+            return last_row(span)
         for v in candidates[depth]:
             if holders[v] >> span & 1:
                 continue
@@ -162,6 +201,11 @@ def gl_iso_search(n, q, holders, candidates, checks, ranks2, add, scale):
                 return True
         return False
 
-    if rec(0, everything):
+    if n == 0:  # GL(0, q): the empty matrix is the one leaf
+        stats[0] = 1
+        found = fits(0)
+    else:
+        found = rec(0, everything)
+    if found:
         return list(rows), stats[0], stats[1]
     return None, stats[0], stats[1]

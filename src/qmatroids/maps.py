@@ -83,9 +83,6 @@ class LMap:
     def __call__(self, vec: Sequence[int]):
         return decode_vector(self.table[encode_vector(vec, self.q)], self.q, self.n2)
 
-    def apply_enc(self, code: int) -> int:
-        return self.table[code]
-
     @property
     def _spans_by_basis(self) -> bool:
         # v -> sigma(v) A sends sum c_i b_i to sum sigma(c_i) (b_i's image),

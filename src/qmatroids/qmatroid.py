@@ -599,6 +599,11 @@ def is_isomorphic(M1: QMatroid, M2: QMatroid, mode: str = "linear",
     <e_(d+1)>, and every space inside <e_1..e_d> is checked as soon as
     the first d rows are placed.  With prune=False every invertible
     matrix up to the first witness is a leaf, checked on every space.
+
+    Either way the candidates for the last row are scanned in one flat
+    loop: the image of a domain code is computed only when a check reads
+    it, and every leaf is checked against its spaces in order until the
+    first one whose rank differs.
     """
     if M1.ambient() != M2.ambient():
         raise AmbientMismatch("isomorphism search needs equal ambients")

@@ -325,10 +325,6 @@ class Subspace:
         add, scale = code_arithmetic(self.q, self.n)
         return reduce(add, map(scale, coeffs, self.codes), 0)
 
-    def vector_at(self, coeffs: Sequence[int]) -> tuple:
-        """The combination of the basis rows with these coefficients."""
-        return decode_vector(self._combination(coeffs), self.q, self.n)
-
     def to_dict(self):
         return {"ambient_n": self.n, "q": self.q,
                 "basis": [list(r) for r in self.basis]}

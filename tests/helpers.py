@@ -55,6 +55,74 @@ def reference_combination(coeffs, rows, q):
     return tuple(v)
 
 
+def vector_at(S, coeffs):
+    """The combination of the basis rows of S with these coefficients, as
+    a digit tuple, by digit-list arithmetic."""
+    return reference_combination(coeffs, S.basis, S.q) if S.dim else (0,) * S.n
+
+
+def frobenius_fixed(a):
+    """Cross-check for in_base_field: a is in GF(q) iff a^q = a."""
+    return a.spec.pow(a.val, a.spec.q) == a.val
+
+
+def map_to_dict(phi):
+    """The JSON spec of an L-map that ``jsonio.map_from_dict`` reads: its
+    matrix when it is linear, else its table of nonzero images."""
+    if phi.is_linear:
+        A = phi.linear_matrix
+        return {"kind": "matrix", "q": phi.q, "n1": phi.n1, "n2": phi.n2,
+                "rows": [list(A.row(i)) for i in range(A.rows)]}
+    return {"kind": "table", "q": phi.q, "n1": phi.n1, "n2": phi.n2,
+            "images": list(phi.table[1:])}
+
+
+def reference_gl_iso_search(n, q, holders, candidates, checks, ranks2, add, scale):
+    """The GL(n, q) scan of ``kernels.gl_iso_search``, one recursive call
+    per row down to the leaves: each placed row extends the image of
+    every code of <e_1..e_depth>, and a leaf is checked on the full image
+    table.  Same arguments and results: (rows_or_None, leaves, nodes)."""
+    everything = holders[0]
+    rows = [0] * n
+    image = [0]
+    stats = [0, 0]  # leaves, nodes
+
+    def fits(depth):
+        for codes, rank in checks[depth]:
+            up = everything
+            for c in codes:
+                up &= holders[image[c]]
+            if ranks2[(up & -up).bit_length() - 1] != rank:
+                return False
+        return True
+
+    def rec(depth, up):
+        if depth == n:
+            stats[0] += 1
+            return fits(depth)
+        if not fits(depth):
+            return False
+        span = (up & -up).bit_length() - 1
+        for v in candidates[depth]:
+            if holders[v] >> span & 1:
+                continue
+            stats[1] += 1
+            rows[depth] = v
+            base = len(image)
+            for a in range(1, q):
+                av = scale(a, v)
+                image.extend([add(av, w) for w in image[:base]])
+            found = rec(depth + 1, up & holders[v])
+            del image[base:]
+            if found:
+                return True
+        return False
+
+    if rec(0, everything):
+        return list(rows), stats[0], stats[1]
+    return None, stats[0], stats[1]
+
+
 def quotient_map(X):
     """The projection of F_q^n onto the quotient by X, in coordinates.
 

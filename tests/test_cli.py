@@ -17,11 +17,12 @@ from qmatroids.cli import main
 from qmatroids.jsonio import (
     dump_json,
     map_from_dict,
-    map_to_dict,
     matroid_from_dict,
     matroid_to_dict,
 )
 from qmatroids.repro import blockdiag_matroid
+
+from helpers import map_to_dict
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -324,6 +325,16 @@ print(sorted(repro.ITEMS))
 """)
         assert child.returncode == 0, child.stderr
         assert "thm-5-6" in child.stdout
+
+    def test_star_import_binds_no_submodule_but_repro(self):
+        child = _python("-c", """
+import types
+from qmatroids import *
+print(*sorted(name for name, value in globals().items()
+              if isinstance(value, types.ModuleType) and name[0] != "_"))
+""")
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.split() == ["repro", "types"]
 
     def test_unknown_attribute(self):
         with pytest.raises(AttributeError, match="no_such_name"):

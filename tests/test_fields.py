@@ -19,10 +19,11 @@ from qmatroids.errors import (
 from qmatroids.fields import (
     FieldElem,
     FieldSpec,
-    frobenius_fixed,
     ground_field,
     prime_power,
 )
+
+from helpers import frobenius_fixed
 
 
 class TestMakeField:

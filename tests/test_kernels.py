@@ -24,6 +24,8 @@ from qmatroids.qmatroid import from_rank_vector
 from qmatroids.repro import blockdiag_matroid
 from qmatroids.subspaces import decode_vector
 
+from helpers import reference_gl_iso_search
+
 
 def test_active_backend_is_known():
     assert kernels.BACKEND == "pure"
@@ -322,3 +324,60 @@ def test_pruned_answers_agree_with_the_unpruned_scan(q, n):
         assert "exhausted" in outcomes
     if n > 2:  # at n = 2 a point's colour is its rank
         assert "point colours differ" in outcomes
+
+
+PAIR_KINDS = ("image", "other rank", "relabelled", "relabelled image")
+
+
+def _random_pair(q, n, kind, rng):
+    """Two q-matroids (or rank vectors) on F_q^n: a random representable
+    one and its image under a random change of basis (isomorphic), or one
+    of another rank (never isomorphic); a relabelled pair (either way), or
+    the first of one and its image (isomorphic)."""
+    F = ground_field(q)
+    if n == 0:
+        return uniform(q, 0, 0), uniform(q, 0, 0)
+    if kind in ("relabelled", "relabelled image"):
+        M1, M2 = _relabelled_pair(q, n, min(rng.randint(1, 2), n), rng)
+    else:
+        M1 = _random_representable(make_field(*prime_power(q), n), rng.randint(1, n), n, rng)
+        M2 = uniform(q, n, (M1.matroid_rank + 1) % (n + 1))
+    if kind.endswith("image"):
+        M2 = pushforward(M1, lmap_from_matrix(_random_invertible(F, n, rng)))
+    return M1, M2
+
+
+@pytest.mark.parametrize("q, n, kinds", [
+    pytest.param(q, n, PAIR_KINDS * rounds, id=f"{q}-{n}")
+    for q, n, rounds in [(q, n, 3) for q in (2, 3, 4) for n in range(3)]
+    + [(2, 3, 3), (3, 3, 2), (2, 4, 2)]
+] + [
+    # the recursive scan of all of GL(3, 4) takes over a second
+    pytest.param(4, 3, ("relabelled image",), id="4-3"),
+])
+def test_flat_last_row_agrees_with_the_recursive_scan(q, n, kinds, monkeypatch):
+    # every kernel call that is_isomorphic makes is run again by the
+    # recursive scan, which checks each leaf on a full image table: the
+    # witness rows, leaves and nodes must be the same
+    results = []
+
+    def both(*args):
+        got = _pure.gl_iso_search(*args)
+        assert got == reference_gl_iso_search(*args)
+        results.append(got)
+        return got
+
+    monkeypatch.setattr(kernels, "gl_iso_search", both)
+    # semilinear differs from linear only over GF(4); (2, 4) is linear
+    modes = ["linear", "semilinear"] if q == 4 else ["linear"]
+    rng = random.Random(1000 * q + n)
+    for kind in kinds:
+        M1, M2 = _random_pair(q, n, kind, rng)
+        for mode in modes:
+            for prune in (False, True):
+                is_isomorphic(M1, M2, mode=mode, prune=prune)
+    assert any(rows is not None for rows, _, _ in results)
+    if n and len(kinds) > 1:
+        assert any(rows is None and leaves for rows, leaves, _ in results)
+    if n > 1:  # a witness after the scan has backtracked
+        assert any(rows is not None and nodes > n for rows, _, nodes in results)

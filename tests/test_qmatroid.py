@@ -50,7 +50,7 @@ from qmatroids.subspaces import (
     decode_vector,
 )
 
-from helpers import quotient_map
+from helpers import quotient_map, vector_at
 
 
 SWEEP_AMBIENTS = [(2, 3), (3, 2), (2, 4), (3, 3), (4, 2)]
@@ -771,7 +771,7 @@ class TestPullback:
         spaces = [Subspace.from_rows(q, X.dim, [[rng.randrange(q) for _ in range(X.dim)]
                                                 for _ in range(rng.randrange(1, 4))])
                   for _ in range(10)]
-        want = [product_rank(G, Subspace.from_rows(q, n, map(X.vector_at, S.basis)))
+        want = [product_rank(G, Subspace.from_rows(q, n, (vector_at(X, row) for row in S.basis)))
                 for S in spaces]
         tracemalloc.start()
         try:
