@@ -7,9 +7,17 @@ the base field GF(q) occupy the indices 0 .. q-1, so subfield data never
 needs re-encoding.  Base-field elements are themselves indexed by their
 F_p coefficient vectors (base-p digits) relative to ``base_modulus``.
 
-Multiplication, inversion and powers go through log/antilog tables which
-are built eagerly at construction (field sizes are capped at 2**20), so a
-constructed FieldSpec is immutable and safe to share across threads.
+So an index is a vector of base-p digits, and addition and negation work
+digit by digit mod p (XOR when p = 2): exactly right for base elements,
+extension elements and the codes of vectors of F_q^n alike.
+Multiplication, inversion, powers and Frobenius go through one exp/log
+pair, the powers of omega, built eagerly at construction (field sizes are
+capped at 2**20) by multiplying by x.  Products in GF(q) needed on the
+way come from the powers of its least generator, tabulated by polynomial
+steps over F_p and dropped once the field is built.  The ``base_*``
+operations are the same functions as ``add``, ``mul``, ``neg`` and
+``inv``.  A constructed FieldSpec is immutable and safe to share across
+threads.
 """
 
 from __future__ import annotations
@@ -62,9 +70,26 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _check_parameters(p: int, k: int, m: int, over_cap: str):
+    """Refuse an order p^(k*m) above the cap first, without building a huge
+    power: trial division of a large p would run for hours.  Then refuse a
+    non-prime p, then k or m below 1."""
+    if p >= 2 and k >= 1 and m >= 1 and (
+            k * m >= MAX_FIELD_ORDER.bit_length() or p ** (k * m) > MAX_FIELD_ORDER):
+        raise NoDefaultModulus(over_cap)
+    if not is_prime(p):
+        raise NonPrimeCharacteristic(f"p={p} is not prime")
+    if k < 1 or m < 1:
+        raise ValueError("k and m must be >= 1")
+
+
 # ---------------------------------------------------------------------------
-# Polynomial helpers over a small coefficient field given by operation tables.
+# Polynomial helpers over a small coefficient field given by its operations.
 # `ops` is a triple (add, mul, neg) of callables on integer indices.
+
+
+def _prime_ops(p: int):
+    return (lambda a, b: (a + b) % p, lambda a, b: (a * b) % p, lambda a: (-a) % p)
 
 
 def _poly_mulmod(a, b, mod, ops):
@@ -118,6 +143,37 @@ def _poly_is_irreducible(coeffs, size, ops) -> bool:
     return True
 
 
+def _digits(v: int, p: int, k: int):
+    out = []
+    for _ in range(k):
+        v, d = divmod(v, p)
+        out.append(d)
+    return out
+
+
+def _undigits(ds, p: int) -> int:
+    v = 0
+    for d in reversed(ds):
+        v = v * p + d
+    return v
+
+
+def _generator_powers(p: int, k: int, base_modulus):
+    """[g^0, ..., g^(q-2)] for the least generator g of GF(q)* = (F_p[x] /
+    base_modulus)*, q = p^k, as indices: polynomial steps over F_p, O(q k^2)
+    time and O(q) memory.  ``base_modulus`` must be irreducible."""
+    q, ops = p ** k, _prime_ops(p)
+    for g in range(2, q) if q > 2 else (1,):
+        gd = _digits(g, p, k)
+        powers, v = [1], gd
+        while (i := _undigits(v, p)) != 1:
+            powers.append(i)
+            v = _poly_mulmod(v, gd, base_modulus, ops)
+        if len(powers) == q - 1:
+            return powers
+    raise AssertionError(f"GF({q})* has no generator under {list(base_modulus)}")
+
+
 class FieldSpec:
     """GF(q^m) with q = p^k, fixed moduli and primitive element omega.
 
@@ -126,40 +182,40 @@ class FieldSpec:
     multiplicative group.  Both are validated at construction.
     """
 
-    __slots__ = (
-        "p", "k", "m", "q", "order", "base_modulus", "ext_modulus",
-        "_badd", "_bmul", "_bneg", "_binv", "_exp", "_log", "_xm_red",
-    )
+    __slots__ = ("p", "k", "m", "q", "order", "base_modulus", "ext_modulus",
+                 "_exp", "_log")
 
     def __init__(self, p: int, k: int, m: int,
                  base_modulus: Sequence[int], ext_modulus: Sequence[int]):
-        if not is_prime(p):
-            raise NonPrimeCharacteristic(f"p={p} is not prime")
-        if k < 1 or m < 1:
-            raise ValueError("k and m must be >= 1")
+        _check_parameters(p, k, m,
+                          f"field order {p}^{k * m} exceeds supported cap {MAX_FIELD_ORDER}")
         self.p = p
         self.k = k
         self.m = m
-        self.q = p ** k
-        self.order = self.q ** m
-        if self.order > MAX_FIELD_ORDER:
-            raise NoDefaultModulus(
-                f"field order {self.order} exceeds supported cap {MAX_FIELD_ORDER}")
+        self.q = q = p ** k
+        self.order = q ** m
         self.base_modulus = self._check_modulus(base_modulus, k, p, "base_modulus")
-        self._build_base_tables()
-        bops = (self.base_add, self.base_mul, self.base_neg)
-        if not _poly_is_irreducible(self.base_modulus, p,
-                                    (lambda a, b: (a + b) % p,
-                                     lambda a, b: (a * b) % p,
-                                     lambda a: (-a) % p)):
+        if not _poly_is_irreducible(self.base_modulus, p, _prime_ops(p)):
             raise ReducibleModulus(f"base modulus {list(self.base_modulus)} reducible over F_{p}")
-        self.ext_modulus = self._check_modulus(ext_modulus, m, self.q, "ext_modulus")
-        if not _poly_is_irreducible(self.ext_modulus, self.q, bops):
+        self.ext_modulus = self._check_modulus(ext_modulus, m, q, "ext_modulus")
+        # products in GF(q), from the powers of its least generator
+        bexp = _generator_powers(p, k, self.base_modulus)
+        blog = [0] * q
+        for i, v in enumerate(bexp):
+            blog[v] = i
+
+        def bmul(a, b):
+            return bexp[(blog[a] + blog[b]) % (q - 1)] if a and b else 0
+
+        if not _poly_is_irreducible(self.ext_modulus, q, (self.add, bmul, self.neg)):
             raise ReducibleModulus(
-                f"ext modulus {list(self.ext_modulus)} reducible over F_{self.q}")
-        # x^m = -(f_0 + ... + f_{m-1} x^{m-1})
-        self._xm_red = tuple(self.base_neg(c) for c in self.ext_modulus[:m])
-        self._build_log_tables()
+                f"ext modulus {list(self.ext_modulus)} reducible over F_{q}")
+        # x * (c_0 + ... + c_{m-1} x^{m-1}) shifts the c_i up one place and
+        # adds c_{m-1} x^m = c_{m-1} * -(f_0 + ... + f_{m-1} x^{m-1})
+        xm = [self.neg(f) for f in self.ext_modulus[:m]]
+        high = q ** (m - 1)
+        top_times_xm = [self.from_coeffs([bmul(t, c) for c in xm]) for t in range(q)]
+        self._build_log_tables(lambda v: self.add(v % high * q, top_times_xm[v // high]))
 
     @staticmethod
     def _check_modulus(coeffs, degree, size, name):
@@ -170,74 +226,24 @@ class FieldSpec:
             raise ValueError(f"{name} coefficients must lie in [0, {size})")
         return coeffs
 
-    # ---------------------------------------------------------- base field
-
-    def _build_base_tables(self):
-        p, k, q = self.p, self.k, self.q
-        if k == 1:
-            self._badd = None  # direct mod-p arithmetic
-            self._bmul = None
-            self._bneg = tuple((-a) % p for a in range(p))
-            self._binv = tuple(pow(a, p - 2, p) if a else 0 for a in range(p))
-            return
-        mod = self.base_modulus
-
-        def digits(v):
-            out = []
-            for _ in range(k):
-                out.append(v % p)
-                v //= p
-            return out
-
-        def undigits(ds):
-            v = 0
-            for d in reversed(ds):
-                v = v * p + d
-            return v
-
-        pops = (lambda a, b: (a + b) % p, lambda a, b: (a * b) % p, lambda a: (-a) % p)
-        add_t = [[0] * q for _ in range(q)]
-        mul_t = [[0] * q for _ in range(q)]
-        for a in range(q):
-            da = digits(a)
-            for b in range(q):
-                db = digits(b)
-                add_t[a][b] = undigits([(x + y) % p for x, y in zip(da, db)])
-                mul_t[a][b] = undigits(_poly_mulmod(da, db, mod, pops))
-        self._badd = tuple(tuple(r) for r in add_t)
-        self._bmul = tuple(tuple(r) for r in mul_t)
-        self._bneg = tuple(self._badd[a].index(0) for a in range(q))
-        inv = [0] * q
-        for a in range(1, q):
-            inv[a] = self._bmul[a].index(1)
-        self._binv = tuple(inv)
-
-    def base_add(self, a: int, b: int) -> int:
-        if self._badd is None:
-            return (a + b) % self.p
-        return self._badd[a][b]
-
-    def base_mul(self, a: int, b: int) -> int:
-        if self._bmul is None:
-            return (a * b) % self.p
-        return self._bmul[a][b]
-
-    def base_neg(self, a: int) -> int:
-        return self._bneg[a]
-
-    def base_inv(self, a: int) -> int:
-        if a == 0:
-            raise DivisionByZero("inverse of 0 in base field")
-        return self._binv[a]
-
-    def base_frobenius(self, a: int, j: int = 1) -> int:
-        """a^(p^j) on base-field indices; Aut(F_q) = {j = 0..k-1}."""
-        for _ in range(j % self.k if self.k > 1 else 0):
-            b = a
-            for _ in range(self.p - 1):
-                b = self.base_mul(b, a)
-            a = b
-        return a
+    def _build_log_tables(self, times_x):
+        size = self.order
+        exp = [0] * (size - 1) if size > 1 else [1]
+        log = [-1] * size
+        v = 1
+        for i in range(size - 1):
+            if log[v] != -1:
+                raise NonPrimitiveModulus(
+                    f"x has multiplicative order {i} < {size - 1} "
+                    f"under {list(self.ext_modulus)}")
+            exp[i] = v
+            log[v] = i
+            v = times_x(v)
+        if v != 1:
+            raise NonPrimitiveModulus(
+                f"x does not return to 1 after {size - 1} steps")
+        self._exp = tuple(exp) if size > 1 else (1,)
+        self._log = tuple(log)
 
     # ------------------------------------------------------- extension field
 
@@ -258,68 +264,32 @@ class FieldSpec:
             val = val * self.q + c
         return val
 
-    def _mul_by_x(self, val: int) -> int:
-        q, m = self.q, self.m
-        if m == 1:
-            # x is the base-field element -f_0
-            return self.base_mul(val, self._xm_red[0])
-        cs = self.coeffs(val)
-        top = cs[-1]
-        shifted = (0,) + cs[:-1]
-        if top == 0:
-            return self.from_coeffs(shifted)
-        out = [self.base_add(s, self.base_mul(top, r))
-               for s, r in zip(shifted, self._xm_red)]
-        return self.from_coeffs(out)
-
-    def _build_log_tables(self):
-        size = self.order
-        exp = [0] * (size - 1) if size > 1 else [1]
-        log = [-1] * size
-        v = 1
-        for i in range(size - 1):
-            if log[v] != -1:
-                raise NonPrimitiveModulus(
-                    f"x has multiplicative order {i} < {size - 1} "
-                    f"under {list(self.ext_modulus)}")
-            exp[i] = v
-            log[v] = i
-            v = self._mul_by_x(v)
-        if v != 1:
-            raise NonPrimitiveModulus(
-                f"x does not return to 1 after {size - 1} steps")
-        self._exp = tuple(exp) if size > 1 else (1,)
-        self._log = tuple(log)
-
     @property
     def omega_val(self) -> int:
         return self._exp[1 % max(self.order - 1, 1)]
 
     def add(self, a: int, b: int) -> int:
-        if self.p == 2:  # indices are F_2 coefficient vectors
+        """Digit by digit mod p on the base-p digits of the indices."""
+        p = self.p
+        if p == 2:
             return a ^ b
-        if self.m == 1:
-            return self.base_add(a, b)
-        q = self.q
-        out, mult = 0, 1
-        for _ in range(self.m):
-            out += self.base_add(a % q, b % q) * mult
-            a //= q
-            b //= q
-            mult *= q
+        out, unit = 0, 1
+        while a or b:
+            a, x = divmod(a, p)
+            b, y = divmod(b, p)
+            out += (x + y) % p * unit
+            unit *= p
         return out
 
     def neg(self, a: int) -> int:
-        if self.p == 2:
+        p = self.p
+        if p == 2:
             return a
-        if self.m == 1:
-            return self.base_neg(a)
-        q = self.q
-        out, mult = 0, 1
-        for _ in range(self.m):
-            out += self.base_neg(a % q) * mult
-            a //= q
-            mult *= q
+        out, unit = 0, 1
+        while a:
+            a, x = divmod(a, p)
+            out += -x % p * unit
+            unit *= p
         return out
 
     def sub(self, a: int, b: int) -> int:
@@ -347,12 +317,17 @@ class FieldSpec:
         n = max(self.order - 1, 1)
         return self._exp[(self._log[a] * e) % n]
 
-    # ------------------------------------------------------------- elements
+    # GF(q) is the indices below q, closed under all four operations
+    base_add = add
+    base_mul = mul
+    base_neg = neg
+    base_inv = inv
 
-    def elem(self, val: int) -> "FieldElem":
-        if not 0 <= val < self.order:
-            raise ValueError(f"element index {val} out of range for order {self.order}")
-        return FieldElem(self, val)
+    def base_frobenius(self, a: int, j: int = 1) -> int:
+        """a^(p^j) on base-field indices; Aut(F_q) = {j = 0..k-1}."""
+        return self.pow(a, self.p ** (j % self.k))
+
+    # ------------------------------------------------------------- elements
 
     @property
     def zero(self) -> "FieldElem":
@@ -442,22 +417,6 @@ class FieldElem:
 # Construction
 
 
-def _default_prime_poly(p: int, d: int):
-    """Table entry or lexicographically smallest primitive monic polynomial."""
-    if (p, d) in _PRIM_POLYS:
-        return _PRIM_POLYS[(p, d)]
-    if p ** d > MAX_FIELD_ORDER:
-        raise NoDefaultModulus(f"no default modulus for GF({p}^{d})")
-    ops = (lambda a, b: (a + b) % p, lambda a, b: (a * b) % p, lambda a: (-a) % p)
-    for tail in itertools.product(range(p), repeat=d):
-        cand = list(tail) + [1]
-        if cand[0] == 0 or not _poly_is_irreducible(cand, p, ops):
-            continue
-        if _order_of_x(cand, p, ops) == p ** d - 1:
-            return tuple(cand)
-    raise NoDefaultModulus(f"search found no primitive polynomial for GF({p}^{d})")
-
-
 def _order_of_x(mod, size, ops):
     add, mul, neg = ops
     d = len(mod) - 1
@@ -480,15 +439,21 @@ def _order_of_x(mod, size, ops):
     return size ** d  # unreachable for irreducible mod
 
 
-def _default_ext_poly(spec_q_ops, q: int, m: int):
-    """Lexicographically smallest primitive monic degree-m poly over GF(q)."""
+def _default_ext_poly(ops, q: int, m: int):
+    """Lexicographically smallest primitive monic degree-m polynomial over
+    the field of order q whose operations are ``ops``."""
     for tail in itertools.product(range(q), repeat=m):
         cand = list(tail) + [1]
-        if cand[0] == 0 or not _poly_is_irreducible(cand, q, spec_q_ops):
+        if cand[0] == 0 or not _poly_is_irreducible(cand, q, ops):
             continue
-        if _order_of_x(cand, q, spec_q_ops) == q ** m - 1:
+        if _order_of_x(cand, q, ops) == q ** m - 1:
             return tuple(cand)
     raise NoDefaultModulus(f"no primitive degree-{m} polynomial over GF({q}) found")
+
+
+def _default_prime_poly(p: int, d: int):
+    """Table entry or lexicographically smallest primitive monic polynomial."""
+    return _PRIM_POLYS.get((p, d)) or _default_ext_poly(_prime_ops(p), p, d)
 
 
 @lru_cache(maxsize=None)
@@ -504,44 +469,21 @@ def make_field(p: int, k: int = 1, m: int = 1,
     little-endian coefficient lists.  When omitted, built-in defaults are
     used for p^(k*m) <= 2^20; larger fields raise NoDefaultModulus.
     """
-    if not is_prime(p):
-        raise NonPrimeCharacteristic(f"p={p} is not prime")
-    if k < 1 or m < 1:
-        raise ValueError("k and m must be >= 1")
     if moduli is not None:
         base, ext = moduli
         return _make_field_cached(p, k, m, tuple(base), tuple(ext))
-    if p ** (k * m) > MAX_FIELD_ORDER:
-        raise NoDefaultModulus(f"no default modulus for GF({p}^{k * m})")
+    _check_parameters(p, k, m, f"no default modulus for GF({p}^{k * m})")
     base = _default_prime_poly(p, k)
     if k == 1:
         ext = _default_prime_poly(p, m)
     elif m == 1:
-        ext = _default_prime_poly_over_base(p, k, base)
+        # x - g for the least generator g of GF(q)*
+        g = _generator_powers(p, k, base)[1]
+        ext = (_undigits([-d % p for d in _digits(g, p, k)], p), 1)
     else:
-        # need the base tables to search for an extension modulus over GF(q)
-        probe = FieldSpec(p, k, 1, base, _default_prime_poly_over_base(p, k, base))
-        ops = (probe.base_add, probe.base_mul, probe.base_neg)
-        ext = _default_ext_poly(ops, probe.q, m)
+        F = make_field(p, k, 1)  # GF(q) under the same base modulus
+        ext = _default_ext_poly((F.add, F.mul, F.neg), F.q, m)
     return _make_field_cached(p, k, m, base, ext)
-
-
-def _default_prime_poly_over_base(p, k, base):
-    # degree-1 modulus x - g with g a generator of GF(q)*; found by search
-    probe = FieldSpec.__new__(FieldSpec)
-    probe.p, probe.k, probe.m, probe.q = p, k, 1, p ** k
-    probe.order = probe.q
-    probe.base_modulus = tuple(base)
-    probe._build_base_tables()
-    q = probe.q
-    for g in range(2, q):
-        o, v = 1, g
-        while v != 1:
-            v = probe.base_mul(v, g)
-            o += 1
-        if o == q - 1:
-            return (probe.base_neg(g), 1)
-    return (probe.base_neg(1), 1)  # q = 2
 
 
 def prime_power(q: int) -> Optional[Tuple[int, int]]:

@@ -12,8 +12,8 @@ of digits appear only at the boundary: ``rref`` and
 Row reduction runs on codes (``code_rref``): over GF(2) a code is
 already a packed row of the GF(2) kernel in :mod:`qmatroids.kernels`,
 and for q > 2 elimination adds and scales codes with
-``code_arithmetic``, which decodes per call beyond the caps where no
-table of q^n codes may be built.
+``code_arithmetic``, which works per call where its q^(n+1) table
+entries would exceed the vector cap.
 """
 
 from __future__ import annotations
@@ -59,10 +59,6 @@ def decode_vector(code: int, q: int, n: int):
     return tuple(out)
 
 
-def vec_add(u, v, F: FieldSpec):
-    return tuple(F.base_add(a, b) for a, b in zip(u, v))
-
-
 def vec_scale(c, v, F: FieldSpec):
     return tuple(F.base_mul(c, x) for x in v)
 
@@ -72,20 +68,21 @@ def code_arithmetic(q: int, n: int):
     """(add, scale): the sum of two codes of F_q^n and a scalar times a code,
     built once per (q, n).
 
-    In characteristic 2 the sum is XOR.  Otherwise it adds one term per
-    digit, read from a table of (a + b) * q**i by digit value.  Products
-    come from one table of q^n codes per scalar; over GF(2) the only
-    nonzero scalar is 1 and no table is built.  Nor is one built for an
-    ambient beyond the enumeration caps: each call decodes its codes to
-    digits, so a map into it costs its own domain's q^n1 calls only.
+    In characteristic 2 the sum is XOR, and over GF(2) the only nonzero
+    scalar is 1.  Otherwise, where q tables of q^n codes (one per scalar)
+    fit within the vector cap, products are read from them, and for odd p
+    a sum adds one term per digit, read from a table of (a + b) * q**i by
+    digit value.  Beyond that no table is built: a sum is the field's
+    digit-wise addition on the codes themselves, and a product decodes its
+    code, so a map into a large ambient costs its own domain's q^n1 calls
+    only.
     """
     F = ground_field(q)
     if q == 2:
         return operator.xor, lambda c, v: v if c else 0
-    if q ** n > DEFAULT_MAX_VECTORS or count_subspaces(q, n) > DEFAULT_MAX_SUBSPACES:
+    if q ** (n + 1) > DEFAULT_MAX_VECTORS or count_subspaces(q, n) > DEFAULT_MAX_SUBSPACES:
         at = partial(decode_vector, q=q, n=n)
-        add = lambda u, v: encode_vector(vec_add(at(u), at(v), F), q)
-        return (operator.xor if F.p == 2 else add), (
+        return (operator.xor if F.p == 2 else F.add), (
             lambda c, v: encode_vector(vec_scale(c, at(v), F), q))
     digits = [decode_vector(code, q, n) for code in range(q ** n)]
     scaled = [[encode_vector(vec_scale(c, v, F), q) for v in digits]

@@ -1,8 +1,23 @@
 """Reference constructions shared by several test modules."""
 
 import itertools
+import os
+import subprocess
+import sys
+from functools import lru_cache
 
 from qmatroids import Mat, ground_field, lmap_from_matrix
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def fresh_python(*args, timeout=120):
+    """A fresh interpreter with the package's sources on its path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=timeout)
 
 
 def reference_rref(rows, q, n):
@@ -55,10 +70,93 @@ def reference_combination(coeffs, rows, q):
     return tuple(v)
 
 
+def vec_add(u, v, F):
+    """The sum of two digit tuples over the ground field F, digit by digit."""
+    return tuple(F.base_add(a, b) for a, b in zip(u, v))
+
+
 def vector_at(S, coeffs):
     """The combination of the basis rows of S with these coefficients, as
     a digit tuple, by digit-list arithmetic."""
     return reference_combination(coeffs, S.basis, S.q) if S.dim else (0,) * S.n
+
+
+def _poly_mulmod(a, b, mod, zero, add, mul, neg):
+    """a * b mod the monic polynomial ``mod``, for coefficient tuples a and b
+    of length deg(mod) over a ring given by its zero and operations."""
+    res = [zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            res[i + j] = add(res[i + j], mul(x, y))
+    d = len(mod) - 1
+    while len(res) > d:
+        lead, top = res.pop(), len(res) - d
+        for i in range(d):
+            res[top + i] = add(res[top + i], neg(mul(lead, mod[i])))
+    return tuple(res)
+
+
+class ReferenceField:
+    """GF((p^k)^m) by polynomial arithmetic, on the indices of the FieldSpec
+    F and with its moduli.  An element is m coefficients over GF(q), each k
+    digits over F_p: the base-p digits of its index.  Sums add digits mod p;
+    products are reduced mod ``base_modulus`` over F_p, then mod
+    ``ext_modulus`` over GF(q)."""
+
+    def __init__(self, F):
+        self.p, self.k, self.m, self.order = F.p, F.k, F.m, F.order
+        p, k = F.p, F.k
+        self.digits = [tuple(v // p ** i % p for i in range(k * F.m))
+                       for v in range(F.order)]
+        self.index = {d: v for v, d in enumerate(self.digits)}
+
+        def badd(a, b):
+            return tuple((x + y) % p for x, y in zip(a, b))
+
+        @lru_cache(maxsize=None)
+        def bmul(a, b):
+            return _poly_mulmod(a, b, F.base_modulus, 0, lambda x, y: (x + y) % p,
+                                lambda x, y: x * y % p, lambda x: -x % p)
+
+        self._base = (badd, bmul, lambda a: tuple(-x % p for x in a))
+        self._ext = [self._coeffs(c)[0] for c in F.ext_modulus]
+
+    def _coeffs(self, v):
+        d, k = self.digits[v], self.k
+        return tuple(d[i * k:(i + 1) * k] for i in range(self.m))
+
+    def add(self, a, b):
+        return self.index[tuple((x + y) % self.p
+                                for x, y in zip(self.digits[a], self.digits[b]))]
+
+    def neg(self, a):
+        return self.index[tuple(-x % self.p for x in self.digits[a])]
+
+    def mul(self, a, b):
+        cs = _poly_mulmod(self._coeffs(a), self._coeffs(b), self._ext, (0,) * self.k,
+                          *self._base)
+        return self.index[tuple(d for c in cs for d in c)]
+
+    def products(self, a):
+        """[a * b for b in range(order)]: ``mul`` by the k*m basis elements
+        p**j (x^t omega^i for j = i*k + t), the rest by sums in index order."""
+        out = [0]
+        for j in range(self.k * self.m):
+            step = self.mul(a, self.p ** j)
+            lower, term = out[:], 0
+            for _ in range(self.p - 1):
+                term = self.add(term, step)
+                out += [self.add(term, x) for x in lower]
+        return out
+
+    def pow(self, a, e):
+        """a^e for e >= 0, by square and multiply."""
+        out = 1
+        while e:
+            if e & 1:
+                out = self.mul(out, a)
+            a, e = self.mul(a, a), e >> 1
+        return out
 
 
 def frobenius_fixed(a):

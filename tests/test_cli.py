@@ -4,8 +4,6 @@ import contextlib
 import io
 import json
 import os
-import subprocess
-import sys
 
 import pytest
 from hypothesis import given, settings
@@ -22,18 +20,7 @@ from qmatroids.jsonio import (
 )
 from qmatroids.repro import blockdiag_matroid
 
-from helpers import map_to_dict
-
-
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-
-
-def _python(*args):
-    """A fresh interpreter with the package's sources on its path."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          env=env, timeout=120)
+from helpers import fresh_python as _python, map_to_dict
 
 
 @pytest.fixture()
@@ -109,6 +96,32 @@ class TestBuild:
 
     def test_cap_exceeded_exit_3(self, tmp_path, uniform_spec):
         assert main(["--caps", "3", "build", uniform_spec]) == 3
+
+    @pytest.mark.parametrize("field", [
+        {"p": 2 ** 61 - 1, "k": 1, "m": 1},
+        {"p": 2 ** 61 - 1, "k": 1, "m": 1, "base_modulus": [0, 1], "ext_modulus": [0, 1]},
+        {"p": 2, "k": 1, "m": 10 ** 9},
+    ], ids=["p=2^61-1", "p=2^61-1 given moduli", "m=10^9"])
+    def test_over_cap_field_refused_at_once(self, tmp_path, field):
+        # trial division of 2^61 - 1 would run for hours, and 2^(10^9) need
+        # not be built: a fresh process must refuse the field on its order
+        spec = tmp_path / "big.json"
+        dump_json({"q": field["p"], "n": 1, "kind": "matrix", "field": field,
+                   "rows": [[[1]]]}, str(spec))
+        child = _python("-m", "qmatroids.cli", "build", str(spec), timeout=10)
+        assert child.returncode == 1
+        assert child.stderr.startswith("check failed: ")
+        assert "Traceback" not in child.stdout + child.stderr
+
+    def test_reducible_base_modulus_exit_1(self, tmp_path, capsys):
+        # x^2 + x + 1 = (x + 2)^2 over F_3 is a check failure, not a parse error
+        spec = tmp_path / "gf9.json"
+        dump_json({"q": 9, "n": 2, "kind": "matrix",
+                   "field": {"p": 3, "k": 2, "m": 1, "base_modulus": [1, 1, 1],
+                             "ext_modulus": [6, 1]},
+                   "rows": [[[1], [0]]]}, str(spec))
+        assert main(["build", str(spec)]) == 1
+        assert "base modulus [1, 1, 1] reducible over F_3" in capsys.readouterr().err
 
 
 class TestQuery:

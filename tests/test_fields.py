@@ -1,6 +1,8 @@
-"""Field arithmetic: defaults, examples, and exhaustive axiom sweeps."""
+"""Field arithmetic: defaults, examples, exhaustive axiom sweeps and a
+polynomial-arithmetic oracle."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +25,7 @@ from qmatroids.fields import (
     prime_power,
 )
 
-from helpers import frobenius_fixed
+from helpers import ReferenceField, fresh_python, frobenius_fixed
 
 
 class TestMakeField:
@@ -44,6 +46,24 @@ class TestMakeField:
         # x^4 + x^2 + 1 = (x^2 + x + 1)^2
         with pytest.raises(ReducibleModulus):
             make_field(2, 1, 4, moduli=((1, 1), (1, 0, 1, 0, 1)))
+
+    def test_reducible_base_modulus_rejected(self):
+        # x^2 + x + 1 = (x + 2)^2 over F_3: refused before GF(9) is tabulated
+        with pytest.raises(ReducibleModulus, match="base modulus"):
+            make_field(3, 2, 1, moduli=((1, 1, 1), (6, 1)))
+
+    @pytest.mark.parametrize("q,ext", [(4, (2, 1)), (8, (2, 1)), (16, (2, 1)), (32, (2, 1)),
+                                       (64, (2, 1)), (9, (6, 1)), (27, (6, 1)), (25, (20, 1)),
+                                       (49, (42, 1))])
+    def test_ground_field_default_moduli(self, q, ext):
+        # x - g for the least generator g of GF(q)*
+        assert ground_field(q).ext_modulus == ext
+
+    @pytest.mark.parametrize("p,k,m,ext", [(2, 2, 2, (2, 1, 1)), (2, 3, 2, (2, 2, 1)),
+                                           (3, 2, 2, (3, 3, 1)), (2, 2, 4, (2, 0, 1, 1, 1)),
+                                           (3, 2, 3, (3, 0, 3, 1))])
+    def test_tower_default_moduli(self, p, k, m, ext):
+        assert make_field(p, k, m).ext_modulus == ext
 
     def test_nonprime_characteristic(self):
         with pytest.raises(NonPrimeCharacteristic):
@@ -152,7 +172,7 @@ class TestBaseFieldMembership:
     def test_frobenius_cross_check(self, p, k, m):
         F = make_field(p, k, m)
         for a in range(F.order):
-            assert in_base_field(F.elem(a)) == frobenius_fixed(F.elem(a))
+            assert in_base_field(FieldElem(F, a)) == frobenius_fixed(FieldElem(F, a))
 
 
 class TestOmegaIndexSet:
@@ -180,3 +200,95 @@ def test_prime_power_against_factoring():
     powers = {p ** k: (p, k) for p in primes for k in range(1, 11) if p ** k < 1100}
     for q in range(-2, 1100):
         assert prime_power(q) == powers.get(q)
+
+
+# ---------------------------------------------------------------------------
+# every operation against polynomial arithmetic
+
+
+# default towers along each construction path (tabled, searched, degree 1
+# over GF(q), searched over GF(q)), GF(9) under the non-primitive base
+# modulus x^2 + 1 (x has order 4) and GF(16) over the degree-1 base x
+EXHAUSTIVE = {
+    "gf16": (2, 1, 4), "gf16-base-x": (2, 1, 4, ((0, 1), (1, 1, 0, 0, 1))),
+    "2-1-8": (2, 1, 8), "2-8-1": (2, 8, 1), "2-2-2": (2, 2, 2), "2-2-4": (2, 2, 4),
+    "2-3-2": (2, 3, 2), "2-4-2": (2, 4, 2), "3-1-1": (3, 1, 1), "3-1-4": (3, 1, 4),
+    "3-1-5": (3, 1, 5), "3-2-2": (3, 2, 2), "5-1-3": (5, 1, 3), "5-2-1": (5, 2, 1),
+    "7-2-1": (7, 2, 1), "13-1-2": (13, 1, 2),
+    "gf9-base-x2+1": (3, 2, 1, ((1, 0, 1), (8, 1))),
+    "gf81-base-x2+1": (3, 2, 2, ((1, 0, 1), (4, 3, 1))),
+}
+SAMPLED = {"2-5-2": (2, 5, 2), "2-10-1": (2, 10, 1), "3-2-3": (3, 2, 3),
+           "3-6-1": (3, 6, 1), "5-2-2": (5, 2, 2), "7-1-3": (7, 1, 3)}
+
+
+class TestAgainstPolynomials:
+    def test_base_ops_are_the_field_ops(self):
+        assert FieldSpec.base_add is FieldSpec.add
+        assert FieldSpec.base_mul is FieldSpec.mul
+        assert FieldSpec.base_neg is FieldSpec.neg
+        assert FieldSpec.base_inv is FieldSpec.inv
+
+    @pytest.mark.parametrize("args", EXHAUSTIVE.values(), ids=EXHAUSTIVE.keys())
+    def test_exhaustive(self, args):
+        F = make_field(*args)
+        assert F.order <= 256
+        R, elems, n = ReferenceField(F), range(F.order), F.order - 1
+        for a in elems:
+            products = R.products(a)
+            assert [F.add(a, b) for b in elems] == [R.add(a, b) for b in elems]
+            assert [F.mul(a, b) for b in elems] == products
+            assert F.neg(a) == R.neg(a)
+            powers = [1]
+            for _ in range(n):
+                powers.append(products[powers[-1]])
+            exponents = (0, 1, 2, F.p, F.q, n - 1, n, n + 1, 3 * n + 2)
+            if a == 0:
+                assert [F.pow(a, e) for e in exponents] == [1] + [0] * 8
+                continue
+            assert powers[n] == 1
+            assert F.inv(a) == powers[n - 1]
+            for e in exponents + (-1, -2, -n - 3):
+                assert F.pow(a, e) == powers[e % n]
+            if a < F.q:
+                assert F.base_neg(a) == R.neg(a)
+                assert F.base_inv(a) == powers[F.q - 2]
+                assert [F.base_add(a, b) for b in range(F.q)] == [R.add(a, b) for b in range(F.q)]
+                assert [F.base_mul(a, b) for b in range(F.q)] == products[:F.q]
+                for j in range(-1, 2 * F.k):
+                    assert F.base_frobenius(a, j) == powers[F.p ** (j % F.k) % n]
+        assert F.omega_val == F.pow(F.omega_val, F.order)
+        assert len({F.pow(F.omega_val, e) for e in range(n)}) == n
+
+    @pytest.mark.parametrize("args", SAMPLED.values(), ids=SAMPLED.keys())
+    def test_sampled(self, args):
+        F = make_field(*args)
+        assert F.order > 256
+        R, rng = ReferenceField(F), random.Random(F.order)
+        for _ in range(200):
+            a, b = rng.randrange(F.order), rng.randrange(1, F.order)
+            e = rng.randrange(-F.order, 2 * F.order)
+            assert F.add(a, b) == R.add(a, b)
+            assert F.neg(a) == R.neg(a)
+            assert F.mul(a, b) == R.mul(a, b)
+            assert R.mul(b, F.inv(b)) == 1
+            assert F.pow(b, e) == R.pow(b, e % (F.order - 1))
+            c, d = rng.randrange(F.q), rng.randrange(1, F.q)
+            assert F.base_add(c, d) == R.add(c, d)
+            assert F.base_mul(c, d) == R.mul(c, d)
+            assert F.base_neg(c) == R.neg(c)
+            assert R.mul(d, F.base_inv(d)) == 1
+            j = rng.randrange(-1, 2 * F.k)
+            assert F.base_frobenius(c, j) == R.pow(c, F.p ** (j % F.k))
+
+
+def test_ground_field_1024_in_little_memory():
+    # a fresh process, so no cached table is reused: no q x q table is built
+    script = ("import tracemalloc; from qmatroids.fields import ground_field; "
+              "tracemalloc.start(); F = ground_field(1024); "
+              "print(F.ext_modulus, tracemalloc.get_traced_memory()[1])")
+    child = fresh_python("-c", script, timeout=60)
+    assert child.returncode == 0, child.stderr
+    out = child.stdout.split()
+    assert out[:2] == ["(2,", "1)"]
+    assert int(out[2]) < 1 << 20

@@ -27,21 +27,23 @@ from qmatroids.errors import AmbientMismatch, EnumerationCapExceeded
 from qmatroids.fields import ground_field
 from qmatroids.subspaces import (
     DEFAULT_MAX_SUBSPACES,
+    DEFAULT_MAX_VECTORS,
     Caps,
     code_arithmetic,
     count_subspaces,
     decode_vector,
     encode_vector,
     mask_ids,
-    vec_add,
     vec_scale,
 )
 
 from helpers import (
+    fresh_python,
     quotient_map,
     reference_combination,
     reference_rref,
     reference_subspaces,
+    vec_add,
     vector_at,
 )
 
@@ -419,10 +421,14 @@ class TestLatticeCache:
             assert scale(c, v) == encode_vector(
                 vec_scale(c, decode_vector(v, q, n), F), q)
 
-    @pytest.mark.parametrize("q,n", [(3, 9), (3, 11), (4, 9)])
+    @pytest.mark.parametrize("q,n", [(3, 9), (3, 11), (4, 9), (256, 2), (9, 5), (27, 3),
+                                     (5, 6)])
     def test_code_arithmetic_beyond_the_caps(self, q, n):
-        # no q^n tables there: sample codes against tuple arithmetic
-        assert count_subspaces(q, n) > DEFAULT_MAX_SUBSPACES
+        # no tables there, beyond the enumeration caps or where q tables of
+        # q^n codes would pass the vector cap: sample codes against tuple
+        # arithmetic
+        assert (count_subspaces(q, n) > DEFAULT_MAX_SUBSPACES
+                or q ** (n + 1) > DEFAULT_MAX_VECTORS)
         F = ground_field(q)
         add, scale = code_arithmetic(q, n)
         rng = random.Random(q * 100 + n)
@@ -431,6 +437,17 @@ class TestLatticeCache:
             du, dv = decode_vector(u, q, n), decode_vector(v, q, n)
             assert add(u, v) == encode_vector(vec_add(du, dv, F), q)
             assert scale(c, v) == encode_vector(vec_scale(c, dv, F), q)
+
+    def test_lattice_256_2_in_little_memory(self):
+        # a fresh process, so no cached table is reused: q tables of q^n
+        # codes would be 16.7M codes
+        child = fresh_python("-c", (
+            "import tracemalloc; from qmatroids import lattice; tracemalloc.start(); "
+            "print(len(lattice(256, 2).spaces), tracemalloc.get_traced_memory()[1])"), timeout=60)
+        assert child.returncode == 0, child.stderr
+        spaces, peak = map(int, child.stdout.split())
+        assert spaces == 259
+        assert peak < 1 << 25
 
     def test_code_arithmetic_built_once(self):
         assert code_arithmetic(3, 4) is code_arithmetic(3, 4)
