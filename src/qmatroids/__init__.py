@@ -17,7 +17,6 @@ from .fields import (
     primitive_power,
 )
 from .subspaces import (
-    Caps,
     Mat,
     Subspace,
     complement,

@@ -71,10 +71,14 @@ def submodular_completion(q: int, n: int, tau: Callable[[Subspace], int],
 def _complete(lat, tv: List[int]) -> List[int]:
     """Ranks by lattice id of the completion of ``tv``, a rank list by id."""
     # rank(V) = min(tau(V), 1 + min rank(W) over the hyperplanes W of V):
-    # every X < V lies in a hyperplane of V; ids ascend with dimension
-    values = []
-    for t, below in zip(tv, lat.lower):
-        values.append(min([t] + [values[w] + 1 for w in below]))
+    # every X < V lies in a hyperplane of V.  Ids ascend with dimension, so
+    # a space's value is final before it is pushed up to its covers
+    values = list(tv)
+    for i, covers in enumerate(lat.upper):
+        v = values[i] + 1
+        for j in covers:
+            if v < values[j]:
+                values[j] = v
     return values
 
 

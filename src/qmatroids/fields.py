@@ -417,37 +417,58 @@ class FieldElem:
 # Construction
 
 
-def _order_of_x(mod, size, ops):
-    add, mul, neg = ops
-    d = len(mod) - 1
-    if d == 1:
-        x = neg(mod[0])
-        if x == 0:
-            return 0
-        o, v = 1, x
-        while v != 1:
-            v = mul(v, x)
-            o += 1
-        return o
-    x = [0, 1] + [0] * (d - 2)
-    cur = list(x)
-    one = [1] + [0] * (d - 1)
-    for i in range(1, size ** d):
-        if cur == one:
-            return i
-        cur = _poly_mulmod(cur, x, mod, ops)
-    return size ** d  # unreachable for irreducible mod
+def _prime_factors(n: int):
+    """The distinct primes dividing n >= 1, ascending, by trial division."""
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return out + [n] if n > 1 else out
+
+
+def _has_order(a, order: int, mul, one) -> bool:
+    """True iff a has multiplicative order ``order`` under ``mul``: a^order
+    is ``one`` and a^(order/r) is not, for each prime r dividing it.
+    Each power is taken by square and multiply."""
+    def power(e):
+        out, b = one, a
+        while e:
+            if e & 1:
+                out = mul(out, b)
+            b, e = mul(b, b), e >> 1
+        return out
+
+    return power(order) == one and all(power(order // r) != one
+                                       for r in _prime_factors(order))
 
 
 def _default_ext_poly(ops, q: int, m: int):
     """Lexicographically smallest primitive monic degree-m polynomial over
-    the field of order q whose operations are ``ops``."""
-    for tail in itertools.product(range(q), repeat=m):
-        cand = list(tail) + [1]
-        if cand[0] == 0 or not _poly_is_irreducible(cand, q, ops):
+    the field of order q whose operations are ``ops``, read from the
+    constant term up.
+
+    A candidate is primitive iff x has order q^m - 1 modulo it, which also
+    makes it irreducible: its q^m - 1 powers are then every nonzero
+    residue.  The norm (-1)^m c_0 of a primitive root generates GF(q)*,
+    so a constant term c_0 for which it does not is skipped unpowered.
+    """
+    _, mul, neg = ops
+    norm = neg if m % 2 else (lambda c: c)
+    one = [1] + [0] * (m - 1)
+    for c0 in range(1, q):
+        if not _has_order(norm(c0), q - 1, mul, 1):
             continue
-        if _order_of_x(cand, q, ops) == q ** m - 1:
-            return tuple(cand)
+        for middle in itertools.product(range(q), repeat=m - 1):
+            cand = [c0, *middle, 1]
+
+            def mulmod(a, b):
+                return _poly_mulmod(a, b, cand, ops)
+
+            if _has_order(mulmod([0, 1], one), q ** m - 1, mulmod, one):
+                return tuple(cand)
     raise NoDefaultModulus(f"no primitive degree-{m} polynomial over GF({q}) found")
 
 
@@ -477,9 +498,11 @@ def make_field(p: int, k: int = 1, m: int = 1,
     if k == 1:
         ext = _default_prime_poly(p, m)
     elif m == 1:
-        # x - g for the least generator g of GF(q)*
-        g = _generator_powers(p, k, base)[1]
-        ext = (_undigits([-d % p for d in _digits(g, p, k)], p), 1)
+        # x - g for the least generator g of GF(q)*: the default base
+        # modulus is primitive, so g is x, index p, the least index outside
+        # F_p, and -g has index (p - 1) * p (FieldSpec refuses the modulus
+        # if x does not generate)
+        ext = ((p - 1) * p, 1)
     else:
         F = make_field(p, k, 1)  # GF(q) under the same base modulus
         ext = _default_ext_poly((F.add, F.mul, F.neg), F.q, m)

@@ -473,7 +473,7 @@ def classify_map(phi: LMap, M1, M2, witness_limit: int = 10) -> MapTypeReport:
         if len(strong_viol) >= witness_limit:
             break
         # the preimage is a subspace iff its code mask is a space's
-        i = lat1._mask_to_id.get(_preimage_mask(phi, lat2.vec_masks[f]))
+        i = lat1.mask_id(_preimage_mask(phi, lat2.vec_masks[f]))
         if i is None:
             strong_viol.append((lat2.spaces[f], "preimage is not a subspace"))
         elif not flats1 >> i & 1:

@@ -126,7 +126,7 @@ class FlatFamily:
         acc = -1
         for j in mask_ids(above):
             acc &= lat.vec_masks[j]
-        return lat.spaces[lat._mask_to_id[acc]]
+        return lat.spaces[lat.mask_id(acc)]
 
     def covers_of(self, F: Subspace) -> List[Subspace]:
         """Members G > F with no member strictly between."""
@@ -197,7 +197,7 @@ def flat_violations(fam: FlatFamily):
             m = va & vm[b]
             if m not in member_vms:
                 yield ("F2", (lat.spaces[a], lat.spaces[b]),
-                       lat.spaces[lat._mask_to_id[m]])
+                       lat.spaces[lat.mask_id(m)])
     if full not in fam.members:
         return
     everything = (1 << fam.q ** fam.n) - 1

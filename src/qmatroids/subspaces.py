@@ -22,7 +22,7 @@ import itertools
 import operator
 from functools import lru_cache, partial, reduce
 from math import prod
-from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, List, Optional, Sequence
 
 from . import kernels
 from .errors import AmbientMismatch, EnumerationCapExceeded
@@ -30,15 +30,6 @@ from .fields import FieldSpec, ground_field
 
 DEFAULT_MAX_VECTORS = 1 << 16
 DEFAULT_MAX_SUBSPACES = 10 ** 7
-
-
-class Caps(NamedTuple):
-    """Enumeration guard rails."""
-    max_vectors: int = DEFAULT_MAX_VECTORS
-    max_subspaces: int = DEFAULT_MAX_SUBSPACES
-
-
-DEFAULT_CAPS = Caps()
 
 
 # ---------------------------------------------------------------------------
@@ -412,24 +403,23 @@ def count_subspaces(q: int, n: int, d: Optional[int] = None) -> int:
     return sum(gaussian_binomial(n, k, q) for k in range(n + 1))
 
 
-def _check_caps(q: int, n: int, d: Optional[int], caps: Caps):
-    if q ** n > caps.max_vectors:
+def _check_caps(q: int, n: int, d: Optional[int]):
+    if q ** n > DEFAULT_MAX_VECTORS:
         raise EnumerationCapExceeded(
-            f"q^n = {q ** n} exceeds vector cap {caps.max_vectors}")
-    if count_subspaces(q, n, d) > caps.max_subspaces:
+            f"q^n = {q ** n} exceeds vector cap {DEFAULT_MAX_VECTORS}")
+    if count_subspaces(q, n, d) > DEFAULT_MAX_SUBSPACES:
         raise EnumerationCapExceeded(
-            f"{count_subspaces(q, n, d)} subspaces exceed cap {caps.max_subspaces}")
+            f"{count_subspaces(q, n, d)} subspaces exceed cap {DEFAULT_MAX_SUBSPACES}")
 
 
-def enumerate_subspaces(q: int, n: int, d: Optional[int] = None,
-                        caps: Caps = DEFAULT_CAPS) -> Iterator[Subspace]:
+def enumerate_subspaces(q: int, n: int, d: Optional[int] = None) -> Iterator[Subspace]:
     """All subspaces of F_q^n, dimension d only if given.
 
     Deterministic order: by dimension, then pivot-column set in colex
     order, then lexicographically on the free entries, row by row.  A
     row's code is q^pivot plus each free digit times q^column.
     """
-    _check_caps(q, n, d, caps)
+    _check_caps(q, n, d)
     dims = [d] if d is not None else list(range(n + 1))
     for k in dims:
         for pivots in sorted(itertools.combinations(range(n), k),
@@ -445,13 +435,12 @@ def enumerate_subspaces(q: int, n: int, d: Optional[int] = None,
                 yield Subspace(q, n, codes)
 
 
-def subspaces_of(V: Subspace, d: Optional[int] = None,
-                 caps: Caps = DEFAULT_CAPS) -> Iterator[Subspace]:
+def subspaces_of(V: Subspace, d: Optional[int] = None) -> Iterator[Subspace]:
     """All subspaces of V (of dimension d if given), canonical in the ambient."""
     if d is not None and d > V.dim:
         return
     q = V.q
-    for inner in enumerate_subspaces(q, V.dim, d, caps):
+    for inner in enumerate_subspaces(q, V.dim, d):
         # RREF rows of coefficients give RREF rows of the ambient: each
         # has digit 1 at its pivot row's pivot and 0 at the others'
         yield Subspace(q, V.n, tuple(V._combination(decode_vector(c, q, V.dim))
@@ -475,29 +464,30 @@ class SubspaceLattice:
     """Materialized subspace lattice of F_q^n with structure tables.
 
     Spaces are indexed in enumeration order, so each dimension is a run
-    of consecutive ids, ascending with it.  ``vec_masks[i]`` has bit v
-    set for each encoded vector v of space i, and its transpose
-    ``holders[v]`` has bit i set for each space i containing vector v
-    (``holders[0]`` holds every id).  Meets are vector-mask
-    intersections.  ``basis_codes[i]`` is ``spaces[i].codes``, the
-    codes of space i's RREF rows, not a copy.  The AND of the holders of
-    some vectors holds the spaces containing them, and its lowest id is
-    their span: ``above(i)`` ANDs over space i's basis codes on each
-    call, and a join spans both spaces' basis codes.  The covering relation is held once, as
-    ascending id lists: ``upper[i]``, the upper covers of space i, and
-    its transpose ``lower[j]``, the hyperplanes of space j.
-    ``sub_masks``, N^2 bits, is built from ``lower`` on first use.  No
-    table changes once built.
+    of consecutive ids, ascending with it, and the zero space is id 0.
+    ``vec_masks[i]`` has bit v set for each encoded vector v of space i,
+    and its transpose ``holders[v]`` has bit i set for each space i
+    containing vector v (``holders[0]`` holds every id).  Meets are
+    vector-mask intersections, and ``mask_id`` finds the space of a
+    vector mask.  ``basis_codes[i]`` is ``spaces[i].codes``, the codes
+    of space i's RREF rows, not a copy.  The AND of the holders of some
+    vectors holds the spaces containing them, and its lowest id is their
+    span: ``above(i)`` ANDs over space i's basis codes on each call, a
+    join spans both spaces' basis codes, and ``id_of`` spans a space's
+    own codes.  The covering relation is held once, as ascending id
+    lists ``upper[i]``, the upper covers of space i; a sweep that needs
+    the hyperplanes of a space pushes its values up ``upper`` in id
+    order instead.  ``sub_masks``, N^2 bits, is built from ``upper`` on
+    first use.  No table changes once built.
     """
 
-    def __init__(self, q: int, n: int, caps: Caps = DEFAULT_CAPS):
+    def __init__(self, q: int, n: int):
         self.q = q
         self.n = n
-        self.spaces = list(enumerate_subspaces(q, n, caps=caps))
-        self.index = {S: i for i, S in enumerate(self.spaces)}
+        self.spaces = list(enumerate_subspaces(q, n))
         self.dims = [S.dim for S in self.spaces]
         self.size = len(self.spaces)
-        self.zero_id = self.index[Subspace.zero(q, n)]
+        self.zero_id = 0
         self.basis_codes = [S.codes for S in self.spaces]
         add, scale = code_arithmetic(q, n)
         self.holders = holders = [0] * (q ** n)
@@ -509,10 +499,9 @@ class SubspaceLattice:
                 mask |= 1 << v
                 holders[v] |= bit
             self.vec_masks.append(mask)
-        self._mask_to_id = {m: i for i, m in enumerate(self.vec_masks)}
         ids = list(range(self.size))  # one int object per id for all lists
         first = [self.dims.index(d) for d in range(n + 1)] + [self.size] * 2
-        self.upper, self.lower = [], [[] for _ in ids]
+        self.upper = []
         for d in range(n + 1):
             lo, hi = first[d + 1], first[d + 2]  # the ids of dimension d + 1
             layer = [(h >> lo) & ((1 << (hi - lo)) - 1) for h in holders]
@@ -523,17 +512,32 @@ class SubspaceLattice:
                 k = bits.find("1")
                 while k >= 0:
                     covers.append(ids[lo + k])
-                    self.lower[lo + k].append(i)
                     k = bits.find("1", k + 1)
                 self.upper.append(covers)
         self.one_ids = [i for i, d in enumerate(self.dims) if d == 1]
         self._sub_masks = None
 
     def id_of(self, S: Subspace) -> int:
-        try:
-            return self.index[S]
-        except KeyError:
+        if (S.q, S.n) != (self.q, self.n):
             raise AmbientMismatch(f"{S!r} is not a subspace of F_{self.q}^{self.n}")
+        return self.span_id(S.codes)
+
+    def mask_id(self, mask: int) -> Optional[int]:
+        """Id of the space whose vector mask is ``mask``; None if no space
+        has that mask.
+
+        Each round spans the space found so far with the lowest vector of
+        ``mask`` outside it, so at most n rounds leave ``mask`` inside the
+        span, which is then the answer if its mask is ``mask`` itself.
+        """
+        vm, holders = self.vec_masks, self.holders
+        up, i = holders[0], 0
+        rest = mask & ~vm[0]
+        while rest:
+            up &= holders[(rest & -rest).bit_length() - 1]
+            i = (up & -up).bit_length() - 1
+            rest = mask & ~vm[i]
+        return i if vm[i] == mask else None
 
     def contains_ids(self, i: int, j: int) -> bool:
         """True iff space j <= space i."""
@@ -541,7 +545,7 @@ class SubspaceLattice:
         return self.vec_masks[i] & mj == mj
 
     def meet_id(self, i: int, j: int) -> int:
-        return self._mask_to_id[self.vec_masks[i] & self.vec_masks[j]]
+        return self.mask_id(self.vec_masks[i] & self.vec_masks[j])
 
     def join_id(self, i: int, j: int) -> int:
         return self.span_id(self.basis_codes[i] + self.basis_codes[j])
@@ -569,13 +573,13 @@ class SubspaceLattice:
         """sub_masks[i] = bitmask over ids j with space_j <= space_i."""
         if self._sub_masks is None:
             # the subspaces of a space are itself and those of its
-            # hyperplanes (the spaces it covers), whose ids are lower
-            masks = []
-            for i, below in enumerate(self.lower):
-                mask = 1 << i
-                for j in below:
-                    mask |= masks[j]
-                masks.append(mask)
+            # hyperplanes, whose ids are lower: in id order a space's mask
+            # is complete before it is ORed into its upper covers
+            masks = [1 << i for i in range(self.size)]
+            for i, covers in enumerate(self.upper):
+                mask = masks[i]
+                for j in covers:
+                    masks[j] |= mask
             self._sub_masks = masks
         return self._sub_masks
 
@@ -611,5 +615,5 @@ def _vector_codes(rows, add, scale, scalars) -> List[int]:
 
 @lru_cache(maxsize=None)
 def lattice(q: int, n: int) -> SubspaceLattice:
-    """Shared lattice cache for the default caps."""
+    """Shared lattice cache."""
     return SubspaceLattice(q, n)

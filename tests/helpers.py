@@ -6,7 +6,7 @@ import subprocess
 import sys
 from functools import lru_cache
 
-from qmatroids import Mat, ground_field, lmap_from_matrix
+from qmatroids import Mat, fields, ground_field, lmap_from_matrix
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -157,6 +157,32 @@ class ReferenceField:
                 out = self.mul(out, a)
             a, e = self.mul(a, a), e >> 1
         return out
+
+
+def reference_default_ext_poly(ops, q, m):
+    """The least primitive monic degree-m polynomial over the field of order
+    q with operations ``ops`` = (add, mul, neg), by the direct search:
+    candidates in the order of ``fields._default_ext_poly``, each tested for
+    irreducibility by trial division, then for x stepping through all
+    q^m - 1 nonzero residues before it returns to 1."""
+    _, mul, neg = ops
+    for tail in itertools.product(range(q), repeat=m):
+        cand = list(tail) + [1]
+        if cand[0] == 0 or not fields._poly_is_irreducible(cand, q, ops):
+            continue
+        if m == 1:
+            x, order = neg(cand[0]), 1
+            while x != 1 and order < q:
+                x, order = mul(x, neg(cand[0])), order + 1
+        else:
+            one = [1] + [0] * (m - 1)
+            x = cur = [0, 1] + [0] * (m - 2)
+            order = 1
+            while cur != one and order < q ** m:
+                cur, order = fields._poly_mulmod(cur, x, cand, ops), order + 1
+        if order == q ** m - 1:
+            return tuple(cand)
+    return None
 
 
 def frobenius_fixed(a):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmatroids import make_field, primitive_power, in_base_field, omega_index_set
+from qmatroids import fields, make_field, primitive_power, in_base_field, omega_index_set
 from qmatroids.errors import (
     DivisionByZero,
     ExtensionRequired,
@@ -22,10 +22,11 @@ from qmatroids.fields import (
     FieldElem,
     FieldSpec,
     ground_field,
+    is_prime,
     prime_power,
 )
 
-from helpers import ReferenceField, fresh_python, frobenius_fixed
+from helpers import ReferenceField, fresh_python, frobenius_fixed, reference_default_ext_poly
 
 
 class TestMakeField:
@@ -65,6 +66,16 @@ class TestMakeField:
     def test_tower_default_moduli(self, p, k, m, ext):
         assert make_field(p, k, m).ext_modulus == ext
 
+    def test_default_field_tabulates_its_base_once(self, monkeypatch):
+        # a fresh GF(2^16): only FieldSpec walks the powers of the generator
+        calls = []
+        walk = fields._generator_powers
+        monkeypatch.setattr(fields, "_generator_powers",
+                            lambda *args: calls.append(args) or walk(*args))
+        monkeypatch.setattr(fields, "_make_field_cached", fields._make_field_cached.__wrapped__)
+        assert make_field(2, 16, 1).ext_modulus == (2, 1)
+        assert len(calls) == 1
+
     def test_nonprime_characteristic(self):
         with pytest.raises(NonPrimeCharacteristic):
             make_field(4, 1, 2)
@@ -86,6 +97,39 @@ class TestMakeField:
                 seen.add(v)
                 v = F.mul(v, F.omega_val)
             assert v == 1
+
+
+PRIMES = [p for p in range(2, 5001) if is_prime(p)]
+
+
+class TestDefaultModulusSearch:
+    """The order-of-x search against the direct one, which divides by every
+    polynomial of up to half the degree and steps through the powers of x."""
+
+    @pytest.mark.parametrize("p", [p for p in PRIMES if p * p <= 5000])
+    def test_over_prime_fields(self, p):
+        ops = fields._prime_ops(p)
+        for d in range(1, 13):
+            if p ** d <= 5000:
+                assert fields._default_ext_poly(ops, p, d) == reference_default_ext_poly(ops, p, d)
+
+    def test_linear_over_every_prime_field(self):
+        for p in PRIMES:
+            ops = fields._prime_ops(p)
+            assert fields._default_ext_poly(ops, p, 1) == reference_default_ext_poly(ops, p, 1)
+
+    @pytest.mark.parametrize("q,m", [(4, m) for m in range(1, 7)] + [(9, m) for m in (1, 2, 3)])
+    def test_over_gf4_and_gf9(self, q, m):
+        F = ground_field(q)
+        ops = (F.add, F.mul, F.neg)
+        assert fields._default_ext_poly(ops, q, m) == reference_default_ext_poly(ops, q, m)
+
+    def test_degree_12_over_f3_in_seconds(self):
+        # the direct search runs for minutes here
+        script = "from qmatroids.fields import _default_prime_poly; print(_default_prime_poly(3, 12))"
+        child = fresh_python("-c", script, timeout=20)
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.strip() == "(2, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 2, 1)"
 
 
 class TestArith:

@@ -28,7 +28,6 @@ from qmatroids.fields import ground_field
 from qmatroids.subspaces import (
     DEFAULT_MAX_SUBSPACES,
     DEFAULT_MAX_VECTORS,
-    Caps,
     code_arithmetic,
     count_subspaces,
     decode_vector,
@@ -251,7 +250,8 @@ class TestEnumeration:
         with pytest.raises(EnumerationCapExceeded):
             list(enumerate_subspaces(2, 20))
         with pytest.raises(EnumerationCapExceeded):
-            list(enumerate_subspaces(2, 4, caps=Caps(max_subspaces=10)))
+            # 2^16 vectors are within the vector cap, its subspaces are not
+            list(enumerate_subspaces(2, 16))
 
     def test_deterministic(self):
         a = [S.basis for S in enumerate_subspaces(3, 2)]
@@ -355,6 +355,42 @@ class TestLatticeCache:
             assert lat.spaces[lat.meet_id(i, j)] == meet(lat.spaces[i], lat.spaces[j])
             assert lat.spaces[lat.join_id(i, j)] == join(lat.spaces[i], lat.spaces[j])
 
+    @pytest.mark.parametrize("q,n", [(2, 4), (3, 3), (4, 2), (5, 2)])
+    def test_ids_of_every_space(self, q, n):
+        # id_of spans a space's codes, and mask_id inverts vec_masks
+        lat = lattice(q, n)
+        by_mask = {m: i for i, m in enumerate(lat.vec_masks)}
+        assert len(by_mask) == lat.size
+        assert lat.spaces[lat.zero_id] == Subspace.zero(q, n)
+        for i, S in enumerate(lat.spaces):
+            assert lat.id_of(S) == i
+            assert lat.mask_id(lat.vec_masks[i]) == by_mask[lat.vec_masks[i]] == i
+
+    @pytest.mark.parametrize("q,n", [(2, 4), (3, 3), (4, 2), (5, 2)])
+    def test_mask_id_of_masks_no_space_has(self, q, n):
+        lat = lattice(q, n)
+        vm = lat.vec_masks
+        by_mask = {m: i for i, m in enumerate(vm)}
+        assert lat.mask_id(0) is None
+        for m in vm:
+            assert lat.mask_id(m & ~1) is None  # without code 0
+        for a, b in itertools.combinations(lat.one_ids, 2):
+            assert lat.mask_id(vm[a] | vm[b]) is None
+        rng = random.Random(q * 10 + n)
+        for _ in range(300):
+            mask = rng.getrandbits(q ** n) | rng.randrange(2)
+            assert lat.mask_id(mask) == by_mask.get(mask)
+            i, j = rng.randrange(lat.size), rng.randrange(lat.size)
+            assert lat.mask_id(vm[i] | vm[j]) == by_mask.get(vm[i] | vm[j])
+
+    def test_id_of_a_subspace_of_another_ambient(self):
+        lat = lattice(2, 3)
+        # the first has the codes of a space of F_2^3
+        for S in (Subspace.from_rows(2, 4, [(1, 0, 0, 0)]), Subspace.full(2, 2),
+                  Subspace.full(3, 3), Subspace.zero(3, 3)):
+            with pytest.raises(AmbientMismatch):
+                lat.id_of(S)
+
     @pytest.mark.parametrize("q,n,samples", ORDER_CASES + [(5, 2, None)])
     def test_order_tables_against_vector_masks(self, q, n, samples):
         # sub_masks, above and the cover lists against pairwise
@@ -370,8 +406,6 @@ class TestLatticeCache:
         for i in range(lat.size):
             assert lat.upper[i] == [j for j in range(lat.size) if dims[j] == dims[i] + 1
                                     and vm[j] & vm[i] == vm[i]]
-            assert lat.lower[i] == [j for j in range(lat.size) if dims[j] == dims[i] - 1
-                                    and vm[i] & vm[j] == vm[j]]
 
     @pytest.mark.parametrize("q,n", [(q, n) for q, n, _ in ORDER_CASES] + [(5, 2)])
     def test_vector_and_layer_masks(self, q, n):
