@@ -27,7 +27,7 @@ from .jsonio import (
 )
 from .maps import classify_map
 from .qmatroid import check_rank_axioms, is_isomorphic
-from .subspaces import Subspace, count_subspaces, lattice
+from .subspaces import Subspace, check_caps, count_subspaces, lattice
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -57,9 +57,13 @@ def _emit(payload, fmt: str):
             print(json.dumps(payload, indent=1, sort_keys=True))
 
 
-def _load_matroid(path: str, max_subspaces: int):
+def _load_matroid(path: str, max_subspaces: int, sweep: bool = True):
+    """The matroid of a spec file; for a command that sweeps its lattice,
+    an over-cap ambient is refused before the payload's field is built."""
     d = load_json(path)
     q, n = matroid_ambient(d)
+    if sweep:
+        check_caps(q, n)
     if count_subspaces(q, n) > max_subspaces:
         raise EnumerationCapExceeded(
             f"{count_subspaces(q, n)} subspaces exceed --caps {max_subspaces}")
@@ -101,7 +105,7 @@ def _flats_dot(M) -> str:
 
 
 def cmd_query(args) -> int:
-    M = _load_matroid(args.artifact, args.caps)
+    M = _load_matroid(args.artifact, args.caps, sweep=False)
     sub = args.subcommand
     if sub in ("rank", "closure", "restrict", "contract"):
         if not args.subspace:

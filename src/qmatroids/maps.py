@@ -432,6 +432,9 @@ class LClass:
 # ---------------------------------------------------------------------------
 # classification against q-matroids
 
+WITNESS_LIMIT = 10
+
+
 class MapTypeReport:
     __slots__ = ("is_weak", "is_strong", "is_rank_preserving", "witnesses")
 
@@ -445,14 +448,14 @@ class MapTypeReport:
         self.witnesses = {} if witnesses is None else witnesses
 
 
-def classify_map(phi: LMap, M1, M2, witness_limit: int = 10) -> MapTypeReport:
+def classify_map(phi: LMap, M1, M2) -> MapTypeReport:
     """Classify phi as weak / strong / rank-preserving from M1 to M2.
 
     Weakness and rank-preservation sweep every subspace of the domain,
     comparing rank vectors at each lattice id and its image id;
     strongness checks the preimage of every flat of M2, in lattice
     order (a preimage that is not even a subspace fails with that
-    witness).
+    witness).  Each kind keeps its first ``WITNESS_LIMIT`` witnesses.
     """
     if not phi.verified:
         raise ValueError("phi must be a verified L-map")
@@ -464,13 +467,13 @@ def classify_map(phi: LMap, M1, M2, witness_limit: int = 10) -> MapTypeReport:
     weak_viol, rp_viol, strong_viol = [], [], []
     for i, j in enumerate(phi.image_ids):
         r1, r2 = rv1[i], rv2[j]
-        if r2 > r1 and len(weak_viol) < witness_limit:
+        if r2 > r1 and len(weak_viol) < WITNESS_LIMIT:
             weak_viol.append((lat1.spaces[i], r1, r2))
-        if r2 != r1 and len(rp_viol) < witness_limit:
+        if r2 != r1 and len(rp_viol) < WITNESS_LIMIT:
             rp_viol.append((lat1.spaces[i], r1, r2))
     flats1 = M1.flats().id_mask
     for f in M2.flats().member_ids:
-        if len(strong_viol) >= witness_limit:
+        if len(strong_viol) >= WITNESS_LIMIT:
             break
         # the preimage is a subspace iff its code mask is a space's
         i = lat1.mask_id(_preimage_mask(phi, lat2.vec_masks[f]))

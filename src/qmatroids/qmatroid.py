@@ -1,11 +1,12 @@
 """q-Matroids: rank functions on subspace lattices and their cryptomorphisms.
 
-A QMatroid pairs an ambient space F_q^n with a total rank oracle.  Rank
-values are memoized per canonical subspace and, for ambients within the
-enumeration caps, materialized as a vector aligned with the shared
-lattice cache, which makes the exhaustive axiom sweeps and closure
-computations table lookups.  Matrix matroids, completions and direct
-sums fill that vector by lattice id, without a rank call per subspace.
+A QMatroid pairs an ambient space F_q^n with a total rank oracle, asked
+unmemoized until, within the enumeration caps, the ranks are
+materialized once as a vector aligned with the shared lattice cache.
+Ranks, closures, flats, circuits and the axiom sweeps are then read off
+that vector and the lattice's cover lists.  Matrix matroids,
+completions and direct sums fill the vector by lattice id, without a
+rank call per subspace.
 Every matroid read through a map -- restriction, contraction,
 pushforward, the pushed summands of a direct sum and the Frobenius
 twist of the semilinear isomorphism search -- is a :func:`pullback`,
@@ -216,16 +217,16 @@ def flat_violations(fam: FlatFamily):
 # the q-matroid object
 
 class QMatroid:
-    """Ambient space (q, n) plus a memoized total rank oracle."""
+    """Ambient space (q, n) plus a total rank oracle (None for a matroid
+    made from a rank vector) and the rank vector once materialized."""
 
-    def __init__(self, q: int, n: int, rank_fn: Callable[[Subspace], int],
+    def __init__(self, q: int, n: int, rank_fn: Optional[Callable[[Subspace], int]],
                  kind: str = "functional", payload=None):
         self.q = q
         self.n = n
         self.kind = kind
         self.payload = payload
         self._rank_fn = rank_fn
-        self._memo: Dict[Subspace, int] = {}
         self._rank_vector: Optional[List[int]] = None
         # set by constructors that rank every lattice id at once
         self._rank_vector_fn: Optional[Callable[[], List[int]]] = None
@@ -240,11 +241,9 @@ class QMatroid:
     def rank(self, V: Subspace) -> int:
         if (V.q, V.n) != (self.q, self.n):
             raise AmbientMismatch(f"{V!r} is not in the ambient of this matroid")
-        got = self._memo.get(V)
-        if got is None:
-            got = self._rank_fn(V)
-            self._memo[V] = got
-        return got
+        if self._rank_vector is None:
+            return self._rank_fn(V)
+        return self._rank_vector[lattice(self.q, self.n).span_id(V.codes)]
 
     @property
     def matroid_rank(self) -> int:
@@ -256,8 +255,7 @@ class QMatroid:
             if self._rank_vector_fn is not None:
                 self._rank_vector = self._rank_vector_fn()
             else:
-                lat = lattice(self.q, self.n)
-                self._rank_vector = [self.rank(S) for S in lat.spaces]
+                self._rank_vector = list(map(self._rank_fn, lattice(self.q, self.n).spaces))
         return self._rank_vector
 
     def rank_table(self) -> Dict[Subspace, int]:
@@ -291,8 +289,10 @@ class QMatroid:
         """Closure fixed points, with heights; flat axioms asserted."""
         if self._flats is None:
             lat = lattice(self.q, self.n)
-            members = [S for i, S in enumerate(lat.spaces)
-                       if self.closure_id(i) == i]
+            rv = self.rank_vector()
+            # closure_id joins exactly the covers of equal rank, valid or not
+            members = [lat.spaces[i] for i, covers in enumerate(lat.upper)
+                       if rv[i] not in map(rv.__getitem__, covers)]
             fam = FlatFamily(self.q, self.n, members)
             first = next(flat_violations(fam), None)
             if first:
@@ -366,8 +366,7 @@ def from_function(q: int, n: int, fn: Callable[[Subspace], int],
 def from_rank_vector(q: int, n: int, values: List[int], kind: str = "functional",
                      payload=None) -> QMatroid:
     """The matroid whose rank at lattice id i is values[i] (not validated)."""
-    lat = lattice(q, n)
-    M = QMatroid(q, n, lambda V: values[lat.id_of(V)], kind=kind, payload=payload)
+    M = QMatroid(q, n, None, kind=kind, payload=payload)
     M._rank_vector = values
     return M
 
@@ -417,8 +416,7 @@ def from_rank_table(q: int, n: int, table: Dict[Subspace, int]) -> QMatroid:
     missing = [S for S in lat.spaces if S not in table]
     if missing:
         raise IncompleteTable(f"{len(missing)} subspaces missing, first {missing[0]!r}")
-    M = QMatroid(q, n, lambda V: table[V], kind="rank_table",
-                 payload={"table": dict(table)})
+    M = from_rank_vector(q, n, [table[S] for S in lat.spaces], kind="rank_table")
     report = check_rank_axioms(M, limit=1)
     if not report.ok:
         axiom, witnesses, values = report.violations[0]

@@ -71,15 +71,6 @@ class ReproReport:
         return "\n".join(lines)
 
 
-def _timed(fn):
-    def wrapper(*args, **kwargs):
-        t0 = time.perf_counter()
-        rep = fn(*args, **kwargs)
-        rep.wall_time = time.perf_counter() - t0
-        return rep
-    return wrapper
-
-
 # ---------------------------------------------------------------------------
 # the smallest non-representable q-matroid
 
@@ -105,7 +96,6 @@ def example_nonrepresentable() -> QMatroid:
     return M
 
 
-@_timed
 def verify_example_nonrepresentable() -> ReproReport:
     rep = ReproReport("ex-2-2")
     M = example_nonrepresentable()
@@ -170,7 +160,6 @@ def _dependency_vector(spec, i: int):
     return ker.basis[0]
 
 
-@_timed
 def verify_blockdiag(q: int, m: int, i: int, check_flats: bool = True) -> ReproReport:
     rep = ReproReport(f"prop-4-2(q={q},m={m},i={i})")
     spec = _field_for(q, m)
@@ -206,7 +195,6 @@ def verify_blockdiag(q: int, m: int, i: int, check_flats: bool = True) -> ReproR
     return rep
 
 
-@_timed
 def verify_blockdiag_family(q: int = 2, m: int = 4) -> ReproReport:
     """Prop 4.2 across the whole index set Omega."""
     rep = ReproReport(f"prop-4-2(q={q},m={m})")
@@ -243,7 +231,6 @@ def fprime(q: int, m: int):
     """
     if m < 4:
         raise ExtensionTooSmall("the closed form needs m >= 4")
-    t0 = time.perf_counter()
     rep = ReproReport(f"lemma-4-3(q={q},m={m})")
     spec = _field_for(q, m)
     omega = sorted(omega_index_set(spec))
@@ -263,11 +250,9 @@ def fprime(q: int, m: int):
             Subspace.from_rows(q, 4, [(1, 1, 1, 0)]) in closed)
     rep.add("e1_not_member",
             Subspace.from_rows(q, 4, [(1, 0, 0, 0)]) not in closed)
-    rep.wall_time = time.perf_counter() - t0
     return closed, rep
 
 
-@_timed
 def verify_fprime(q: int = 2, m: int = 4) -> ReproReport:
     return fprime(q, m)[1]
 
@@ -275,7 +260,6 @@ def verify_fprime(q: int = 2, m: int = 4) -> ReproReport:
 # ---------------------------------------------------------------------------
 # non-existence of a coproduct for linear strong / linear rank-preserving maps
 
-@_timed
 def verify_thm_linear_noncoproduct(q: int = 2, m: int = 4) -> ReproReport:
     rep = ReproReport("thm-4-5")
     members, sub = fprime(q, m)
@@ -386,7 +370,6 @@ def _factor_fixed_table(q: int, a1: LMap, a2: LMap, n2: int):
     return fixed
 
 
-@_timed
 def verify_thm_nonlinear_noncoproduct(q: int = 2,
                                       branch_perm: Optional[Sequence[int]] = None
                                       ) -> ReproReport:
@@ -436,7 +419,6 @@ def verify_thm_nonlinear_noncoproduct(q: int = 2,
 # ---------------------------------------------------------------------------
 # L-class phenomena
 
-@_timed
 def verify_lclass_theorem(q: int) -> ReproReport:
     """q = 2: distinct linear maps are never L-equivalent, so the
     linear-weak coproduct survives the passage to L-classes.  q = 3: a
@@ -489,7 +471,6 @@ def verify_lclass_theorem(q: int) -> ReproReport:
 # ---------------------------------------------------------------------------
 # block-diagonal embeddings (Prop 4.1 shape) and the uniform-sum example
 
-@_timed
 def verify_blockdiag_embeddings(q: int, m: int,
                                 g1_rows: Optional[Sequence[Sequence[int]]] = None,
                                 g2_rows: Optional[Sequence[Sequence[int]]] = None
@@ -524,7 +505,6 @@ def verify_blockdiag_embeddings(q: int, m: int,
     return rep
 
 
-@_timed
 def verify_ex_uniform_dirsum(q: int = 2, m: int = 4) -> ReproReport:
     rep = ReproReport("ex-5-5")
     M1 = uniform(q, 2, 1)
@@ -548,9 +528,7 @@ def verify_ex_uniform_dirsum(q: int = 2, m: int = 4) -> ReproReport:
     return rep
 
 
-@_timed
-def verify_coproduct_suite(q: int = 2, m: int = 4,
-                           exhaustive: bool = True) -> ReproReport:
+def verify_coproduct_suite(q: int = 2, m: int = 4) -> ReproReport:
     """Universal-property checks for targets N^(j), the sum itself, trivial."""
     rep = ReproReport("thm-5-6")
     spec = _field_for(q, m)
@@ -566,7 +544,7 @@ def verify_coproduct_suite(q: int = 2, m: int = 4,
     names.append("sum_itself")
     targets.append((uniform(q, 4, 0), zero_map(q, 2, 4), zero_map(q, 2, 4)))
     names.append("trivial")
-    exhaustive_for = len(targets) - 2 if exhaustive else None
+    exhaustive_for = len(targets) - 2  # the sum itself
     reports = verify_coproduct_lw(M1, M1, targets, exhaustive_for=exhaustive_for)
     ident = identity_map(q, 4)
     for name, tr in zip(names, reports):
@@ -574,10 +552,9 @@ def verify_coproduct_suite(q: int = 2, m: int = 4,
                 None if tr.ok else tr)
         if name.startswith("N^") or name == "sum_itself":
             rep.add(f"{name}_eps_is_identity", tr.epsilon.table == ident.table)
-    if exhaustive:
-        tr = reports[exhaustive_for]
-        rep.counters["exhaustive_linear_maps"] = tr.exhaustive_scanned
-        rep.add("exhaustive_uniqueness", tr.exhaustive_count == tr.exhaustive_expected)
+    tr = reports[exhaustive_for]
+    rep.counters["exhaustive_linear_maps"] = tr.exhaustive_scanned
+    rep.add("exhaustive_uniqueness", tr.exhaustive_count == tr.exhaustive_expected)
     return rep
 
 
@@ -598,18 +575,20 @@ ITEMS = {
 
 
 def _combined_lclass() -> ReproReport:
-    t0 = time.perf_counter()
     rep = ReproReport("thm-6-1")
     for q in (2, 3):
         sub = verify_lclass_theorem(q)
         for name, ok, detail in sub.checks:
             rep.add(f"q={q}:{name}", ok, detail)
         rep.counters.update({f"q={q}:{k}": v for k, v in sub.counters.items()})
-    rep.wall_time = time.perf_counter() - t0
     return rep
 
 
 def run_item(item: str) -> ReproReport:
+    """Run a named item; its report's ``wall_time`` is the item's time."""
     if item not in ITEMS:
         raise KeyError(f"unknown repro item {item!r}; known: {sorted(ITEMS)}")
-    return ITEMS[item]()
+    t0 = time.perf_counter()
+    rep = ITEMS[item]()
+    rep.wall_time = time.perf_counter() - t0
+    return rep

@@ -403,7 +403,8 @@ def count_subspaces(q: int, n: int, d: Optional[int] = None) -> int:
     return sum(gaussian_binomial(n, k, q) for k in range(n + 1))
 
 
-def _check_caps(q: int, n: int, d: Optional[int]):
+def check_caps(q: int, n: int, d: Optional[int] = None):
+    """Refuse an F_q^n over the vector or subspace (of dim d) cap."""
     if q ** n > DEFAULT_MAX_VECTORS:
         raise EnumerationCapExceeded(
             f"q^n = {q ** n} exceeds vector cap {DEFAULT_MAX_VECTORS}")
@@ -419,7 +420,7 @@ def enumerate_subspaces(q: int, n: int, d: Optional[int] = None) -> Iterator[Sub
     order, then lexicographically on the free entries, row by row.  A
     row's code is q^pivot plus each free digit times q^column.
     """
-    _check_caps(q, n, d)
+    check_caps(q, n, d)
     dims = [d] if d is not None else list(range(n + 1))
     for k in dims:
         for pivots in sorted(itertools.combinations(range(n), k),
@@ -477,8 +478,8 @@ class SubspaceLattice:
     own codes.  The covering relation is held once, as ascending id
     lists ``upper[i]``, the upper covers of space i; a sweep that needs
     the hyperplanes of a space pushes its values up ``upper`` in id
-    order instead.  ``sub_masks``, N^2 bits, is built from ``upper`` on
-    first use.  No table changes once built.
+    order instead, as ``minimal_ids`` does.  ``sub_masks``, N^2 bits, is
+    built from ``upper`` on first use.  No table changes once built.
     """
 
     def __init__(self, q: int, n: int):
@@ -563,14 +564,21 @@ class SubspaceLattice:
 
     def minimal_ids(self, mask: int) -> List[int]:
         """The ids set in ``mask`` with no other id of ``mask`` below them,
-        ascending."""
-        subs = self.sub_masks
-        return [i for i in range(self.size)
-                if (mask >> i) & 1 and subs[i] & mask & ~(1 << i) == 0]
+        ascending: one pass over ``upper`` in id order marks the covers of
+        each id in ``mask`` or marked, so an id is marked before it is
+        reached iff an id of ``mask`` lies strictly below it."""
+        in_mask = bin(mask)[:1:-1].ljust(self.size, "0")  # in_mask[i]: bit i
+        below = bytearray(self.size)
+        for i, covers in enumerate(self.upper):
+            if below[i] or in_mask[i] == "1":
+                for j in covers:
+                    below[j] = 1
+        return [i for i in mask_ids(mask) if not below[i]]
 
     @property
     def sub_masks(self):
-        """sub_masks[i] = bitmask over ids j with space_j <= space_i."""
+        """sub_masks[i] = bitmask over ids j with space_j <= space_i (for
+        the benchmark's set-up and the tests; the library never reads it)."""
         if self._sub_masks is None:
             # the subspaces of a space are itself and those of its
             # hyperplanes, whose ids are lower: in id order a space's mask

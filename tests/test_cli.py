@@ -104,14 +104,39 @@ class TestBuild:
     ], ids=["p=2^61-1", "p=2^61-1 given moduli", "m=10^9"])
     def test_over_cap_field_refused_at_once(self, tmp_path, field):
         # trial division of 2^61 - 1 would run for hours, and 2^(10^9) need
-        # not be built: a fresh process must refuse the field on its order
+        # not be built: a fresh process must refuse the field on its order.
+        # `query rank` reads the payload of an ambient of any size
         spec = tmp_path / "big.json"
         dump_json({"q": field["p"], "n": 1, "kind": "matrix", "field": field,
                    "rows": [[[1]]]}, str(spec))
-        child = _python("-m", "qmatroids.cli", "build", str(spec), timeout=10)
+        child = _python("-m", "qmatroids.cli", "query", str(spec), "rank",
+                        "--subspace", "1", timeout=10)
         assert child.returncode == 1
         assert child.stderr.startswith("check failed: ")
         assert "Traceback" not in child.stdout + child.stderr
+
+    def test_over_cap_ambient_refused_before_its_field(self, tmp_path, monkeypatch,
+                                                       uniform_spec, capsys):
+        # F_(3^12)^1 has more vectors than the vector cap: each command that
+        # sweeps a lattice exits 3 from the header, building no field
+        from qmatroids.fields import FieldSpec, ground_field
+
+        def unbuildable(*args, **kwargs):
+            raise RuntimeError("no field may be built")
+
+        ground_field(2)  # for the map spec, parsed before the matroids
+        big, headless, mapspec = (tmp_path / name for name in ("big", "headless", "map"))
+        matrix = {"q": 3 ** 12, "n": 1, "kind": "matrix",
+                  "field": {"p": 3, "k": 12, "m": 1}, "rows": [[[1]]]}
+        dump_json(matrix, str(big))
+        dump_json({key: v for key, v in matrix.items() if key != "n"}, str(headless))
+        dump_json({"kind": "matrix", "q": 2, "n1": 1, "n2": 1, "rows": [[1]]}, str(mapspec))
+        monkeypatch.setattr(FieldSpec, "__init__", unbuildable)
+        for argv in (["build", big], ["dirsum", big, uniform_spec],
+                     ["iso", uniform_spec, big], ["map", mapspec, big, uniform_spec]):
+            assert main([str(a) for a in argv]) == 3
+            assert "exceeds vector cap" in capsys.readouterr().err
+        assert main(["build", str(headless)]) == 2
 
     def test_reducible_base_modulus_exit_1(self, tmp_path, capsys):
         # x^2 + x + 1 = (x + 2)^2 over F_3 is a check failure, not a parse error

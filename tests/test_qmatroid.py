@@ -14,6 +14,8 @@ from qmatroids import (
     check_flat_axioms,
     check_rank_axioms,
     contains,
+    direct_sum,
+    embedding_map,
     from_flats,
     from_function,
     from_matrix,
@@ -26,6 +28,7 @@ from qmatroids import (
     pushforward,
     row_space,
     submodular_completion,
+    subspaces_of,
     trivial,
     uniform,
 )
@@ -42,7 +45,7 @@ from qmatroids.errors import (
 )
 from qmatroids.fields import ground_field, make_field
 from qmatroids.qmatroid import from_rank_vector, pullback
-from qmatroids.repro import fprime_closed_form
+from qmatroids.repro import blockdiag_matroid, example_nonrepresentable, fprime_closed_form
 from qmatroids.subspaces import (
     DEFAULT_MAX_SUBSPACES,
     DEFAULT_MAX_VECTORS,
@@ -161,7 +164,7 @@ class TestFromMatrix:
             from_matrix(Mat(gf16, 2, 2, [1, w, w, gf16.mul(w, w)]))
 
     def test_memoized_equals_recompute(self, n2_matroid, gf16):
-        # fresh backend against the memoized one, on 100 seeded subspaces
+        # a fresh oracle against the session's matroid, on 100 seeded subspaces
         fresh = from_matrix(n2_matroid.payload["G"])
         lat = lattice(2, 4)
         rng = random.Random(12345)
@@ -787,6 +790,71 @@ class TestPullback:
         with pytest.raises(AmbientMismatch):
             pullback(uniform(2, 3, 1), lmap_from_matrix(
                 Mat(ground_field(2), 2, 2, [1, 0, 0, 1])))
+
+
+def _brute_completion(tau):
+    """rank(V) = min over X <= V of tau(X) + dim V - dim X, by enumeration."""
+    return lambda V: min(tau(X) + V.dim - X.dim for X in subspaces_of(V))
+
+
+class TestOneRankStore:
+    """Every constructor's single ranks, before and after its rank vector
+    is materialized, against a rank defined without the vector."""
+
+    @staticmethod
+    def _constructors():
+        """(name, make, oracle): make() builds a fresh matroid, oracle(V)
+        ranks V by the constructor's definition."""
+        F = ground_field(2)
+        G = blockdiag_matroid(2, 4, 2).payload["G"]
+        spread = example_nonrepresentable().rank_table()
+        X = row_space(2, 4, [(1, 0, 0, 1), (0, 1, 1, 1)])
+        pinch = lmap_from_matrix(Mat(F, 3, 4, [1, 0, 1, 0, 0, 1, 1, 1, 1, 1, 0, 1]))
+        twist = lmap_from_matrix(Mat(F, 4, 4, [1, 1, 0, 0, 0, 1, 0, 0,
+                                               0, 0, 1, 1, 1, 0, 0, 1]))
+        tau = {S: min(2, S.dim) for S in lattice(2, 3).spaces}
+        tau[row_space(2, 3, [(1, 0, 0), (0, 1, 0)])] = 1
+        contracted = _contraction_by_quotient(from_function(2, 4, spread.__getitem__), X)
+        return [
+            ("matrix", lambda: from_matrix(G), lambda V: product_rank(G, V)),
+            ("uniform", lambda: uniform(2, 4, 2), lambda V: min(2, V.dim)),
+            ("function", lambda: from_function(2, 4, spread.__getitem__), spread.__getitem__),
+            ("rank table", lambda: from_rank_table(2, 4, spread), spread.__getitem__),
+            ("flats", lambda: from_flats(example_nonrepresentable().flats()),
+             spread.__getitem__),
+            ("pullback", lambda: pullback(from_rank_table(2, 4, spread), pinch),
+             lambda V: spread[pinch.image_of(V)]),
+            ("restriction", lambda: example_nonrepresentable().restriction(X),
+             lambda V: spread[embedding_map(X).image_of(V)]),
+            ("contraction", lambda: example_nonrepresentable().contraction(X),
+             lambda V: contracted[lattice(2, 2).id_of(V)]),
+            ("pushforward", lambda: pushforward(example_nonrepresentable(), twist),
+             lambda V: spread[twist.inverse().image_of(V)]),
+            ("completion", lambda: submodular_completion(2, 3, tau.__getitem__),
+             _brute_completion(tau.__getitem__)),
+            ("direct sum", lambda: direct_sum(uniform(2, 2, 1), uniform(2, 2, 1)).total,
+             lambda V: product_rank(G, V)),
+        ]
+
+    def test_single_ranks_against_each_definition(self):
+        for name, make, oracle in self._constructors():
+            M = make()
+            spaces = lattice(M.q, M.n).spaces
+            want = [oracle(V) for V in spaces]
+            assert [M.rank(V) for V in spaces] == want, name
+            assert M.rank_vector() == want, name
+            assert [M.rank(V) for V in spaces] == want, name
+            assert [make().rank(V) for V in spaces] == want, name
+
+    def test_rank_table_keeps_no_reference_to_the_table(self):
+        lat = lattice(2, 3)
+        table = {S: min(2, S.dim) for S in lat.spaces}
+        M = from_rank_table(2, 3, table)
+        for S in lat.spaces:
+            table[S] = 0
+        assert [M.rank(S) for S in lat.spaces] == [min(2, d) for d in lat.dims]
+        assert M.rank_vector() == [min(2, d) for d in lat.dims]
+        assert "table" not in (M.payload or {})
 
 
 class TestRoundtrips:

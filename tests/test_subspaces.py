@@ -1,6 +1,8 @@
 """RREF, lattice operations, enumeration counts and the quotient map."""
 
+import functools
 import itertools
+import operator
 import random
 
 import pytest
@@ -498,6 +500,29 @@ class TestLatticeCache:
                                 for j in range(lat.size))]
             assert lat.minimal_ids(mask) == want
         assert lat.minimal_ids(0) == []
+
+    @pytest.mark.parametrize("q,n", [(2, 4), (3, 3), (2, 5)])
+    def test_minimal_ids_against_sub_masks(self, q, n):
+        # the one pass over the cover lists against the definition on
+        # sub_masks: the empty and full masks, random masks, and unions of
+        # the up-sets and of the down-sets of a few seeds
+        lat = lattice(q, n)
+        subs = lat.sub_masks
+        rng = random.Random(q * 100 + n)
+        full = (1 << lat.size) - 1
+        masks = [0, full]
+        masks += [sum(1 << i for i in range(lat.size) if rng.random() < density)
+                  for density in (0.02, 0.1, 0.5, 0.9)]
+        for k in (1, 3, 10):
+            seeds = rng.sample(range(lat.size), k)
+            masks.append(functools.reduce(operator.or_, map(lat.above, seeds)))
+            masks.append(functools.reduce(operator.or_, (subs[i] for i in seeds)))
+        for mask in masks:
+            want = [i for i in range(lat.size)
+                    if (mask >> i) & 1 and subs[i] & mask & ~(1 << i) == 0]
+            assert lat.minimal_ids(mask) == want
+        assert lat.minimal_ids(full) == [lat.zero_id]
+        assert lat.minimal_ids(masks[-1]) == [0]  # a down-set holds the zero space
 
     def test_vector_encoding_roundtrip(self):
         for code in range(81):
