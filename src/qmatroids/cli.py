@@ -19,6 +19,7 @@ from .errors import (
 from .jsonio import (
     dump_json,
     load_json,
+    map_ambient,
     map_from_dict,
     matroid_ambient,
     matroid_from_dict,
@@ -105,8 +106,10 @@ def _flats_dot(M) -> str:
 
 
 def cmd_query(args) -> int:
-    M = _load_matroid(args.artifact, args.caps, sweep=False)
     sub = args.subcommand
+    # a single rank needs no lattice, and a minor ranks only its own
+    M = _load_matroid(args.artifact, args.caps,
+                      sweep=sub in ("closure", "flats", "circuits", "loops"))
     if sub in ("rank", "closure", "restrict", "contract"):
         if not args.subspace:
             raise ParseError(f"query {sub} needs --subspace")
@@ -163,7 +166,11 @@ def cmd_query(args) -> int:
 
 
 def cmd_map(args) -> int:
-    phi = map_from_dict(load_json(args.mapspec))
+    d = load_json(args.mapspec)
+    q, n1, n2 = map_ambient(d)  # refuse an over-cap map before building its field
+    check_caps(q, n1)
+    check_caps(q, n2)
+    phi = map_from_dict(d)
     M1 = _load_matroid(args.m1, args.caps)
     M2 = _load_matroid(args.m2, args.caps)
     rep = classify_map(phi, M1, M2)

@@ -110,6 +110,12 @@ def matroid_ambient(d) -> Tuple[int, int]:
     return q, n
 
 
+def map_ambient(d) -> Tuple[int, int, int]:
+    """(q, n1, n2) of a map spec; raises ParseError on a malformed header."""
+    _, q, n1, n2 = _header(d, "map", ("n1", "n2"))
+    return q, n1, n2
+
+
 def matroid_from_dict(d: dict) -> QMatroid:
     kind, q, n = _header(d, "matroid", ("n",))
     if kind == "uniform":

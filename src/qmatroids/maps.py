@@ -108,14 +108,22 @@ class LMap:
         The image is spanned by the table images of the space's basis
         codes ((semi)linear maps) or of all its vectors (other L-maps);
         the span is the lowest id in the AND of their codomain holders.
+        For a (semi)linear map that AND is its RREF hyperplane's AND with
+        the holders of the image of the last basis code, one AND per
+        space along ``SubspaceLattice.prefix_fold``.
         """
         if self._image_ids is None:
             lat1 = lattice(self.q, self.n1)
-            span_id = lattice(self.q, self.n2).span_id
-            image = self.table.__getitem__
-            sources = (lat1.basis_codes if self._spans_by_basis
-                       else map(mask_ids, lat1.vec_masks))
-            self._image_ids = [span_id(map(image, codes)) for codes in sources]
+            lat2 = lattice(self.q, self.n2)
+            holders, table = lat2.holders, self.table
+            if self._spans_by_basis:
+                self._image_ids = lat1.prefix_fold(
+                    holders[0], lambda up, code: up & holders[table[code]],
+                    lambda up: (up & -up).bit_length() - 1)
+            else:
+                image = table.__getitem__
+                self._image_ids = [lat2.span_id(map(image, mask_ids(mask)))
+                                   for mask in lat1.vec_masks]
         return self._image_ids
 
     def is_bijective(self) -> bool:

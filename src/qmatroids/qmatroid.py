@@ -43,6 +43,7 @@ from .subspaces import (
     join,
     lattice,
     mask_ids,
+    reduced_row,
     row_rank,
 )
 
@@ -218,7 +219,8 @@ def flat_violations(fam: FlatFamily):
 
 class QMatroid:
     """Ambient space (q, n) plus a total rank oracle (None for a matroid
-    made from a rank vector) and the rank vector once materialized."""
+    made from a rank vector), the rank vector once materialized, and
+    whether a full axiom sweep has passed it."""
 
     def __init__(self, q: int, n: int, rank_fn: Optional[Callable[[Subspace], int]],
                  kind: str = "functional", payload=None):
@@ -232,6 +234,8 @@ class QMatroid:
         self._rank_vector_fn: Optional[Callable[[], List[int]]] = None
         self._flats: Optional[FlatFamily] = None
         self._circuits = None
+        # set by check_rank_axioms once R1-R3 hold on the whole rank vector
+        self._swept_valid = False
 
     # -------------------------------------------------------------- ranks
 
@@ -286,7 +290,14 @@ class QMatroid:
         return lat.spaces[self.closure_id(lat.id_of(V))]
 
     def flats(self) -> FlatFamily:
-        """Closure fixed points, with heights; flat axioms asserted."""
+        """Closure fixed points, with heights; flat axioms asserted.
+
+        The flats of a q-matroid satisfy F1-F3 (Jurrius-Pellikaan,
+        *Defining the q-analogue of a matroid*, EJC 2018), so after
+        :func:`check_rank_axioms` has passed this rank vector the family
+        is not checked again; otherwise :func:`flat_violations` checks it
+        and the first violation raises FlatAxiomViolation.
+        """
         if self._flats is None:
             lat = lattice(self.q, self.n)
             rv = self.rank_vector()
@@ -294,9 +305,10 @@ class QMatroid:
             members = [lat.spaces[i] for i, covers in enumerate(lat.upper)
                        if rv[i] not in map(rv.__getitem__, covers)]
             fam = FlatFamily(self.q, self.n, members)
-            first = next(flat_violations(fam), None)
-            if first:
-                raise FlatAxiomViolation(*first[:2])
+            if not self._swept_valid:
+                first = next(flat_violations(fam), None)
+                if first:
+                    raise FlatAxiomViolation(*first[:2])
             self._flats = fam
         return self._flats
 
@@ -375,8 +387,13 @@ def from_matrix(G: Mat) -> QMatroid:
     """Matroid on F_q^n with rank(rowspace Y) = rank(G Y^T) over GF(q^m).
 
     The rank of a space is the GF(q^m)-rank of the images g(v) = G v^T
-    of its basis rows, each computed once per vector code on first use;
-    the rank vector reads them through the lattice's basis codes.
+    of its basis rows, each computed once per vector code on first use.
+    A single rank eliminates them with ``row_rank``.  The rank vector
+    walks the lattice's prefix order (``SubspaceLattice.prefix_fold``):
+    a space's echelon is its RREF hyperplane's, extended by the image of
+    its last basis code with the same elimination step, so its rank is
+    its hyperplane's or one more, and a full echelon of k rows is kept
+    without a step.
     """
     spec: FieldSpec = G.spec
     k, n = G.rows, G.cols
@@ -400,9 +417,14 @@ def from_matrix(G: Mat) -> QMatroid:
     def rank_fn(V: Subspace) -> int:
         return row_rank(spec, map(image, V.codes), k)
 
+    def extend(echelon: list, code: int) -> list:
+        if len(echelon) == k:
+            return echelon
+        kept = reduced_row(spec, echelon, image(code))
+        return echelon if kept is None else echelon + [kept]
+
     M = QMatroid(q, n, rank_fn, kind="matrix", payload={"G": G})
-    M._rank_vector_fn = lambda: [row_rank(spec, map(image, codes), k)
-                                 for codes in lattice(q, n).basis_codes]
+    M._rank_vector_fn = lambda: lattice(q, n).prefix_fold([], extend, len)
     return M
 
 
@@ -489,9 +511,11 @@ def check_rank_axioms(M: QMatroid, limit: Optional[int] = 10) -> AxiomReport:
 
     R1 sweeps every subspace (the zero space first, so rank(0) != 0 is
     its first entry); R2 and R3 come from :func:`r2_r3_violations`, which
-    visits every cover pair and every height-2 interval.  Violations (up
+    decides every cover pair and every height-2 interval.  Violations (up
     to ``limit``) carry witnesses: a space for R1, a space and an upper
-    cover for R2, two middle spaces of an interval for R3.
+    cover for R2, two middle spaces of an interval for R3.  A sweep that
+    ran to its end without a violation marks M, so ``M.flats()`` then
+    skips the flat-axiom check.
     """
     lat = lattice(M.q, M.n)
     rv = M.rank_vector()
@@ -499,6 +523,8 @@ def check_rank_axioms(M: QMatroid, limit: Optional[int] = 10) -> AxiomReport:
           if not 0 <= rv[i] <= lat.dims[i])
     violations = list(itertools.islice(
         itertools.chain(r1, r2_r3_violations(lat, rv)), limit))
+    if not violations and limit != 0:  # islice exhausted the sweep
+        M._swept_valid = True
     return AxiomReport(ok=not violations, violations=violations)
 
 
@@ -519,15 +545,33 @@ def r2_r3_violations(lat, values: List[int]):
     and then L, is reported by those middles (B, C), ties to the lower
     id, B before C, with values (rank L + rank A, rank B + rank C): a
     genuine pairwise violation.  All R2 entries come first.
+
+    Both sweeps skip the spaces that cannot fail, without assuming R2.
+    A space no higher than the least rank of its covers has no R2
+    violation.  Any two middles above A sum to at least m1 + m2, the two
+    least ranks of A's covers, and every L above A ranks at most the
+    most of the cover ranks of A's covers, so an A where that most plus
+    rank A is at most m1 + m2 has no failing interval.  The first maxima
+    and then their maxima over each cover list are two passes over
+    ``upper``.
     """
     spaces, upper = lat.spaces, lat.upper
-    for i in range(lat.size):
-        for j in upper[i]:
-            if values[i] > values[j]:
-                yield ("R2", (spaces[i], spaces[j]), (values[i], values[j]))
-    for a in range(lat.size):
+    rank_of = values.__getitem__
+    for i, covers in enumerate(upper):
+        if covers and values[i] > min(map(rank_of, covers)):
+            for j in covers:
+                if values[i] > values[j]:
+                    yield ("R2", (spaces[i], spaces[j]), (values[i], values[j]))
+    # an empty cover list reads 0: it bounds the ranks of no space above
+    most = [max(map(rank_of, covers), default=0) for covers in upper]
+    for a, covers in enumerate(upper):
+        if len(covers) < 2:
+            continue
+        low = sorted(map(rank_of, covers))
+        if max(map(most.__getitem__, covers)) + values[a] <= low[0] + low[1]:
+            continue
         middles = defaultdict(list)  # the covers of A below each L, ascending
-        for b in upper[a]:
+        for b in covers:
             for top in upper[b]:
                 middles[top].append(b)
         failing = []

@@ -20,9 +20,10 @@ from __future__ import annotations
 
 import itertools
 import operator
+from array import array
 from functools import lru_cache, partial, reduce
 from math import prod
-from typing import Iterable, Iterator, List, Optional, Sequence
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence
 
 from . import kernels
 from .errors import AmbientMismatch, EnumerationCapExceeded
@@ -166,21 +167,32 @@ class Mat:
 def row_rank(spec: FieldSpec, rows: Iterable[Sequence[int]], cap: int) -> int:
     """GF(q^m)-rank of the rows (sequences of element indices), counted
     up to ``cap``: the scan stops at the cap'th independent row."""
-    add, mul, neg = spec.add, spec.mul, spec.neg
-    basis = []  # each kept row is 1 at its pivot and 0 at the earlier pivots
+    basis = []
     for row in rows:
-        for p, b in basis:
-            f = row[p]
-            if f:
-                f = neg(f)
-                row = [add(x, mul(f, y)) for x, y in zip(row, b)]
-        p = next((j for j, x in enumerate(row) if x), None)
-        if p is not None:
-            inv = spec.inv(row[p])
-            basis.append((p, [mul(inv, x) for x in row]))
+        kept = reduced_row(spec, basis, row)
+        if kept is not None:
+            basis.append(kept)
             if len(basis) == cap:
                 break
     return len(basis)
+
+
+def reduced_row(spec: FieldSpec, basis, row: Sequence[int]):
+    """``row`` reduced against the echelon ``basis`` of ``row_rank``, as
+    a (pivot, row) entry to append to it, scaled to 1 at its pivot; None
+    if the row lies in the span of ``basis``.  Each kept row is 1 at its
+    pivot and 0 at the earlier pivots."""
+    add, mul, neg = spec.add, spec.mul, spec.neg
+    for p, b in basis:
+        f = row[p]
+        if f:
+            f = neg(f)
+            row = [add(x, mul(f, y)) for x, y in zip(row, b)]
+    p = next((j for j, x in enumerate(row) if x), None)
+    if p is None:
+        return None
+    inv = spec.inv(row[p])
+    return p, [mul(inv, x) for x in row]
 
 
 # ---------------------------------------------------------------------------
@@ -478,8 +490,9 @@ class SubspaceLattice:
     own codes.  The covering relation is held once, as ascending id
     lists ``upper[i]``, the upper covers of space i; a sweep that needs
     the hyperplanes of a space pushes its values up ``upper`` in id
-    order instead, as ``minimal_ids`` does.  ``sub_masks``, N^2 bits, is
-    built from ``upper`` on first use.  No table changes once built.
+    order instead, as ``minimal_ids`` does.  ``prefix_order`` (see
+    ``prefix_fold``) and ``sub_masks``, N^2 bits, are built on first
+    use.  No table changes once built.
     """
 
     def __init__(self, q: int, n: int):
@@ -516,6 +529,7 @@ class SubspaceLattice:
                     k = bits.find("1", k + 1)
                 self.upper.append(covers)
         self.one_ids = [i for i, d in enumerate(self.dims) if d == 1]
+        self._prefix_order = None
         self._sub_masks = None
 
     def id_of(self, S: Subspace) -> int:
@@ -574,6 +588,40 @@ class SubspaceLattice:
                 for j in covers:
                     below[j] = 1
         return [i for i in mask_ids(mask) if not below[i]]
+
+    @property
+    def prefix_order(self) -> array:
+        """The ids sorted by ``basis_codes``, built on first use.
+
+        A subset of the rows of an RREF matrix is again in RREF, so a
+        space's basis codes less the last one are those of a hyperplane
+        of it, its RREF hyperplane.  In this order that hyperplane comes
+        before the space, and only spaces extending it lie between them.
+        """
+        if self._prefix_order is None:
+            self._prefix_order = array(
+                "i", sorted(range(self.size), key=self.basis_codes.__getitem__))
+        return self._prefix_order
+
+    def prefix_fold(self, start, step: Callable, read: Callable) -> list:
+        """[read(s_i) for each id i], where s_0 = ``start`` for the zero
+        space and s_i = step(s_h, c) for the RREF hyperplane h of space i
+        and the last code c of its basis.
+
+        One walk over ``prefix_order`` keeps the state of the last space
+        met at each depth, at most n + 1 states: a space's RREF
+        hyperplane is the last space met one level up, since only its
+        own extensions lie between them.
+        """
+        codes = self.basis_codes
+        out = [read(start)] * self.size
+        stack = [start] * (self.n + 1)
+        for i in itertools.islice(self.prefix_order, 1, None):  # after the zero space
+            c = codes[i]
+            d = len(c)
+            stack[d] = s = step(stack[d - 1], c[-1])
+            out[i] = read(s)
+        return out
 
     @property
     def sub_masks(self):

@@ -138,6 +138,32 @@ class TestBuild:
             assert "exceeds vector cap" in capsys.readouterr().err
         assert main(["build", str(headless)]) == 2
 
+    def test_over_cap_map_and_queries_refused_before_a_field(self, tmp_path, monkeypatch,
+                                                            uniform_spec, capsys):
+        # a map into or out of F_531441^1, and the queries that sweep a
+        # lattice, exit 3 from the header without building a field
+        from qmatroids.fields import FieldSpec
+
+        def unbuildable(*args, **kwargs):
+            raise RuntimeError("no field may be built")
+
+        big_map, bad_map, big = (tmp_path / name for name in ("big_map", "bad_map", "big"))
+        dump_json({"kind": "matrix", "q": 531441, "n1": 1, "n2": 1, "rows": [[1]]},
+                  str(big_map))
+        dump_json({"kind": "matrix", "q": 6, "n1": 1, "n2": 1, "rows": [[1]]}, str(bad_map))
+        dump_json({"q": 3 ** 12, "n": 1, "kind": "matrix",
+                   "field": {"p": 3, "k": 12, "m": 1}, "rows": [[[1]]]}, str(big))
+        monkeypatch.setattr(FieldSpec, "__init__", unbuildable)
+        argvs = [["map", big_map, uniform_spec, uniform_spec]]
+        argvs += [["query", big, sub] for sub in ("flats", "circuits", "loops")]
+        argvs.append(["query", big, "closure", "--subspace", "1"])
+        for argv in argvs:
+            assert main([str(a) for a in argv]) == 3, argv
+            err = capsys.readouterr().err
+            assert "exceeds vector cap" in err and "Traceback" not in err
+        assert main(["map", str(bad_map), uniform_spec, uniform_spec]) == 2
+        assert "prime power" in capsys.readouterr().err
+
     def test_reducible_base_modulus_exit_1(self, tmp_path, capsys):
         # x^2 + x + 1 = (x + 2)^2 over F_3 is a check failure, not a parse error
         spec = tmp_path / "gf9.json"

@@ -3,6 +3,7 @@ polynomial-arithmetic oracle."""
 
 import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -97,6 +98,48 @@ class TestMakeField:
                 seen.add(v)
                 v = F.mul(v, F.omega_val)
             assert v == 1
+
+
+def walked_tables(p, k, ext):
+    """GF(p^k)'s exp/log pair under the degree-1 modulus ``ext``, by
+    stepping through the powers of its root x in polynomial arithmetic;
+    None if x does not generate."""
+    q = p ** k
+    R = ReferenceField(SimpleNamespace(p=p, k=k, m=1, order=q, ext_modulus=ext,
+                                       base_modulus=fields._default_prime_poly(p, k)))
+    x, exp = R.neg(ext[0]), [1]
+    while len(exp) < q - 1:
+        exp.append(R.mul(exp[-1], x))
+    if len(set(exp)) < q - 1 or R.mul(exp[-1], x) != 1:
+        return None
+    log = [-1] * q
+    for i, v in enumerate(exp):
+        log[v] = i
+    return tuple(exp), tuple(log)
+
+
+class TestDegreeOneTables:
+    """GF(q) as GF(q^1) reads its exp/log pair off the powers of its base
+    generator; it must equal the walk through the powers of x."""
+
+    @pytest.mark.parametrize("q", [q for q in range(2, 244) if prime_power(q)])
+    def test_default_modulus(self, q):
+        F = ground_field(q)
+        assert (F._exp, F._log) == walked_tables(F.p, F.k, F.ext_modulus)
+
+    @pytest.mark.parametrize("q", [q for q in range(2, 28) if prime_power(q)])
+    def test_every_degree_one_modulus(self, q):
+        p, k = prime_power(q)
+        base = fields._default_prime_poly(p, k)
+        for r in range(q):
+            ext = (ground_field(q).neg(r), 1)  # x - r
+            want = walked_tables(p, k, ext)
+            if want is None:
+                with pytest.raises(NonPrimitiveModulus):
+                    make_field(p, k, 1, moduli=(base, ext))
+            else:
+                F = make_field(p, k, 1, moduli=(base, ext))
+                assert (F._exp, F._log) == want, (q, r)
 
 
 PRIMES = [p for p in range(2, 5001) if is_prime(p)]
