@@ -14,9 +14,7 @@ Multiplication, inversion, powers and Frobenius go through one exp/log
 pair, the powers of omega, built eagerly at construction (field sizes are
 capped at 2**20) by multiplying by x.  Products in GF(q) needed on the
 way come from the powers of its least generator, tabulated by polynomial
-steps over F_p and dropped once the field is built; for m = 1 the pair
-is read off those powers instead, since omega is a power of the
-generator.  The ``base_*``
+steps over F_p and dropped once the field is built.  The ``base_*``
 operations are the same functions as ``add``, ``mul``, ``neg`` and
 ``inv``.  A constructed FieldSpec is immutable and safe to share across
 threads.
@@ -26,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from math import gcd, isqrt
+from math import isqrt
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import (
@@ -209,8 +207,9 @@ class FieldSpec:
         def bmul(a, b):
             return bexp[(blog[a] + blog[b]) % (q - 1)] if a and b else 0
 
-        if m == 1:
-            self._read_base_tables(bexp, blog)
+        if m == 1:  # x + f_0 is irreducible; x times v is v * -f_0 in GF(q)
+            r = self.neg(self.ext_modulus[0])
+            self._build_log_tables(lambda v: bmul(v, r))
             return
         if not _poly_is_irreducible(self.ext_modulus, q, (self.add, bmul, self.neg)):
             raise ReducibleModulus(
@@ -230,25 +229,6 @@ class FieldSpec:
         if any(c < 0 or c >= size for c in coeffs):
             raise ValueError(f"{name} coefficients must lie in [0, {size})")
         return coeffs
-
-    def _read_base_tables(self, bexp, blog):
-        """The exp/log pair of GF(q^1) from GF(q)'s: x is the root r =
-        -f_0 of x + f_0, so x^i = g^(i log r) for the generator g of
-        ``bexp``, and x generates iff log r is prime to q - 1."""
-        q = self.q
-        r = self.neg(self.ext_modulus[0])
-        if not r:
-            raise NonPrimitiveModulus(f"x is 0 under {list(self.ext_modulus)}")
-        if gcd(blog[r], q - 1) != 1:
-            raise NonPrimitiveModulus(
-                f"x has multiplicative order {(q - 1) // gcd(blog[r], q - 1)} "
-                f"< {q - 1} under {list(self.ext_modulus)}")
-        exp = [bexp[i * blog[r] % (q - 1)] for i in range(q - 1)]
-        log = [-1] * q
-        for i, v in enumerate(exp):
-            log[v] = i
-        self._exp = tuple(exp)
-        self._log = tuple(log)
 
     def _build_log_tables(self, times_x):
         size = self.order

@@ -254,7 +254,10 @@ class QMatroid:
         return self.rank(Subspace.full(self.q, self.n))
 
     def rank_vector(self) -> List[int]:
-        """Ranks aligned with the shared lattice order (materialized once)."""
+        """Ranks aligned with the shared lattice order (materialized once).
+
+        The list is the matroid's own; callers must not change it.
+        """
         if self._rank_vector is None:
             if self._rank_vector_fn is not None:
                 self._rank_vector = self._rank_vector_fn()
@@ -377,9 +380,13 @@ def from_function(q: int, n: int, fn: Callable[[Subspace], int],
 
 def from_rank_vector(q: int, n: int, values: List[int], kind: str = "functional",
                      payload=None) -> QMatroid:
-    """The matroid whose rank at lattice id i is values[i] (not validated)."""
+    """The matroid whose rank at lattice id i is values[i] (not validated).
+
+    M keeps its own copy, so a passed sweep's verdict holds however the
+    caller's list changes later.
+    """
     M = QMatroid(q, n, None, kind=kind, payload=payload)
-    M._rank_vector = values
+    M._rank_vector = list(values)
     return M
 
 

@@ -119,8 +119,8 @@ def walked_tables(p, k, ext):
 
 
 class TestDegreeOneTables:
-    """GF(q) as GF(q^1) reads its exp/log pair off the powers of its base
-    generator; it must equal the walk through the powers of x."""
+    """GF(q) as GF(q^1) walks the powers of x with GF(q) products and no
+    degree-m shift table; it must equal the polynomial walk."""
 
     @pytest.mark.parametrize("q", [q for q in range(2, 244) if prime_power(q)])
     def test_default_modulus(self, q):

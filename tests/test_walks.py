@@ -183,7 +183,7 @@ def test_flats_after_a_passed_sweep_satisfy_the_axioms(q, n):
         fam = M.flats()
         assert list(flat_violations(fam)) == []
         # the family an unswept copy of the vector checks and returns
-        assert fam == from_rank_vector(q, n, list(M.rank_vector())).flats()
+        assert fam == from_rank_vector(q, n, M.rank_vector()).flats()
 
 
 def test_unswept_invalid_vector_still_raises_from_flats():
@@ -202,6 +202,15 @@ def test_unswept_invalid_vector_still_raises_from_flats():
     assert check_rank_axioms(M, limit=0).ok  # no sweep ran
     with pytest.raises(FlatAxiomViolation):
         M.flats()
+
+
+def test_a_passed_sweep_does_not_follow_the_callers_list():
+    values = uniform(2, 2, 1).rank_vector()[:]
+    M = from_rank_vector(2, 2, values)
+    assert check_rank_axioms(M).ok
+    values[0] = 1  # the invalid vector of the test above
+    assert M.rank_vector() == [0, 1, 1, 1, 1]
+    assert list(flat_violations(M.flats())) == []
 
 
 @pytest.mark.parametrize("q,n", AMBIENTS)
