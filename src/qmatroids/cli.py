@@ -65,9 +65,10 @@ def _load_matroid(path: str, max_subspaces: int, sweep: bool = True):
     q, n = matroid_ambient(d)
     if sweep:
         check_caps(q, n)
-    if count_subspaces(q, n) > max_subspaces:
+    # F_q^n has at least the 2^n coordinate subspaces
+    if n >= max_subspaces.bit_length() or count_subspaces(q, n) > max_subspaces:
         raise EnumerationCapExceeded(
-            f"{count_subspaces(q, n)} subspaces exceed --caps {max_subspaces}")
+            f"the subspaces of F_{q}^{n} exceed --caps {max_subspaces}")
     return matroid_from_dict(d)
 
 

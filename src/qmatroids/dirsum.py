@@ -51,20 +51,18 @@ from .subspaces import (
 )
 
 
-def submodular_completion(q: int, n: int, tau: Callable[[Subspace], int],
-                          validate: bool = True) -> QMatroid:
+def submodular_completion(q: int, n: int, tau: Callable[[Subspace], int]) -> QMatroid:
     """The matroid with rank(V) = min over X <= V of tau(X) + dim V - dim X.
 
-    ``tau`` must be monotone and submodular; with validate=True this is
-    checked exhaustively and violations are rejected with witnesses.
+    ``tau`` must be monotone and submodular: this is checked exhaustively
+    and violations are rejected with witnesses.
     """
     lat = lattice(q, n)
     tv = [tau(S) for S in lat.spaces]
-    if validate:
-        for axiom, witnesses, _ in r2_r3_violations(lat, tv):
-            if axiom == "R2":
-                raise TauNotMonotone(witnesses)
-            raise TauNotSubmodular(witnesses)
+    for axiom, witnesses, _ in r2_r3_violations(lat, tv):
+        if axiom == "R2":
+            raise TauNotMonotone(witnesses)
+        raise TauNotSubmodular(witnesses)
     return from_rank_vector(q, n, _complete(lat, tv), kind="completion")
 
 
@@ -191,24 +189,20 @@ def additivity_check(D: DirectSum) -> CheckReport:
 
 class CoproductTargetReport:
     """The verdicts on one target: ``factors`` is eps o iota_i == alpha_i,
-    ``unique_structural`` that linearity forces eps from the alpha_i, and
-    ``exhaustive_count`` the linear factoring maps found among the
+    and ``exhaustive_count`` the linear factoring maps found among the
     ``exhaustive_scanned`` linear maps, against the ``exhaustive_expected``
     a unique eps allows (all three None without a scan)."""
     __slots__ = ("epsilon", "factors", "eps_weak_bruteforce", "eps_weak_circuits",
-                 "unique_structural", "exhaustive_count", "exhaustive_scanned",
-                 "exhaustive_expected")
+                 "exhaustive_count", "exhaustive_scanned", "exhaustive_expected")
 
     def __init__(self, epsilon: LMap, factors: bool, eps_weak_bruteforce: bool,
-                 eps_weak_circuits: bool, unique_structural: bool,
-                 exhaustive_count: Optional[int] = None,
+                 eps_weak_circuits: bool, exhaustive_count: Optional[int] = None,
                  exhaustive_scanned: Optional[int] = None,
                  exhaustive_expected: Optional[int] = None):
         self.epsilon = epsilon
         self.factors = factors
         self.eps_weak_bruteforce = eps_weak_bruteforce
         self.eps_weak_circuits = eps_weak_circuits
-        self.unique_structural = unique_structural
         self.exhaustive_count = exhaustive_count
         self.exhaustive_scanned = exhaustive_scanned
         self.exhaustive_expected = exhaustive_expected
@@ -222,8 +216,7 @@ class CoproductTargetReport:
     def ok(self):
         agree = self.eps_weak_bruteforce == self.eps_weak_circuits
         unique = self.exhaustive_count == self.exhaustive_expected
-        return (self.factors and self.eps_weak_bruteforce and agree
-                and self.unique_structural and unique)
+        return self.factors and self.eps_weak_bruteforce and agree and unique
 
 
 def canonical_factoring_map(D: DirectSum, alpha1: LMap, alpha2: LMap) -> LMap:
@@ -250,13 +243,14 @@ def verify_coproduct_lw(M1: QMatroid, M2: QMatroid,
     Each target is (N, alpha1, alpha2) with alpha_i linear weak maps
     M_i -> N (rejected otherwise).  For each one the canonical factoring
     map eps is built, checked weak both by brute force and by the circuit
-    criterion, and checked unique among linear maps: structurally always,
-    and for the target index given in ``exhaustive_for`` by counting,
-    over all q^(n*n') matrices, the linear maps eps' with eps' o iota_i
-    equal to alpha_i as maps of subspaces.  A nonzero linear map is fixed
-    on subspaces exactly up to a nonzero scalar, so eps is unique up to
-    blockwise scaling (thm-6-1) when the count is (q - 1)^k, with k the
-    number of nonzero alpha_i: 1 at q = 2, (q - 1)^2 for two embeddings.
+    criterion.  Linearity forces its block-stacked rows, and for the target
+    index given in ``exhaustive_for`` it is checked unique among linear
+    maps by counting, over all q^(n*n') matrices, the linear maps eps'
+    with eps' o iota_i equal to alpha_i as maps of subspaces.  A nonzero
+    linear map is fixed on subspaces exactly up to a nonzero scalar, so
+    eps is unique up to blockwise scaling (thm-6-1) when the count is
+    (q - 1)^k, with k the number of nonzero alpha_i: 1 at q = 2,
+    (q - 1)^2 for two embeddings.
     """
     D = direct_sum(M1, M2)
     out = []
@@ -277,8 +271,7 @@ def verify_coproduct_lw(M1: QMatroid, M2: QMatroid,
             expected = (a1.q - 1) ** sum(any(a.table) for a in (a1, a2))
         out.append(CoproductTargetReport(
             epsilon=eps, factors=factors, eps_weak_bruteforce=weak_bf,
-            eps_weak_circuits=weak_circ, unique_structural=True,
-            exhaustive_count=count, exhaustive_scanned=scanned,
+            eps_weak_circuits=weak_circ, exhaustive_count=count, exhaustive_scanned=scanned,
             exhaustive_expected=expected))
     return out
 

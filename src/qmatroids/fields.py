@@ -12,9 +12,9 @@ digit by digit mod p (XOR when p = 2): exactly right for base elements,
 extension elements and the codes of vectors of F_q^n alike.
 Multiplication, inversion, powers and Frobenius go through one exp/log
 pair, the powers of omega, built eagerly at construction (field sizes are
-capped at 2**20) by multiplying by x.  Products in GF(q) needed on the
-way come from the powers of its least generator, tabulated by polynomial
-steps over F_p and dropped once the field is built.  The ``base_*``
+capped at 2**20) by multiplying by x.  Each product in GF(q) needed on
+the way is one polynomial step over F_p modulo ``base_modulus``, and the
+one walk of x proves both moduli irreducible.  The ``base_*``
 operations are the same functions as ``add``, ``mul``, ``neg`` and
 ``inv``.  A constructed FieldSpec is immutable and safe to share across
 threads.
@@ -158,28 +158,12 @@ def _undigits(ds, p: int) -> int:
     return v
 
 
-def _generator_powers(p: int, k: int, base_modulus):
-    """[g^0, ..., g^(q-2)] for the least generator g of GF(q)* = (F_p[x] /
-    base_modulus)*, q = p^k, as indices: polynomial steps over F_p, O(q k^2)
-    time and O(q) memory.  ``base_modulus`` must be irreducible."""
-    q, ops = p ** k, _prime_ops(p)
-    for g in range(2, q) if q > 2 else (1,):
-        gd = _digits(g, p, k)
-        powers, v = [1], gd
-        while (i := _undigits(v, p)) != 1:
-            powers.append(i)
-            v = _poly_mulmod(v, gd, base_modulus, ops)
-        if len(powers) == q - 1:
-            return powers
-    raise AssertionError(f"GF({q})* has no generator under {list(base_modulus)}")
-
-
 class FieldSpec:
     """GF(q^m) with q = p^k, fixed moduli and primitive element omega.
 
     ``base_modulus`` (degree k over F_p) defines GF(q); ``ext_modulus``
     (degree m over GF(q)) must be primitive: its root omega generates the
-    multiplicative group.  Both are validated at construction.
+    multiplicative group.  The one walk of x validates both.
     """
 
     __slots__ = ("p", "k", "m", "q", "order", "base_modulus", "ext_modulus",
@@ -194,32 +178,42 @@ class FieldSpec:
         self.m = m
         self.q = q = p ** k
         self.order = q ** m
-        self.base_modulus = self._check_modulus(base_modulus, k, p, "base_modulus")
-        if not _poly_is_irreducible(self.base_modulus, p, _prime_ops(p)):
-            raise ReducibleModulus(f"base modulus {list(self.base_modulus)} reducible over F_{p}")
-        self.ext_modulus = self._check_modulus(ext_modulus, m, q, "ext_modulus")
-        # products in GF(q), from the powers of its least generator
-        bexp = _generator_powers(p, k, self.base_modulus)
-        blog = [0] * q
-        for i, v in enumerate(bexp):
-            blog[v] = i
+        self.base_modulus = base = self._check_modulus(base_modulus, k, p, "base_modulus")
+        ops = _prime_ops(p)
 
-        def bmul(a, b):
-            return bexp[(blog[a] + blog[b]) % (q - 1)] if a and b else 0
+        def bmul(a, b):  # a * b in GF(q): one polynomial step over F_p mod base
+            return _undigits(_poly_mulmod(_digits(a, p, k), _digits(b, p, k), base, ops), p)
 
-        if m == 1:  # x + f_0 is irreducible; x times v is v * -f_0 in GF(q)
-            r = self.neg(self.ext_modulus[0])
-            self._build_log_tables(lambda v: bmul(v, r))
-            return
-        if not _poly_is_irreducible(self.ext_modulus, q, (self.add, bmul, self.neg)):
-            raise ReducibleModulus(
-                f"ext modulus {list(self.ext_modulus)} reducible over F_{q}")
-        # x * (c_0 + ... + c_{m-1} x^{m-1}) shifts the c_i up one place and
-        # adds c_{m-1} x^m = c_{m-1} * -(f_0 + ... + f_{m-1} x^{m-1})
-        xm = [self.neg(f) for f in self.ext_modulus[:m]]
-        high = q ** (m - 1)
-        top_times_xm = [self.from_coeffs([bmul(t, c) for c in xm]) for t in range(q)]
-        self._build_log_tables(lambda v: self.add(v % high * q, top_times_xm[v // high]))
+        try:
+            self.ext_modulus = ext = self._check_modulus(ext_modulus, m, q, "ext_modulus")
+            if m == 1:  # x + f_0: x times v is v * -f_0 in GF(q)
+                r, power = _digits(self.neg(ext[0]), p, k), [1]
+
+                def times_x(v):  # the walk's v = x^i has the digits ``power``
+                    power[:] = _poly_mulmod(power, r, base, ops)
+                    return _undigits(power, p)
+            else:
+                # x * (c_0 + ... + c_{m-1} x^{m-1}) shifts the c_i up one
+                # place and adds c_{m-1} x^m = c_{m-1} * -(f_0 + ... + f_{m-1} x^{m-1})
+                xm = [self.neg(f) for f in ext[:m]]
+                high = q ** (m - 1)
+                top_times_xm = [self.from_coeffs([bmul(t, c) for c in xm]) for t in range(q)]
+
+                def times_x(v):
+                    return self.add(v % high * q, top_times_xm[v // high])
+            self._build_log_tables(times_x)
+        except (ValueError, NonPrimitiveModulus) as refusal:
+            # q^m - 1 distinct powers of x that return to 1 are every nonzero
+            # residue, all units, so both quotients are fields and both
+            # moduli irreducible.  A refusal names a reducible modulus first,
+            # base before ext; a malformed ext modulus gets the base test only.
+            if not _poly_is_irreducible(base, p, ops):
+                raise ReducibleModulus(
+                    f"base modulus {list(base)} reducible over F_{p}") from None
+            if (isinstance(refusal, NonPrimitiveModulus)
+                    and not _poly_is_irreducible(ext, q, (self.add, bmul, self.neg))):
+                raise ReducibleModulus(f"ext modulus {list(ext)} reducible over F_{q}") from None
+            raise
 
     @staticmethod
     def _check_modulus(coeffs, degree, size, name):
@@ -231,9 +225,10 @@ class FieldSpec:
         return coeffs
 
     def _build_log_tables(self, times_x):
+        """exp and log of omega = x by stepping with ``times_x`` from 1:
+        refused unless q^m - 1 distinct powers return to 1."""
         size = self.order
-        exp = [0] * (size - 1) if size > 1 else [1]
-        log = [-1] * size
+        exp, log = [0] * (size - 1), [-1] * size
         v = 1
         for i in range(size - 1):
             if log[v] != -1:
@@ -246,7 +241,7 @@ class FieldSpec:
         if v != 1:
             raise NonPrimitiveModulus(
                 f"x does not return to 1 after {size - 1} steps")
-        self._exp = tuple(exp) if size > 1 else (1,)
+        self._exp = tuple(exp)
         self._log = tuple(log)
 
     # ------------------------------------------------------- extension field

@@ -170,6 +170,9 @@ def load_json(path: str) -> dict:
 
 
 def dump_json(obj, path: str):
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    try:
+        with open(path, "w") as fh:
+            json.dump(obj, fh, indent=1, sort_keys=True)
+            fh.write("\n")
+    except OSError as e:
+        raise ParseError(f"cannot write {path}: {e}")

@@ -355,9 +355,9 @@ def _alpha_maps(q: int):
     return a1, a2
 
 
-def _factor_fixed_table(q: int, a1: LMap, a2: LMap, n2: int):
-    """Prescribed entries of eps on the embedded summands; -1 elsewhere."""
-    assert q == 2
+def _factor_fixed_table(a1: LMap, a2: LMap):
+    """Prescribed entries of eps on the two embedded copies of F_2^2 in
+    F_2^4; -1 elsewhere."""
     size = 1 << 4
     fixed = [-1] * size
     for v1 in range(4):
@@ -389,7 +389,7 @@ def verify_thm_nonlinear_noncoproduct(q: int = 2,
         rep.add(f"{name}_rank_preserving_weak_strong",
                 cls.is_rank_preserving and cls.is_weak and cls.is_strong)
 
-    fixed = _factor_fixed_table(2, a1, a2, 3)
+    fixed = _factor_fixed_table(a1, a2)
     order = [c for c in range(16) if fixed[c] < 0]
     rep.counters["free_slots"] = len(order)
     rep.counters["assignment_space"] = 8 ** len(order)
@@ -401,12 +401,7 @@ def verify_thm_nonlinear_noncoproduct(q: int = 2,
 
     # sanity inversion: with target U1 (+) U1 and alpha_i = iota_i the
     # search must find the identity
-    iota1, iota2 = iota_maps(2, 2, 2)
-    inv_fixed = [-1] * 16
-    for v1 in range(4):
-        inv_fixed[v1] = iota1.table[v1]
-    for v2 in range(4):
-        inv_fixed[v2 << 2] = iota2.table[v2]
+    inv_fixed = _factor_fixed_table(*iota_maps(2, 2, 2))
     inv_order = [c for c in range(16) if inv_fixed[c] < 0]
     sol2, nodes2 = kernels.gf2_factor_search(inv_fixed, 4, inv_order,
                                              list(range(16)))

@@ -72,7 +72,7 @@ def code_arithmetic(q: int, n: int):
     F = ground_field(q)
     if q == 2:
         return operator.xor, lambda c, v: v if c else 0
-    if q ** (n + 1) > DEFAULT_MAX_VECTORS or count_subspaces(q, n) > DEFAULT_MAX_SUBSPACES:
+    if over_vector_cap(q, n + 1) or count_subspaces(q, n) > DEFAULT_MAX_SUBSPACES:
         at = partial(decode_vector, q=q, n=n)
         return (operator.xor if F.p == 2 else F.add), (
             lambda c, v: encode_vector(vec_scale(c, at(v), F), q))
@@ -415,11 +415,17 @@ def count_subspaces(q: int, n: int, d: Optional[int] = None) -> int:
     return sum(gaussian_binomial(n, k, q) for k in range(n + 1))
 
 
+def over_vector_cap(q: int, n: int) -> bool:
+    """True iff q^n exceeds the vector cap, for q >= 2: an n at or past the
+    cap's bit length says so on its own, before a huge power is built."""
+    return n >= DEFAULT_MAX_VECTORS.bit_length() or q ** n > DEFAULT_MAX_VECTORS
+
+
 def check_caps(q: int, n: int, d: Optional[int] = None):
     """Refuse an F_q^n over the vector or subspace (of dim d) cap."""
-    if q ** n > DEFAULT_MAX_VECTORS:
+    if over_vector_cap(q, n):
         raise EnumerationCapExceeded(
-            f"q^n = {q ** n} exceeds vector cap {DEFAULT_MAX_VECTORS}")
+            f"q^n = {q}^{n} exceeds vector cap {DEFAULT_MAX_VECTORS}")
     if count_subspaces(q, n, d) > DEFAULT_MAX_SUBSPACES:
         raise EnumerationCapExceeded(
             f"{count_subspaces(q, n, d)} subspaces exceed cap {DEFAULT_MAX_SUBSPACES}")

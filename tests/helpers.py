@@ -81,13 +81,20 @@ def vector_at(S, coeffs):
     return reference_combination(coeffs, S.basis, S.q) if S.dim else (0,) * S.n
 
 
-def _poly_mulmod(a, b, mod, zero, add, mul, neg):
-    """a * b mod the monic polynomial ``mod``, for coefficient tuples a and b
-    of length deg(mod) over a ring given by its zero and operations."""
+def poly_mul(a, b, zero, add, mul):
+    """a * b for coefficient tuples over a ring given by its zero and
+    operations, as a list."""
     res = [zero] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
             res[i + j] = add(res[i + j], mul(x, y))
+    return res
+
+
+def _poly_mulmod(a, b, mod, zero, add, mul, neg):
+    """a * b mod the monic polynomial ``mod``, for coefficient tuples a and b
+    of length deg(mod) over a ring given by its zero and operations."""
+    res = poly_mul(a, b, zero, add, mul)
     d = len(mod) - 1
     while len(res) > d:
         lead, top = res.pop(), len(res) - d

@@ -148,7 +148,7 @@ def test_criterion_3_gl_nonisomorphism():
 def test_criterion_4_factoring_search():
     with criterion(4, "complete L-map factoring search", 300.0):
         a1, a2 = _alpha_maps(2)
-        fixed = _factor_fixed_table(2, a1, a2, 3)
+        fixed = _factor_fixed_table(a1, a2)
         order = [c for c in range(16) if fixed[c] < 0]
         assert len(order) == 9  # 8^9 assignment space, pruned
         sol, nodes = gf2_factor_search(fixed, 4, order, list(range(8)))

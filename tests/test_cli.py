@@ -175,6 +175,37 @@ class TestBuild:
         assert "base modulus [1, 1, 1] reducible over F_3" in capsys.readouterr().err
 
 
+    def test_huge_ambient_refused_at_once(self, tmp_path, uniform_spec):
+        # q^n is neither built nor printed and no Gaussian binomial is
+        # summed: n alone passes the vector cap and --caps
+        huge, vast, big_map = (tmp_path / name for name in ("huge", "vast", "big_map"))
+        dump_json({"q": 2, "n": 100000, "kind": "uniform", "k": 1}, str(huge))
+        dump_json({"q": 2, "n": 10 ** 30, "kind": "uniform", "k": 1}, str(vast))
+        dump_json({"kind": "matrix", "q": 2, "n1": 10000000, "n2": 1, "rows": [[1]]},
+                  str(big_map))
+        argvs = [["build", huge], ["build", vast], ["query", huge, "rank", "--subspace", "1"],
+                 ["map", big_map, uniform_spec, uniform_spec]]
+        script = ("import json, sys, time\n"
+                  "from qmatroids.cli import main\n"
+                  "for argv in json.loads(sys.argv[1]):\n"
+                  "    start = time.perf_counter()\n"
+                  "    code = main(argv)\n"
+                  "    print(code, time.perf_counter() - start)\n")
+        child = _python("-c", script, json.dumps([[str(a) for a in argv] for argv in argvs]),
+                        timeout=60)
+        assert "Traceback" not in child.stdout + child.stderr, child.stderr
+        runs = [line.split() for line in child.stdout.splitlines()]
+        assert [code for code, _ in runs] == ["3"] * len(argvs), child.stderr
+        assert all(float(took) < 1 for _, took in runs), runs
+
+    def test_unwritable_output_exit_2(self, tmp_path, uniform_spec, capsys):
+        out = str(tmp_path / "missing" / "x.json")
+        for argv in (["build", uniform_spec], ["dirsum", uniform_spec, uniform_spec],
+                     ["query", uniform_spec, "restrict", "--subspace", "10"],
+                     ["query", uniform_spec, "contract", "--subspace", "10"]):
+            assert main(argv + ["-o", out]) == 2, argv
+            assert f"cannot write {out}" in capsys.readouterr().err
+
 class TestQuery:
     def test_rank(self, blockdiag_spec, capsys):
         assert main(["query", blockdiag_spec, "rank",

@@ -35,7 +35,7 @@ from qmatroids import (
     verify_coproduct_lw,
     zero_map,
 )
-from qmatroids.dirsum import canonical_factoring_map
+from qmatroids.dirsum import _complete, canonical_factoring_map
 from qmatroids.errors import AlphaNotLinear, AlphaNotWeak, TauNotMonotone, TauNotSubmodular
 from qmatroids.fields import ground_field
 from qmatroids.maps import compose
@@ -104,10 +104,11 @@ class TestSubmodularCompletion:
         # neither monotone, submodular nor non-negative
         from qmatroids import subspaces_of
         rng = random.Random(seed)
-        tau = {S: rng.randint(-2, n + 2) for S in lattice(q, n).spaces}
-        M = submodular_completion(q, n, tau.__getitem__, validate=False)
-        for V in lattice(q, n).spaces:
-            assert M.rank(V) == min(tau[X] + V.dim - X.dim for X in subspaces_of(V))
+        lat = lattice(q, n)
+        tau = {S: rng.randint(-2, n + 2) for S in lat.spaces}
+        rv = _complete(lat, [tau[S] for S in lat.spaces])
+        for V in lat.spaces:
+            assert rv[lat.id_of(V)] == min(tau[X] + V.dim - X.dim for X in subspaces_of(V))
 
 
 def random_representable(rng, q, n, m):

@@ -3,6 +3,7 @@ polynomial-arithmetic oracle."""
 
 import itertools
 import random
+from functools import lru_cache
 from types import SimpleNamespace
 
 import pytest
@@ -27,7 +28,8 @@ from qmatroids.fields import (
     prime_power,
 )
 
-from helpers import ReferenceField, fresh_python, frobenius_fixed, reference_default_ext_poly
+from helpers import (ReferenceField, _poly_mulmod, fresh_python, frobenius_fixed, poly_mul,
+                     reference_default_ext_poly)
 
 
 class TestMakeField:
@@ -50,7 +52,8 @@ class TestMakeField:
             make_field(2, 1, 4, moduli=((1, 1), (1, 0, 1, 0, 1)))
 
     def test_reducible_base_modulus_rejected(self):
-        # x^2 + x + 1 = (x + 2)^2 over F_3: refused before GF(9) is tabulated
+        # x^2 + x + 1 = (x + 2)^2 over F_3: the walk of x fails, and the
+        # refusal names the base modulus
         with pytest.raises(ReducibleModulus, match="base modulus"):
             make_field(3, 2, 1, moduli=((1, 1, 1), (6, 1)))
 
@@ -68,10 +71,10 @@ class TestMakeField:
         assert make_field(p, k, m).ext_modulus == ext
 
     def test_default_field_tabulates_its_base_once(self, monkeypatch):
-        # a fresh GF(2^16): only FieldSpec walks the powers of the generator
+        # a fresh GF(2^16): one walk of x builds its tables and proves its moduli
         calls = []
-        walk = fields._generator_powers
-        monkeypatch.setattr(fields, "_generator_powers",
+        walk = FieldSpec._build_log_tables
+        monkeypatch.setattr(FieldSpec, "_build_log_tables",
                             lambda *args: calls.append(args) or walk(*args))
         monkeypatch.setattr(fields, "_make_field_cached", fields._make_field_cached.__wrapped__)
         assert make_field(2, 16, 1).ext_modulus == (2, 1)
@@ -140,6 +143,80 @@ class TestDegreeOneTables:
             else:
                 F = make_field(p, k, 1, moduli=(base, ext))
                 assert (F._exp, F._log) == want, (q, r)
+
+
+def has_monic_divisor(f, elems, zero, add, mul):
+    """True iff the monic f is a product of two monic polynomials of
+    positive degree with coefficients in ``elems``: every pair is tried."""
+    deg = len(f) - 1
+    for j in range(1, deg // 2 + 1):
+        for d in itertools.product(elems, repeat=j):
+            for e in itertools.product(elems, repeat=deg - j):
+                if poly_mul(d + (elems[1],), e + (elems[1],), zero, add, mul) == list(f):
+                    return True
+    return False
+
+
+def reference_construction(p, k, m, base, ext):
+    """What FieldSpec(p, k, m, base, ext) gives, by polynomial arithmetic
+    over F_p and GF(q) = F_p[y] / base and a brute-force divisor search: the
+    exp/log pair of the powers of x modulo ``ext``, or the class and message
+    of the first refusal, in the order base modulus, ext modulus, then x
+    not generating."""
+    q, size = p ** k, p ** (k * m)
+    fp = (0, lambda a, b: (a + b) % p, lambda a, b: a * b % p, lambda a: -a % p)
+    if has_monic_divisor(base, range(p), *fp[:3]):
+        return ReducibleModulus, f"base modulus {list(base)} reducible over F_{p}"
+    elems = [tuple(v // p ** i % p for i in range(k)) for v in range(q)]
+    gfq = (elems[0], lambda a, b: tuple((x + y) % p for x, y in zip(a, b)),
+           lru_cache(maxsize=None)(lambda a, b: _poly_mulmod(a, b, base, *fp)),
+           lambda a: tuple(-x % p for x in a))
+    f = tuple(elems[c] for c in ext)
+    if has_monic_divisor(f, elems, *gfq[:3]):
+        return ReducibleModulus, f"ext modulus {list(ext)} reducible over F_{q}"
+
+    def index(r):
+        return sum(v * p ** (i * k + j) for i, c in enumerate(r) for j, v in enumerate(c))
+
+    def times(a, b):
+        r = _poly_mulmod(a, b, f, *gfq)
+        return r + (elems[0],) * (m - len(r))
+
+    x, power, exp = times((elems[0], elems[1]), (elems[1],)), times((elems[1],), (elems[1],)), []
+    for i in range(size - 1):
+        if index(power) in exp:
+            return NonPrimitiveModulus, f"x has multiplicative order {i} < {size - 1} under {list(ext)}"
+        exp.append(index(power))
+        power = times(power, x)
+    if index(power) != 1:
+        return NonPrimitiveModulus, f"x does not return to 1 after {size - 1} steps"
+    log = [-1] * size
+    for i, v in enumerate(exp):
+        log[v] = i
+    return tuple(exp), tuple(log)
+
+
+class TestConstructionAgainstReference:
+    """Every monic pair of small moduli: FieldSpec accepts exactly the pairs
+    the reference accepts, with its tables, and refuses the others with the
+    reference's error and message.  The walk of x alone proves a modulus
+    irreducible, so this checks that the refusals still name it."""
+
+    @pytest.mark.parametrize("p,k", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)])
+    def test_every_monic_pair(self, p, k):
+        q = p ** k
+        for base in itertools.product(range(p), repeat=k):
+            for m in (1, 2, 3) if q <= 4 else (1, 2):
+                for ext in itertools.product(range(q), repeat=m):
+                    base_f, ext_f = base + (1,), ext + (1,)
+                    want = reference_construction(p, k, m, base_f, ext_f)
+                    if isinstance(want[0], type):
+                        with pytest.raises(want[0]) as refusal:
+                            FieldSpec(p, k, m, base_f, ext_f)
+                        assert str(refusal.value) == want[1], (base_f, ext_f)
+                    else:
+                        F = FieldSpec(p, k, m, base_f, ext_f)
+                        assert (F._exp, F._log) == want, (base_f, ext_f)
 
 
 PRIMES = [p for p in range(2, 5001) if is_prime(p)]
