@@ -184,14 +184,29 @@ class FieldSpec:
         def bmul(a, b):  # a * b in GF(q): one polynomial step over F_p mod base
             return _undigits(_poly_mulmod(_digits(a, p, k), _digits(b, p, k), base, ops), p)
 
+        def multiples(r, start, stop):
+            # table[a] = r * a * y^start in GF(q) = F_p[y] / base, for each
+            # a < p^(stop - start), by sums of the r * y^i, start <= i < stop
+            table = [0]
+            for i in range(start, stop):
+                size, step = len(table), bmul(r, p ** i)
+                for _ in range(1, p):
+                    table.extend([self.add(step, w) for w in table[-size:]])
+            return table
+
         try:
             self.ext_modulus = ext = self._check_modulus(ext_modulus, m, q, "ext_modulus")
-            if m == 1:  # x + f_0: x times v is v * -f_0 in GF(q)
-                r, power = _digits(self.neg(ext[0]), p, k), [1]
+            r = self.neg(ext[0])
+            if m == 1 and k == 1:  # x + f_0: x times v is v * r in F_p, r = -f_0
 
-                def times_x(v):  # the walk's v = x^i has the digits ``power``
-                    power[:] = _poly_mulmod(power, r, base, ops)
-                    return _undigits(power, p)
+                def times_x(v):
+                    return v * r % p
+            elif m == 1:  # v * r in GF(q) is F_p-linear in the digits of v
+                h = p ** (k // 2)
+                low, high = multiples(r, 0, k // 2), multiples(r, k // 2, k)
+
+                def times_x(v):  # v * r: its low k // 2 digits, then the rest
+                    return self.add(low[v % h], high[v // h])
             else:
                 # x * (c_0 + ... + c_{m-1} x^{m-1}) shifts the c_i up one
                 # place and adds c_{m-1} x^m = c_{m-1} * -(f_0 + ... + f_{m-1} x^{m-1})

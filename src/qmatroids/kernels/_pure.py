@@ -102,6 +102,10 @@ def gf2_factor_search(fixed, dim_domain, order, value_order):
     return None, nodes
 
 
+class NodeFailed(Exception):
+    """A node-fixed check failed at the node of depth ``args[0]``."""
+
+
 def gl_iso_search(n, q, holders, candidates, checks, ranks2, add, scale):
     """Depth-first scan of GL(n, q) for a rank-preserving bijection.
 
@@ -117,13 +121,27 @@ def gl_iso_search(n, q, holders, candidates, checks, ranks2, add, scale):
     rows.  Once rows[0:d] are placed the image of every domain code below
     q^d is known: checks[d] lists the (basis codes, source rank) pairs of
     the spaces checked then, all of whose basis codes are below q^d, and
-    ranks2 holds the target ranks by lattice id.
+    ranks2 holds the target ranks by lattice id.  A node that fails a
+    check of checks[d], d < n, is pruned: its leaves are not counted.
 
-    The last row is scanned in one flat loop.  Each basis code of a space
-    in checks[n] is split once into lo = code mod q^(n-1) and its top
-    digit t, and a leaf computes the image of a code, image(lo) + t times
-    the last row, only when a check reads it.  Every leaf is checked
-    against the spaces of checks[n] in order, until the first that fails.
+    Every leaf is checked against the spaces of checks[n] in order, until
+    the first that fails.  The last row is scanned in one flat loop.
+    Each basis code of a space that reads it is split once into
+    lo = code mod q^(n-1) and its top digit t, and a leaf computes the
+    image of a code, image(lo) + t times the last row, only when a check
+    reads it.
+
+    When every check is in checks[n], as in the plain scan, a space whose
+    basis codes all lie below q^d, d < n, does not read the last row: it
+    holds at every leaf below a node that places rows[0:d] or at none.
+    Such a node-fixed check is decided once per depth-d node, at the
+    first leaf that reaches it in the checks[n] order, and the verdict is
+    kept on the node.  When it fails, every leaf below the node fails:
+    the rest of the node's subtree is walked only to count its leaves and
+    nodes, by span tests alone, and the count is kept by span since it
+    depends on nothing else.  So a plain scan checks a space inside
+    <e_1..e_(n-1)> at most once per node, not once per leaf.  With a
+    check at some depth d < n, every leaf check is made at the leaves.
 
     Returns (rows_or_None, leaves, nodes): rows is the first witness as
     codes, leaves counts the candidates reaching depth n and nodes every
@@ -139,11 +157,34 @@ def gl_iso_search(n, q, holders, candidates, checks, ranks2, add, scale):
     stats = [0, 0]  # leaves, nodes
     xor = q % 2 == 0
     top = q ** (n - 1) if n else 1
-    last = [([(c % top, c // top) for c in codes], rank) for codes, rank in checks[n]]
+    # the leaf checks, in the checks[n] order: those of ``head``, then for
+    # each (fixed, reading) of ``tail`` the node-fixed checks of ``fixed``
+    # and the checks of ``reading``, which read the last row
+    split = [([(c % top, c // top) for c in codes], rank) for codes, rank in checks[n]]
+    head, tail = split, []
+    passed = []  # passed[j]: the node at which node-fixed check j last held
+    if not any(checks[:n]):  # a plain scan: set the node-fixed checks apart
+        head = reading = []
+        for (codes, rank), pairs in zip(checks[n], split):
+            high, d = max(codes, default=0), 0
+            while high >= q ** d:
+                d += 1
+            if d < n:
+                if reading or not tail:
+                    reading = []
+                    tail.append(([], reading))
+                tail[-1][0].append((len(passed), codes, rank, d))
+                passed.append(-1)
+            else:
+                reading.append(pairs)
+    # node[d]: the serial of the node holding rows[0:d], the node count
+    # once rows[d - 1] was placed
+    node = [0] * max(n, 1)
     multiples = [None] * q ** n  # multiples[v][t]: t times v, as needed
+    below = {}  # span id -> (leaves, nodes) of the subtree under its node
 
-    def fits(depth):
-        for codes, rank in checks[depth]:
+    def holds(spaces):
+        for codes, rank in spaces:
             up = everything
             for c in codes:
                 up &= holders[image[c]]
@@ -151,9 +192,30 @@ def gl_iso_search(n, q, holders, candidates, checks, ranks2, add, scale):
                 return False
         return True
 
+    def count(depth, up):
+        # leaves and nodes below a node whose rows span the lowest id of up;
+        # the rows are independent, so that span's dimension is depth
+        span = (up & -up).bit_length() - 1
+        got = below.get(span)
+        if got is None:
+            free = [v for v in candidates[depth] if not holders[v] >> span & 1]
+            if depth == n - 1:
+                got = (len(free), len(free))
+            else:
+                leaves, nodes = 0, len(free)
+                for v in free:
+                    sub_leaves, sub_nodes = count(depth + 1, up & holders[v])
+                    leaves += sub_leaves
+                    nodes += sub_nodes
+                got = (leaves, nodes)
+            below[span] = got
+        return got
+
     def last_row(span):
         # rows[0:n-1] are placed and span is the id of their span; each
-        # candidate for rows[n-1] is a node and a leaf
+        # candidate for rows[n-1] is a node and a leaf.  A node-fixed check
+        # is decided at the first leaf of its node that reaches it; the
+        # first that fails ends this scan, raising NodeFailed(its depth)
         tried, found = 0, False
         for v in candidates[n - 1]:
             if holders[v] >> span & 1:
@@ -162,7 +224,7 @@ def gl_iso_search(n, q, holders, candidates, checks, ranks2, add, scale):
             times = multiples[v]
             if times is None:
                 times = multiples[v] = [scale(t, v) for t in range(q)]
-            for pairs, rank in last:
+            for pairs, rank in head:
                 up = everything
                 if xor:
                     for lo, t in pairs:
@@ -172,30 +234,63 @@ def gl_iso_search(n, q, holders, candidates, checks, ranks2, add, scale):
                         up &= holders[add(times[t], image[lo]) if t else image[lo]]
                 if ranks2[(up & -up).bit_length() - 1] != rank:
                     break
-            else:  # no space failed: v completes the witness
-                rows[n - 1], found = v, True
-                break
+            else:
+                for fixed, reading in tail:
+                    for j, codes, rank, d in fixed:
+                        if passed[j] != node[d]:
+                            if not holds(((codes, rank),)):
+                                stats[0] += tried
+                                stats[1] += tried
+                                raise NodeFailed(d)
+                            passed[j] = node[d]
+                    for pairs, rank in reading:  # as in ``head``
+                        up = everything
+                        if xor:
+                            for lo, t in pairs:
+                                up &= holders[image[lo] ^ times[t]]
+                        else:
+                            for lo, t in pairs:
+                                up &= holders[add(times[t], image[lo]) if t else image[lo]]
+                        if ranks2[(up & -up).bit_length() - 1] != rank:
+                            break
+                    else:
+                        continue
+                    break
+                else:  # no space failed: v completes the witness
+                    rows[n - 1], found = v, True
+                    break
         stats[0] += tried
         stats[1] += tried
         return found
 
     def rec(depth, up):
         # up: the ids of the spaces containing rows[0:depth], depth < n
-        if not fits(depth):
+        if not holds(checks[depth]):
             return False
         span = (up & -up).bit_length() - 1
         if depth == n - 1:
             return last_row(span)
+        base = len(image)
         for v in candidates[depth]:
             if holders[v] >> span & 1:
                 continue
             stats[1] += 1
+            leaves, node[depth + 1] = stats  # the counts as the node is entered
             rows[depth] = v
-            base = len(image)
-            for a in range(1, q):
-                av = scale(a, v)
-                image.extend([add(av, w) for w in image[:base]])
-            found = rec(depth + 1, up & holders[v])
+            if q == 2:
+                image.extend([v ^ w for w in image])
+            else:
+                for a in range(1, q):
+                    av = scale(a, v)
+                    image.extend([add(av, w) for w in image[:base]])
+            try:
+                found = rec(depth + 1, up & holders[v])
+            except NodeFailed as failure:
+                if failure.args[0] != depth + 1:
+                    raise
+                # every leaf below the node of rows[0:depth+1] fails
+                found, (sub_leaves, sub_nodes) = False, count(depth + 1, up & holders[v])
+                stats[0], stats[1] = leaves + sub_leaves, node[depth + 1] + sub_nodes
             del image[base:]
             if found:
                 return True
@@ -203,9 +298,15 @@ def gl_iso_search(n, q, holders, candidates, checks, ranks2, add, scale):
 
     if n == 0:  # GL(0, q): the empty matrix is the one leaf
         stats[0] = 1
-        found = fits(0)
+        found = holds(checks[0])
     else:
-        found = rec(0, everything)
+        try:
+            found = rec(0, everything)
+        except NodeFailed:  # at the root: no leaf holds
+            found, stats[:] = False, count(0, everything)
+    # rec and count call themselves through this scope: dropping them frees
+    # this call's tables now instead of at the next full collection
+    rec = count = None
     if found:
         return list(rows), stats[0], stats[1]
     return None, stats[0], stats[1]

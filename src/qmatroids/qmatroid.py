@@ -647,12 +647,16 @@ def is_isomorphic(M1: QMatroid, M2: QMatroid, mode: str = "linear",
     the image of e_(d+1) ranges over the points of the colour of
     <e_(d+1)>, and every space inside <e_1..e_d> is checked as soon as
     the first d rows are placed.  With prune=False every invertible
-    matrix up to the first witness is a leaf, checked on every space.
+    matrix up to the first witness is a leaf, checked on every space:
+    the kernel decides a space inside <e_1..e_d>, d < n, once at each node
+    that places the first d rows, and when it fails there the subtree of
+    that node is walked only to count its leaves and nodes.
 
     Either way the candidates for the last row are scanned in one flat
-    loop: the image of a domain code is computed only when a check reads
-    it, and every leaf is checked against its spaces in order until the
-    first one whose rank differs.
+    loop, against the spaces that read the last row: the image of a
+    domain code is computed only when a check reads it, and every leaf is
+    checked against those spaces in order until the first one whose rank
+    differs.
     """
     if M1.ambient() != M2.ambient():
         raise AmbientMismatch("isomorphism search needs equal ambients")

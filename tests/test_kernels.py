@@ -20,9 +20,9 @@ from qmatroids import (
 )
 from qmatroids.fields import prime_power
 from qmatroids.kernels import _pure
-from qmatroids.qmatroid import from_rank_vector
+from qmatroids.qmatroid import _flag_depth, from_rank_vector
 from qmatroids.repro import blockdiag_matroid
-from qmatroids.subspaces import decode_vector
+from qmatroids.subspaces import code_arithmetic, decode_vector
 
 from helpers import reference_gl_iso_search
 
@@ -381,3 +381,121 @@ def test_flat_last_row_agrees_with_the_recursive_scan(q, n, kinds, monkeypatch):
         assert any(rows is None and leaves for rows, leaves, _ in results)
     if n > 1:  # a witness after the scan has backtracked
         assert any(rows is not None and nodes > n for rows, _, nodes in results)
+
+
+def _scan_both_ways(monkeypatch):
+    """Route every kernel call of is_isomorphic through the recursive
+    scan as well, asserting the same rows, leaves and nodes; returns the
+    list of results, in call order."""
+    results = []
+
+    def both(*args):
+        got = _pure.gl_iso_search(*args)
+        assert got == reference_gl_iso_search(*args)
+        results.append(got)
+        return got
+
+    monkeypatch.setattr(kernels, "gl_iso_search", both)
+    return results
+
+
+def _loop_at(q, n, d):
+    """The rank-1 q-matroid on F_q^n whose one loop is <e_d>: G lists the
+    powers 1, x, .., x^(n-1) of GF(q^n), with column d zero."""
+    p, e = prime_power(q)
+    spec = make_field(p, e, n)
+    M = from_matrix(Mat(spec, 1, n, [0 if i == d - 1 else q ** i for i in range(n)]))
+    loops = [S for S in lattice(q, n).spaces if S.dim == 1 and M.rank(S) == 0]
+    assert [S.codes for S in loops] == [(q ** (d - 1),)]
+    return M
+
+
+def _first_differing_depth(M1, M2):
+    """The least d with a space inside <e_1..e_d> whose ranks differ: the
+    depth of the first node-fixed check that fails in a plain scan, which
+    meets the standard flag first."""
+    q, n = M1.ambient()
+    return min(_flag_depth(codes, q)
+               for codes, r1, r2 in zip(lattice(q, n).basis_codes, M1.rank_vector(),
+                                        M2.rank_vector()) if r1 != r2)
+
+
+def _swap(q, n, d):
+    """The permutation matrix exchanging e_d and e_(d+1)."""
+    perm = list(range(n))
+    perm[d - 1], perm[d] = d, d - 1
+    return Mat(ground_field(q), n, n, [int(j == perm[i]) for i in range(n) for j in range(n)])
+
+
+@pytest.mark.parametrize("q, n", [(2, 3), (3, 3), (2, 4)])
+def test_node_fixed_checks_fail_at_every_depth(q, n, monkeypatch):
+    # M1 has the one loop <e_d>.  Against U(q, n, 1) the first failing
+    # check of the plain scan is <e_d>'s, decided at the first depth-d
+    # node, and the exhausted counts certify that no witness exists.
+    # Against its image under the swap of e_d and e_(d+1) every node
+    # whose rows put a nonloop at e_d fails, and the witness follows the
+    # counted subtrees of those nodes.
+    results = _scan_both_ways(monkeypatch)
+    partial = _gl_partial_counts(q, n)
+    for d in range(1, n):
+        M1 = _loop_at(q, n, d)
+        U = uniform(q, n, 1)
+        swapped = pushforward(M1, lmap_from_matrix(_swap(q, n, d)))
+        assert _first_differing_depth(M1, U) == _first_differing_depth(M1, swapped) == d
+        for prune in (False, True):
+            stats = {}
+            assert is_isomorphic(M1, U, prune=prune, stats=stats) is None
+            if not prune:
+                assert (stats["leaves"], stats["nodes"]) == (partial[-1], sum(partial))
+            stats = {}
+            witness = is_isomorphic(M1, swapped, prune=prune, stats=stats)
+            assert witness is not None
+            assert all(swapped.rank(witness.image_of(S)) == M1.rank(S)
+                       for S in lattice(q, n).spaces)
+            if not prune:  # past the subtree of the first depth-d node at least
+                assert stats["leaves"] > prod(q ** n - q ** j for j in range(d, n))
+    # per depth two plain scans and one pruned: pruned M1 vs U is refused unscanned
+    assert len(results) == 3 * (n - 1)
+
+
+@pytest.mark.parametrize("prune", [False, True])
+def test_n1_against_n2_node_fixed(prune, monkeypatch):
+    # Theorem 4.5's pair: no witness, and the plain scan's certificate is
+    # all of GL(4, 2): 20,160 leaves and 15 + 210 + 2,520 + 20,160 nodes
+    results = _scan_both_ways(monkeypatch)
+    stats = {}
+    assert is_isomorphic(blockdiag_matroid(2, 4, 1), blockdiag_matroid(2, 4, 2),
+                         prune=prune, stats=stats) is None
+    if prune:
+        assert stats["refused"] and not results
+    else:
+        assert len(results) == 1
+        assert (stats["leaves"], stats["nodes"]) == (20160, 22905)
+
+
+@pytest.mark.parametrize("q, n", [(2, 3), (3, 3), (2, 4)])
+def test_kernel_on_shuffled_candidates_agrees_with_the_recursive_scan(q, n):
+    # the kernel on its own, with candidates in shuffled order, some rows
+    # missing some codes, so that the subtrees it counts differ by span;
+    # every check at the leaves (node-fixed checks set apart), or each
+    # space checked at its flag depth or at the leaves (none set apart)
+    lat = lattice(q, n)
+    add, scale = code_arithmetic(q, n)
+    rng = random.Random(10 * q + n)
+    seen = set()
+    for kind in PAIR_KINDS:
+        M1, M2 = _random_pair(q, n, kind, rng)
+        candidates = []
+        for _ in range(n):
+            row = rng.sample(range(1, q ** n), q ** n - 1)
+            candidates.append(row[:rng.choice((len(row), len(row) - 2))])
+        for plain in (True, False):
+            checks = [[] for _ in range(n + 1)]
+            for codes, rank in zip(lat.basis_codes, M1.rank_vector()):
+                checks[n if plain else rng.choice((_flag_depth(codes, q), n))].append(
+                    (codes, rank))
+            args = (n, q, lat.holders, candidates, checks, M2.rank_vector(), add, scale)
+            got = _pure.gl_iso_search(*args)
+            assert got == reference_gl_iso_search(*args)
+            seen.add((plain, got[0] is None))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
