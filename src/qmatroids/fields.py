@@ -70,12 +70,19 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def over_field_cap(p: int, k: int, m: int) -> bool:
+    """True iff p^(k*m) exceeds the field-order cap, for p >= 2 and k, m >= 1:
+    a k*m at or past the cap's bit length says so without building a huge
+    power."""
+    return p >= 2 and k >= 1 and m >= 1 and (
+        k * m >= MAX_FIELD_ORDER.bit_length() or p ** (k * m) > MAX_FIELD_ORDER)
+
+
 def _check_parameters(p: int, k: int, m: int, over_cap: str):
-    """Refuse an order p^(k*m) above the cap first, without building a huge
-    power: trial division of a large p would run for hours.  Then refuse a
-    non-prime p, then k or m below 1."""
-    if p >= 2 and k >= 1 and m >= 1 and (
-            k * m >= MAX_FIELD_ORDER.bit_length() or p ** (k * m) > MAX_FIELD_ORDER):
+    """Refuse an order p^(k*m) above the cap first: trial division of a
+    large p would run for hours.  Then refuse a non-prime p, then k or m
+    below 1."""
+    if over_field_cap(p, k, m):
         raise NoDefaultModulus(over_cap)
     if not is_prime(p):
         raise NonPrimeCharacteristic(f"p={p} is not prime")

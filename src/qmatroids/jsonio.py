@@ -14,8 +14,15 @@ import json
 from contextlib import contextmanager
 from typing import Tuple
 
-from .errors import ParseError
-from .fields import MAX_FIELD_ORDER, FieldSpec, ground_field, make_field, prime_power
+from .errors import EnumerationCapExceeded, ParseError
+from .fields import (
+    MAX_FIELD_ORDER,
+    FieldSpec,
+    ground_field,
+    make_field,
+    over_field_cap,
+    prime_power,
+)
 from .maps import LMap, lmap_from_matrix, lmap_from_table
 from .qmatroid import FlatFamily, QMatroid, from_flats, from_matrix, from_rank_table, uniform
 from .subspaces import Mat, Subspace, lattice
@@ -108,6 +115,20 @@ def matroid_ambient(d) -> Tuple[int, int]:
     """(q, n) of a matroid spec; raises ParseError on a malformed header."""
     _, q, n = _header(d, "matroid", ("n",))
     return q, n
+
+
+def check_field_cap(d):
+    """Refuse a matrix spec whose field GF(p^(k*m)) is over the field-order
+    cap, from the field's header, before the field is built.  A field
+    header that does not parse is left to ``matroid_from_dict``."""
+    try:
+        field = d["field"] if d.get("kind") == "matrix" else None
+        p, k, m = int(field["p"]), int(field.get("k", 1)), int(field.get("m", 1))
+    except (AttributeError, KeyError, TypeError, ValueError):
+        return
+    if over_field_cap(p, k, m):
+        raise EnumerationCapExceeded(
+            f"field order {p}^{k * m} exceeds cap {MAX_FIELD_ORDER}")
 
 
 def map_ambient(d) -> Tuple[int, int, int]:

@@ -2,6 +2,7 @@
 
 from ._pure import (
     BACKEND,
+    flag_depth,
     gf2_factor_search,
     gf2_rref,
     gl_iso_search,
@@ -10,4 +11,4 @@ from ._pure import (
 # qbench/layers.py times the GL scan under this name
 gl2_iso_search = gl_iso_search
 
-__all__ = ["BACKEND", "gf2_factor_search", "gf2_rref", "gl_iso_search"]
+__all__ = ["BACKEND", "flag_depth", "gf2_factor_search", "gf2_rref", "gl_iso_search"]

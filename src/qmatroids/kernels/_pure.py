@@ -102,6 +102,15 @@ def gf2_factor_search(fixed, dim_domain, order, value_order):
     return None, nodes
 
 
+def flag_depth(codes, q):
+    """The least d with every code below q^d: the space spanned by the
+    vectors with these codes lies in <e_1..e_d>."""
+    top, d = max(codes, default=0), 0
+    while top >= q ** d:
+        d += 1
+    return d
+
+
 class NodeFailed(Exception):
     """A node-fixed check failed at the node of depth ``args[0]``."""
 
@@ -166,9 +175,7 @@ def gl_iso_search(n, q, holders, candidates, checks, ranks2, add, scale):
     if not any(checks[:n]):  # a plain scan: set the node-fixed checks apart
         head = reading = []
         for (codes, rank), pairs in zip(checks[n], split):
-            high, d = max(codes, default=0), 0
-            while high >= q ** d:
-                d += 1
+            d = flag_depth(codes, q)
             if d < n:
                 if reading or not tail:
                     reading = []

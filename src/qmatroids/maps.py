@@ -10,9 +10,9 @@ are subspaces, and closed under scaling as soon as the 1-space images
 are.  A line is the multiples of a code under the domain's
 ``code_arithmetic``, a 2-space the span of its RREF row codes, and an
 image set is a subspace iff it holds q^rank codes, the rank read off
-the codes by ``subspaces.code_rref``.  A preimage is a code mask, a
-subspace iff the domain lattice has a space with that vector mask.  The
-image sets of the lines also decide L-equivalence.  The brute-force
+the codes by ``subspaces.code_rref``.  A preimage is a set of codes,
+a subspace iff it holds q^dim codes of its span.  The image sets of the
+lines also decide L-equivalence.  The brute-force
 check over all subspaces is kept in the test suite as an oracle.
 """
 
@@ -37,7 +37,6 @@ from .subspaces import (
     encode_vector,
     enumerate_subspaces,
     lattice,
-    mask_ids,
 )
 
 
@@ -122,8 +121,8 @@ class LMap:
                     lambda up: (up & -up).bit_length() - 1)
             else:
                 image = table.__getitem__
-                self._image_ids = [lat2.span_id(map(image, mask_ids(mask)))
-                                   for mask in lat1.vec_masks]
+                self._image_ids = [lat2.span_id(map(image, S.vector_codes()))
+                                   for S in lat1.spaces]
         return self._image_ids
 
     def is_bijective(self) -> bool:
@@ -303,23 +302,11 @@ def preimage(phi: LMap, W: Subspace):
     """Preimage of W: (encoded vector set, is_subspace, Subspace or None)."""
     if (W.q, W.n) != (phi.q, phi.n2):
         raise AmbientMismatch("subspace does not live in the codomain")
-    wmask = 0
-    for w in W.vector_codes():
-        wmask |= 1 << w
-    codes = frozenset(mask_ids(_preimage_mask(phi, wmask)))
+    wcodes = set(W.vector_codes())
+    codes = frozenset(v for v, w in enumerate(phi.table) if w in wcodes)
     P = Subspace.from_codes(phi.q, phi.n1, codes)
     is_subspace = phi.q ** P.dim == len(codes)
     return codes, is_subspace, P if is_subspace else None
-
-
-def _preimage_mask(phi: LMap, wmask: int) -> int:
-    """The mask of the domain codes that phi sends into the codes set in
-    ``wmask``."""
-    mask = 0
-    for v, w in enumerate(phi.table):
-        if wmask >> w & 1:
-            mask |= 1 << v
-    return mask
 
 
 def compose(phi: LMap, psi: LMap) -> LMap:
@@ -480,12 +467,16 @@ def classify_map(phi: LMap, M1, M2) -> MapTypeReport:
         if r2 != r1 and len(rp_viol) < WITNESS_LIMIT:
             rp_viol.append((lat1.spaces[i], r1, r2))
     flats1 = M1.flats().id_mask
+    q, dims1, holders2 = phi.q, lat1.dims, lat2.holders
+    images = [holders2[w] for w in phi.table]  # the holders of each code's image
     for f in M2.flats().member_ids:
         if len(strong_viol) >= WITNESS_LIMIT:
             break
-        # the preimage is a subspace iff its code mask is a space's
-        i = lat1.mask_id(_preimage_mask(phi, lat2.vec_masks[f]))
-        if i is None:
+        # the codes sent into flat f, a subspace iff q^dim of them span it
+        into = 1 << f
+        codes = [v for v, up in enumerate(images) if up & into]
+        i = lat1.span_id(codes)
+        if q ** dims1[i] != len(codes):
             strong_viol.append((lat2.spaces[f], "preimage is not a subspace"))
         elif not flats1 >> i & 1:
             strong_viol.append((lat2.spaces[f], lat1.spaces[i]))

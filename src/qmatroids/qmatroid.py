@@ -23,6 +23,7 @@ from collections import Counter, defaultdict
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from . import kernels
+from .kernels import flag_depth as _flag_depth
 from .errors import (
     AmbientMismatch,
     AxiomViolation,
@@ -38,6 +39,7 @@ from .maps import embedding_map, lmap_from_matrix
 from .subspaces import (
     Mat,
     Subspace,
+    _vector_codes,
     code_arithmetic,
     decode_vector,
     join,
@@ -104,31 +106,27 @@ class FlatFamily:
 
     def _cover_ids(self, i: int) -> List[int]:
         """Ids of the members G > space i with no member strictly between,
-        ascending.
-
-        The lowest id left among the members above i is a minimal one,
-        since every member below it has a lower id; dropping its up-set
-        and repeating yields each minimal member once.
-        """
+        ascending."""
         above = lattice(self.q, self.n).above
-        rest = above(i) & self.id_mask & ~(1 << i)
-        covers = []
-        while rest:
-            j = (rest & -rest).bit_length() - 1
-            covers.append(j)
-            rest &= ~above(j)
-        return covers
+        return _minimal_members(above(i) & self.id_mask & ~(1 << i), above)
+
+    def _member_covers(self) -> Dict[int, List[int]]:
+        """``_cover_ids`` of every member, ANDing each member's up-set once."""
+        above = lattice(self.q, self.n).above
+        up = {i: above(i) & self.id_mask for i in self.member_ids}
+        return {i: _minimal_members(up[i] & ~(1 << i), up.__getitem__)
+                for i in self.member_ids}
 
     def closure_of(self, V: Subspace) -> Subspace:
-        """Meet of all members containing V (the smallest such member)."""
+        """Meet of all members containing V (the smallest such member): the
+        span of the vectors of the lowest of them that all of them hold."""
         lat = lattice(self.q, self.n)
         above = lat.above(lat.id_of(V)) & self.id_mask
         if not above:
             raise FlatAxiomViolation("F1", V)
-        acc = -1
-        for j in mask_ids(above):
-            acc &= lat.vec_masks[j]
-        return lat.spaces[lat.mask_id(acc)]
+        holders, low = lat.holders, (above & -above).bit_length() - 1
+        return lat.spaces[lat.span_id([v for v in lat.spaces[low].vector_codes()
+                                       if holders[v] & above == above])]
 
     def covers_of(self, F: Subspace) -> List[Subspace]:
         """Members G > F with no member strictly between."""
@@ -142,8 +140,8 @@ class FlatFamily:
             # before its covers are reached
             lat = lattice(self.q, self.n)
             h = dict.fromkeys(self.member_ids, 0)
-            for i in self.member_ids:
-                for j in self._cover_ids(i):
+            for i, covers in self._member_covers().items():
+                for j in covers:
                     h[j] = max(h[j], h[i] + 1)
             self._heights = {lat.spaces[i]: h[i] for i in self.member_ids}
         return self._heights
@@ -169,6 +167,20 @@ class FlatFamily:
         return f"FlatFamily(F{self.q}^{self.n}, {len(self.members)} members)"
 
 
+def _minimal_members(rest: int, up: Callable[[int], int]) -> List[int]:
+    """The ids of ``rest`` with no other id of it below them, ascending,
+    for ``rest`` a set of members and ``up(j)`` holding the members above
+    member j.  The lowest id left is a minimal one, since every member
+    below it has a lower id; dropping its up-set and repeating yields
+    each minimal member once."""
+    out = []
+    while rest:
+        j = (rest & -rest).bit_length() - 1
+        out.append(j)
+        rest &= ~up(j)
+    return out
+
+
 def check_flat_axioms(fam: FlatFamily, limit: Optional[int] = 10) -> AxiomReport:
     """Exhaustively verify F1-F3; the report carries up to ``limit``
     violations of :func:`flat_violations`, with witnesses."""
@@ -179,32 +191,41 @@ def check_flat_axioms(fam: FlatFamily, limit: Optional[int] = 10) -> AxiomReport
 def flat_violations(fam: FlatFamily):
     """Every F1, F2 and F3 violation of ``fam``, streamed in that order.
 
-    F2 meets every pair of members (an AND of vector masks).  F3 asks, for
-    every member F and every vector outside F, that exactly one cover of
-    F in the family contains it; the vectors in no cover or in several
-    are read off two masks (in at least one cover, in at least two), and
-    each such (F, vector) pair is reported with those covers.  F3 is
-    checked only when the full space is a member.
+    The sweep holds the vector mask of each member, bit v set for each
+    vector code v of it, built on entry.  F2 meets every pair of members
+    (an AND of vector masks).  F3 asks, for every member F and every
+    vector outside F, that exactly one cover of F in the family contains
+    it; the vectors in no cover or in several are read off two masks (in
+    at least one cover, in at least two), and each such (F, vector) pair
+    is reported with those covers.  F3 is checked only when the full
+    space is a member.
     """
     lat = lattice(fam.q, fam.n)
-    vm = lat.vec_masks
     ids = fam.member_ids
-    member_vms = {vm[i] for i in ids}
+    add, scale = code_arithmetic(fam.q, fam.n)
+    bit, scalars = (1).__lshift__, range(1, fam.q)
+    everything = (1 << fam.q ** fam.n) - 1
+    # the full space, the last id, holds every code without listing them
+    masks = [sum(map(bit, _vector_codes(lat.basis_codes[i], add, scale, scalars)))
+             if i < lat.size - 1 else everything for i in ids]
+    vm, member_vms = dict(zip(ids, masks)), set(masks)
     full = Subspace.full(fam.q, fam.n)
     if full not in fam.members:
         yield ("F1", full, None)
-    for k, a in enumerate(ids):
-        va = vm[a]
-        for b in ids[k + 1:]:
+    for k, (a, va) in enumerate(zip(ids, masks)):
+        for vb in masks[k + 1:]:
+            if va & vb not in member_vms:
+                break
+        else:
+            continue
+        for b in ids[k + 1:]:  # some meet with a is no member: find each
             m = va & vm[b]
             if m not in member_vms:
                 yield ("F2", (lat.spaces[a], lat.spaces[b]),
-                       lat.spaces[lat.mask_id(m)])
+                       lat.spaces[lat.span_id(mask_ids(m))])
     if full not in fam.members:
         return
-    everything = (1 << fam.q ** fam.n) - 1
-    for f in ids:
-        covers = fam._cover_ids(f)
+    for f, covers in fam._member_covers().items():
         once = twice = 0  # vectors in at least one, two covers of F
         for c in covers:
             twice |= once & vm[c]
@@ -281,10 +302,11 @@ class QMatroid:
         the same rank.  A 1-space X outside V with rank(V+X) = rank(V)
         spans such a cover with V, and each such cover is spanned so."""
         lat = lattice(self.q, self.n)
-        rv, vm, acc = self.rank_vector(), lat.vec_masks, lat.above(i)
+        rv, holders, acc = self.rank_vector(), lat.holders, lat.above(i)
         for j in lat.upper[i]:
             if rv[j] == rv[i]:  # V and a vector of j outside V span j
-                acc &= lat.holders[(vm[j] & ~vm[i]).bit_length() - 1]
+                acc &= holders[next(c for c in lat.basis_codes[j]
+                                    if not holders[c] >> i & 1)]
         return (acc & -acc).bit_length() - 1
 
     def closure(self, V: Subspace) -> Subspace:
@@ -615,15 +637,6 @@ def _point_colours(lat, rv: List[int], slots: Dict[tuple, int]) -> Dict[int, tup
             counts[slot[i]] += 1
         colours[p] = tuple(counts)
     return colours
-
-
-def _flag_depth(codes, q: int) -> int:
-    """The least d with every code below q^d: the space spanned by the
-    vectors with these codes lies in <e_1..e_d>."""
-    top, d = max(codes, default=0), 0
-    while top >= q ** d:
-        d += 1
-    return d
 
 
 def is_isomorphic(M1: QMatroid, M2: QMatroid, mode: str = "linear",

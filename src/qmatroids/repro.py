@@ -35,6 +35,7 @@ from .qmatroid import (
     uniform,
 )
 from .dirsum import (
+    CheckReport,
     direct_sum,
     dirsum_circuits,
     lclass_scaling_family,
@@ -43,21 +44,19 @@ from .dirsum import (
 from .subspaces import Mat, Subspace, join, lattice, meet
 
 
-class ReproReport:
-    __slots__ = ("item", "checks", "counters", "wall_time")
+class ReproReport(CheckReport):
+    """The checks of one named item, with its counters and wall time."""
+    __slots__ = ("item", "counters", "wall_time")
 
     def __init__(self, item: str):
+        super().__init__()
         self.item = item
-        self.checks = []
         self.counters = {}
         self.wall_time = 0.0
 
-    def add(self, name: str, ok: bool, detail=None):
-        self.checks.append((name, bool(ok), detail))
-
     @property
     def passed(self) -> bool:
-        return all(ok for _, ok, _ in self.checks)
+        return self.ok
 
     def summary(self) -> str:
         lines = [f"[{self.item}] {'PASS' if self.passed else 'FAIL'} "

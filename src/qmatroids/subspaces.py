@@ -484,21 +484,20 @@ class SubspaceLattice:
 
     Spaces are indexed in enumeration order, so each dimension is a run
     of consecutive ids, ascending with it, and the zero space is id 0.
-    ``vec_masks[i]`` has bit v set for each encoded vector v of space i,
-    and its transpose ``holders[v]`` has bit i set for each space i
-    containing vector v (``holders[0]`` holds every id).  Meets are
-    vector-mask intersections, and ``mask_id`` finds the space of a
-    vector mask.  ``basis_codes[i]`` is ``spaces[i].codes``, the codes
-    of space i's RREF rows, not a copy.  The AND of the holders of some
-    vectors holds the spaces containing them, and its lowest id is their
-    span: ``above(i)`` ANDs over space i's basis codes on each call, a
-    join spans both spaces' basis codes, and ``id_of`` spans a space's
-    own codes.  The covering relation is held once, as ascending id
-    lists ``upper[i]``, the upper covers of space i; a sweep that needs
-    the hyperplanes of a space pushes its values up ``upper`` in id
-    order instead, as ``minimal_ids`` does.  ``prefix_order`` (see
-    ``prefix_fold``) and ``sub_masks``, N^2 bits, are built on first
-    use.  No table changes once built.
+    Which vectors lie in which space is held once, as ``holders[v]``,
+    with bit i set for each space i containing the vector with code v
+    (``holders[0]`` holds every id).  ``basis_codes[i]`` is
+    ``spaces[i].codes``, the codes of space i's RREF rows, not a copy.
+    The AND of the holders of some vectors holds the spaces containing
+    them, and its lowest id is their span: ``above(i)`` ANDs over space
+    i's basis codes on each call, a join spans both spaces' basis codes,
+    ``id_of`` spans a space's own codes, and a meet spans the vectors of
+    one space that the other holds.  The covering relation is held once,
+    as ascending id lists ``upper[i]``, the upper covers of space i; a
+    sweep that needs the hyperplanes of a space pushes its values up
+    ``upper`` in id order instead, as ``minimal_ids`` does.
+    ``prefix_order`` (see ``prefix_fold``) and ``sub_masks``, N^2 bits,
+    are built on first use.  No table changes once built.
     """
 
     def __init__(self, q: int, n: int):
@@ -511,14 +510,10 @@ class SubspaceLattice:
         self.basis_codes = [S.codes for S in self.spaces]
         add, scale = code_arithmetic(q, n)
         self.holders = holders = [0] * (q ** n)
-        self.vec_masks = []
         for i, codes in enumerate(self.basis_codes):
             bit = 1 << i
-            mask = 0
             for v in _vector_codes(codes, add, scale, range(1, q)):
-                mask |= 1 << v
                 holders[v] |= bit
-            self.vec_masks.append(mask)
         ids = list(range(self.size))  # one int object per id for all lists
         first = [self.dims.index(d) for d in range(n + 1)] + [self.size] * 2
         self.upper = []
@@ -543,30 +538,19 @@ class SubspaceLattice:
             raise AmbientMismatch(f"{S!r} is not a subspace of F_{self.q}^{self.n}")
         return self.span_id(S.codes)
 
-    def mask_id(self, mask: int) -> Optional[int]:
-        """Id of the space whose vector mask is ``mask``; None if no space
-        has that mask.
-
-        Each round spans the space found so far with the lowest vector of
-        ``mask`` outside it, so at most n rounds leave ``mask`` inside the
-        span, which is then the answer if its mask is ``mask`` itself.
-        """
-        vm, holders = self.vec_masks, self.holders
-        up, i = holders[0], 0
-        rest = mask & ~vm[0]
-        while rest:
-            up &= holders[(rest & -rest).bit_length() - 1]
-            i = (up & -up).bit_length() - 1
-            rest = mask & ~vm[i]
-        return i if vm[i] == mask else None
-
     def contains_ids(self, i: int, j: int) -> bool:
-        """True iff space j <= space i."""
-        mj = self.vec_masks[j]
-        return self.vec_masks[i] & mj == mj
+        """True iff space j <= space i: space i holds every basis code of j."""
+        holders = self.holders
+        return all(holders[c] >> i & 1 for c in self.basis_codes[j])
 
     def meet_id(self, i: int, j: int) -> int:
-        return self.mask_id(self.vec_masks[i] & self.vec_masks[j])
+        """Id of the meet of spaces i and j: the span of the vectors of the
+        smaller one that the other holds."""
+        if self.dims[i] > self.dims[j]:
+            i, j = j, i
+        holders = self.holders
+        return self.span_id([v for v in self.spaces[i].vector_codes()
+                             if holders[v] >> j & 1])
 
     def join_id(self, i: int, j: int) -> int:
         return self.span_id(self.basis_codes[i] + self.basis_codes[j])
@@ -665,13 +649,17 @@ def _vector_codes(rows, add, scale, scalars) -> List[int]:
     rows; ``add`` and ``scale`` are ``code_arithmetic``'s.
 
     The combinations of the first i + 1 rows are those of the first i
-    plus each multiple of row i, so each row is scaled once per scalar.
+    plus each multiple of row i, so each row is scaled once per scalar;
+    the first of those combinations is 0, so the multiple itself comes
+    first, with no addition.
     """
     codes = [0]
     for r in rows:
-        lower = codes[:]
+        lower = codes[1:]
         for c in scalars:
-            codes += map(add, itertools.repeat(scale(c, r)), lower)
+            multiple = scale(c, r)
+            codes.append(multiple)
+            codes += map(add, itertools.repeat(multiple), lower)
     return codes
 
 

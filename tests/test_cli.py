@@ -115,6 +115,21 @@ class TestBuild:
         assert child.stderr.startswith("check failed: ")
         assert "Traceback" not in child.stdout + child.stderr
 
+    @pytest.mark.parametrize("field", [
+        {"p": 2, "k": 1, "m": 21, "base_modulus": [0, 1],
+         "ext_modulus": [1, 0, 1] + [0] * 18 + [1]},
+        {"p": 2, "k": 1, "m": 30},
+    ], ids=["m=21 given moduli", "m=30"])
+    def test_over_cap_field_exit_3(self, tmp_path, capsys, field):
+        # GF(2^21) and GF(2^30) are over the field-order cap: a command that
+        # sweeps the lattice refuses the field from its header as a cap
+        spec = tmp_path / "big.json"
+        dump_json({"q": 2, "n": 1, "kind": "matrix", "field": field, "rows": [[[1]]]},
+                  str(spec))
+        assert main(["build", str(spec)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("cap exceeded: field order 2^") and "Traceback" not in err
+
     def test_over_cap_ambient_refused_before_its_field(self, tmp_path, monkeypatch,
                                                        uniform_spec, capsys):
         # F_(3^12)^1 has more vectors than the vector cap: each command that

@@ -224,8 +224,9 @@ class TestImagePreimage:
         lat1, lat2 = lattice(phi.q, phi.n1), lattice(phi.q, phi.n2)
         assert len(phi.image_ids) == lat1.size
         for i, V in enumerate(lat1.spaces):
-            image = sum({1 << phi.table[encode_vector(v, phi.q)] for v in V.vectors()})
-            assert phi.image_ids[i] == lat2.mask_id(image)
+            image = {phi.table[encode_vector(v, phi.q)] for v in V.vectors()}
+            assert phi.image_ids[i] == lat2.id_of(Subspace.from_codes(phi.q, phi.n2, image))
+            assert len(image) == phi.q ** lat2.dims[phi.image_ids[i]]
 
     @pytest.mark.parametrize("q,n1,n2,automorphism", [
         (2, 3, 4, 0), (2, 4, 2, 0), (3, 2, 3, 0), (3, 3, 2, 0), (4, 2, 3, 0),

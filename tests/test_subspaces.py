@@ -357,33 +357,19 @@ class TestLatticeCache:
             assert lat.spaces[lat.meet_id(i, j)] == meet(lat.spaces[i], lat.spaces[j])
             assert lat.spaces[lat.join_id(i, j)] == join(lat.spaces[i], lat.spaces[j])
 
+    @pytest.mark.parametrize("q,n", [(2, 4), (3, 3), (4, 2)])
+    def test_contains_ids_against_direct(self, q, n):
+        lat = lattice(q, n)
+        for i, j in lattice_pairs(lat, None):
+            assert lat.contains_ids(i, j) == contains(lat.spaces[i], lat.spaces[j])
+
     @pytest.mark.parametrize("q,n", [(2, 4), (3, 3), (4, 2), (5, 2)])
     def test_ids_of_every_space(self, q, n):
-        # id_of spans a space's codes, and mask_id inverts vec_masks
+        # id_of spans a space's codes
         lat = lattice(q, n)
-        by_mask = {m: i for i, m in enumerate(lat.vec_masks)}
-        assert len(by_mask) == lat.size
         assert lat.spaces[lat.zero_id] == Subspace.zero(q, n)
         for i, S in enumerate(lat.spaces):
             assert lat.id_of(S) == i
-            assert lat.mask_id(lat.vec_masks[i]) == by_mask[lat.vec_masks[i]] == i
-
-    @pytest.mark.parametrize("q,n", [(2, 4), (3, 3), (4, 2), (5, 2)])
-    def test_mask_id_of_masks_no_space_has(self, q, n):
-        lat = lattice(q, n)
-        vm = lat.vec_masks
-        by_mask = {m: i for i, m in enumerate(vm)}
-        assert lat.mask_id(0) is None
-        for m in vm:
-            assert lat.mask_id(m & ~1) is None  # without code 0
-        for a, b in itertools.combinations(lat.one_ids, 2):
-            assert lat.mask_id(vm[a] | vm[b]) is None
-        rng = random.Random(q * 10 + n)
-        for _ in range(300):
-            mask = rng.getrandbits(q ** n) | rng.randrange(2)
-            assert lat.mask_id(mask) == by_mask.get(mask)
-            i, j = rng.randrange(lat.size), rng.randrange(lat.size)
-            assert lat.mask_id(vm[i] | vm[j]) == by_mask.get(vm[i] | vm[j])
 
     def test_id_of_a_subspace_of_another_ambient(self):
         lat = lattice(2, 3)
@@ -399,7 +385,9 @@ class TestLatticeCache:
         # containment of vector sets and dimensions: a cover is a space
         # containing another whose dimension is one more
         lat = lattice(q, n)
-        vm, dims, subs = lat.vec_masks, lat.dims, lat.sub_masks
+        dims, subs = lat.dims, lat.sub_masks
+        vm = [sum(1 << code for code in range(q ** n)
+                  if S.contains_vector(decode_vector(code, q, n))) for S in lat.spaces]
         for i, j in lattice_pairs(lat, samples):
             below = vm[i] & vm[j] == vm[j]  # space j <= space i
             assert (subs[i] >> j) & 1 == below
@@ -415,7 +403,6 @@ class TestLatticeCache:
         for i, S in enumerate(lat.spaces):
             members = [code for code in range(q ** n)
                        if S.contains_vector(decode_vector(code, q, n))]
-            assert lat.vec_masks[i] == sum(1 << code for code in members)
             assert len(members) == q ** S.dim
             assert [(lat.holders[code] >> i) & 1 for code in range(q ** n)] == [
                 int(code in members) for code in range(q ** n)]
