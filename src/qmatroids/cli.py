@@ -60,14 +60,14 @@ def _emit(payload, fmt: str):
 
 
 def _load_matroid(path: str, max_subspaces: int, sweep: bool = True):
-    """The matroid of a spec file; for a command that sweeps its lattice,
-    an over-cap ambient or field is refused before the payload's field is
-    built."""
+    """The matroid of a spec file.  An over-cap field, and for a command
+    that sweeps its lattice an over-cap ambient, is refused before the
+    payload's field is built."""
     d = load_json(path)
     q, n = matroid_ambient(d)
     if sweep:
         check_caps(q, n)
-        check_field_cap(d)
+    check_field_cap(d)
     # F_q^n has at least the 2^n coordinate subspaces
     if n >= max_subspaces.bit_length() or count_subspaces(q, n) > max_subspaces:
         raise EnumerationCapExceeded(

@@ -2,11 +2,13 @@
 
 Rows of GF(2) matrices are packed into machine integers, bit i holding
 column i.  The GL(n, q) scan works on vector codes and lattice-id
-bitmasks for every q.  ``kernels/__init__`` re-exports the public
-functions.
+bitmasks, and the factoring search on tables of codes, for every q.
+``kernels/__init__`` re-exports the public functions.
 """
 
 from __future__ import annotations
+
+from operator import itemgetter
 
 BACKEND = "pure"
 
@@ -31,69 +33,45 @@ def gf2_rref(rows, ncols):
     return [basis[p] for p in sorted(basis)], len(basis)
 
 
-def _triple_ok(s1, s2, s3):
-    x = s1 ^ s2
-    if x and x != s3 and x != s1 and x != s2:
-        return False
-    x = s1 ^ s3
-    if x and x != s2 and x != s1 and x != s3:
-        return False
-    x = s2 ^ s3
-    if x and x != s1 and x != s2 and x != s3:
-        return False
-    return True
+def factor_search(fixed, order, value_order, checks, holds):
+    """Backtracking search for a completion of ``fixed`` passing every check.
 
-
-def gf2_factor_search(fixed, dim_domain, order, value_order):
-    """Backtracking search for a subspace-preserving completion of ``fixed``.
-
-    ``fixed`` has one entry per packed domain vector: the prescribed image,
-    or -1 for the slots listed in ``order``.  Values are tried in
-    ``value_order``.  A completion is valid when the image set of every
-    2-space of the domain is XOR-closed (which makes the full map an
-    L-map).  Returns (table_or_None, nodes) where nodes counts tried
-    assignments; an exhausted search with result None is a certificate
-    that no completion exists.
+    ``fixed`` holds a value per code, -1 at the free slots, which are set
+    in ``order`` to each value of ``value_order`` in turn.  ``checks`` are
+    tuples of two or more codes, and ``holds`` decides one from the tuple
+    of its codes' values, at the slot where its last free code is set; one
+    with no free code before the search, returning (None, 0) if it fails.
+    Returns (the first completion or None, nodes): nodes counts every value
+    tried, so an exhausted search certifies that no completion exists.
     """
-    size = 1 << dim_domain
     table = list(fixed)
-    # triples (a, b, c=a^b) with a < b < c, precomputed per slot
-    triples = []
-    for a in range(1, size):
-        for b in range(a + 1, size):
-            c = a ^ b
-            if c > b:
-                triples.append((a, b, c))
-    by_slot = {v: [] for v in order}
-    for t in triples:
-        for v in t:
-            if v in by_slot:
-                by_slot[v].append(t)
-    # a fixed-only violation rules out every completion
-    for a, b, c in triples:
-        if table[a] >= 0 and table[b] >= 0 and table[c] >= 0:
-            if not _triple_ok(table[a], table[b], table[c]):
-                return None, 0
-
+    slot = [-1] * len(table)  # slot[c]: the depth at which code c is set
+    for d, v in enumerate(order):
+        slot[v] = d
+    at = [[] for _ in order]  # at[d]: the checks decided once order[d] is set
+    for codes in checks:
+        values = itemgetter(*codes)
+        last = max(map(slot.__getitem__, codes))
+        if last >= 0:
+            at[last].append(values)
+        elif not holds(values(table)):
+            return None, 0
     nodes = 0
-    depth = len(order)
 
     def rec(d):
         nonlocal nodes
-        if d == depth:
+        if d == len(order):
             return True
         v = order[d]
         for val in value_order:
             nodes += 1
             table[v] = val
-            ok = True
-            for a, b, c in by_slot[v]:
-                ta, tb, tc = table[a], table[b], table[c]
-                if ta >= 0 and tb >= 0 and tc >= 0 and not _triple_ok(ta, tb, tc):
-                    ok = False
+            for values in at[d]:
+                if not holds(values(table)):
                     break
-            if ok and rec(d + 1):
-                return True
+            else:
+                if rec(d + 1):
+                    return True
         table[v] = -1
         return False
 

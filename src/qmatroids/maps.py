@@ -7,18 +7,19 @@ or leave.  Verification only needs to look at 1- and 2-dimensional
 subspaces of the domain: the image of any subspace is closed under
 addition as soon as the images of the 2-spaces through its vector pairs
 are subspaces, and closed under scaling as soon as the 1-space images
-are.  A line is the multiples of a code under the domain's
-``code_arithmetic``, a 2-space the span of its RREF row codes, and an
-image set is a subspace iff it holds q^rank codes, the rank read off
-the codes by ``subspaces.code_rref``.  A preimage is a set of codes,
-a subspace iff it holds q^dim codes of its span.  The image sets of the
-lines also decide L-equivalence.  The brute-force
+are.  ``lmap_checks`` lists them once per (q, n), for ``lmap_from_table``
+and the factoring search of ``repro``; an image set is a subspace iff
+it holds q^rank codes, the rank read off by ``subspaces.code_rref`` (or
+off the codomain lattice's holders, by ``subspace_test``).  A preimage
+is a set of codes, a subspace iff it holds q^dim codes of its span.
+The image sets of the lines also decide L-equivalence.  The brute-force
 check over all subspaces is kept in the test suite as an oracle.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from functools import lru_cache
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import (
     AmbientMismatch,
@@ -202,10 +203,33 @@ def _line_images(table, q, scale) -> List[frozenset]:
             for v in range(1, len(table))]
 
 
-def _is_subspace(codes, q, n) -> bool:
-    """True iff the codes (a set containing 0) are the vectors of a
-    subspace of F_q^n: their span has no more vectors than they do."""
-    return q ** code_rref(codes, q, n)[1] == len(codes)
+@lru_cache(maxsize=None)
+def lmap_checks(q: int, n: int) -> Tuple[Tuple[int, ...], ...]:
+    """The nonzero codes of each line, by least code (q > 2: over GF(2) a
+    line image {0, w} is a subspace), then of each 2-space of F_q^n in
+    ``enumerate_subspaces`` order: the sets an L-map maps onto subspaces."""
+    _, scale = code_arithmetic(q, n)
+    lines = [] if q == 2 else [
+        line for line in (tuple(scale(c, v) for c in range(1, q))
+                          for v in range(1, q ** n))
+        if min(line) == line[0]]
+    return tuple(lines) + tuple(tuple(W.vector_codes()[1:])
+                                for W in enumerate_subspaces(q, n, 2))
+
+
+def subspace_test(q: int, n: int):
+    """holds(images): the codes ``images`` and 0 are a subspace of F_q^n,
+    i.e. q^dim of their span, the lowest id in the AND of their holders."""
+    lat = lattice(q, n)
+    holders, sizes = lat.holders, [q ** d for d in lat.dims]
+
+    def holds(images):
+        up = holders[0]
+        for w in images:
+            up &= holders[w]
+        return sizes[(up & -up).bit_length() - 1] == len({0, *images})
+
+    return holds
 
 
 def lmap_from_table(q: int, n1: int, n2: int, table_or_fn) -> LMap:
@@ -213,15 +237,13 @@ def lmap_from_table(q: int, n1: int, n2: int, table_or_fn) -> LMap:
 
     ``table_or_fn`` is either a sequence of encoded images (one per
     encoded domain vector) or a callable on coordinate tuples.  Raises
-    ZeroNotFixed or NotAnLMap (with a witness subspace) on failure.
+    ZeroNotFixed or NotAnLMap (with a witness subspace: the first of
+    ``lmap_checks`` whose image is not a subspace) on failure.
     """
     size = q ** n1
     if callable(table_or_fn):
-        table = []
-        for code in range(size):
-            v = decode_vector(code, q, n1)
-            w = table_or_fn(v)
-            table.append(encode_vector(w, q))
+        table = [encode_vector(table_or_fn(decode_vector(code, q, n1)), q)
+                 for code in range(size)]
     else:
         table = [int(x) for x in table_or_fn]
         if len(table) != size:
@@ -231,13 +253,10 @@ def lmap_from_table(q: int, n1: int, n2: int, table_or_fn) -> LMap:
     if any(not 0 <= x < q ** n2 for x in table):
         raise ValueError("table entry out of codomain range")
 
-    _, scale = code_arithmetic(q, n1)
-    for v, image in enumerate(_line_images(table, q, scale), 1):
-        if not _is_subspace(image, q, n2):
-            raise NotAnLMap(Subspace.from_codes(q, n1, [v]))
-    for W in enumerate_subspaces(q, n1, 2):
-        if not _is_subspace({table[c] for c in W.vector_codes()}, q, n2):
-            raise NotAnLMap(W)
+    for codes in lmap_checks(q, n1):
+        images = {0, *map(table.__getitem__, codes)}
+        if q ** code_rref(images, q, n2)[1] != len(images):
+            raise NotAnLMap(Subspace.from_codes(q, n1, codes))
 
     A, auto, semi = _detect_structure(q, n1, n2, table)
     return LMap(q, n1, n2, table, linear_matrix=A, automorphism=auto,

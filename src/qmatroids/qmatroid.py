@@ -476,16 +476,18 @@ def from_rank_table(q: int, n: int, table: Dict[Subspace, int]) -> QMatroid:
 
 
 def from_flats(fam: FlatFamily) -> QMatroid:
-    """Matroid with rank(V) = height of the smallest flat containing V."""
+    """Matroid with rank(V) = height of the smallest flat containing V,
+    the least height of a member above V: one walk down ``upper`` from
+    the full space (a member, F1) ranks every space."""
     first = next(flat_violations(fam), None)
     if first:
         raise FlatAxiomViolation(*first[:2])
-    heights = fam.heights
-
-    def rank_fn(V: Subspace) -> int:
-        return heights[fam.closure_of(V)]
-
-    return QMatroid(fam.q, fam.n, rank_fn, kind="flats", payload={"flats": fam})
+    lat, heights = lattice(fam.q, fam.n), fam.heights
+    ranks = [0] * lat.size
+    for i in reversed(range(lat.size)):
+        ranks[i] = (heights[lat.spaces[i]] if fam.id_mask >> i & 1
+                    else min(map(ranks.__getitem__, lat.upper[i])))
+    return from_rank_vector(fam.q, fam.n, ranks, kind="flats", payload={"flats": fam})
 
 
 def pushforward(M: QMatroid, phi) -> QMatroid:

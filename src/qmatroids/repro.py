@@ -21,7 +21,9 @@ from .maps import (
     identity_map,
     iota_maps,
     l_equivalent,
+    lmap_checks,
     lmap_from_table,
+    subspace_test,
     zero_map,
 )
 from .qmatroid import (
@@ -355,57 +357,52 @@ def _alpha_maps(q: int):
 
 
 def _factor_fixed_table(a1: LMap, a2: LMap):
-    """Prescribed entries of eps on the two embedded copies of F_2^2 in
-    F_2^4; -1 elsewhere."""
-    size = 1 << 4
-    fixed = [-1] * size
-    for v1 in range(4):
-        for v2 in range(4):
-            code = v1 | (v2 << 2)
-            if v2 == 0:
-                fixed[code] = a1.table[v1]
-            elif v1 == 0:
-                fixed[code] = a2.table[v2]
+    """Prescribed entries of eps on the two embedded copies of F_q^2 in
+    F_q^4, at the codes v1 + v2 q^2; -1 elsewhere."""
+    q = a1.q
+    fixed = [-1] * q ** 4
+    fixed[:q ** 2] = a1.table
+    fixed[::q ** 2] = a2.table
     return fixed
 
 
 def verify_thm_nonlinear_noncoproduct(q: int = 2,
                                       branch_perm: Optional[Sequence[int]] = None
                                       ) -> ReproReport:
-    """Complete backtracking certificate that no L-map factors the alphas.
-
-    Only q = 2 is in scope: the free-assignment space is 8^9 before
-    pruning, and every 2-space constraint is applied incrementally.
-    """
+    """Complete backtracking certificate that no L-map factors the alphas:
+    the free codes of eps: F_q^4 -> F_q^3 are set in order, each check of
+    ``lmap_checks(q, 4)`` decided once its last free code is set."""
     if q != 2:
-        raise SearchBoundExceeded("the exhaustive search is fixed to q = 2")
+        raise SearchBoundExceeded("thm-4-6 runs at q = 2 only: the q = 3 search (64 free "
+                                  "codes of 27 values each) is unsized and needs a node cap")
     rep = ReproReport("thm-4-6")
-    M1 = uniform(2, 2, 1)
-    N = uniform(2, 3, 3)
-    a1, a2 = _alpha_maps(2)
+    M1 = uniform(q, 2, 1)
+    N = uniform(q, 3, 3)
+    a1, a2 = _alpha_maps(q)
     for name, a in (("alpha1", a1), ("alpha2", a2)):
         cls = classify_map(a, M1, N)
         rep.add(f"{name}_rank_preserving_weak_strong",
                 cls.is_rank_preserving and cls.is_weak and cls.is_strong)
 
+    checks = lmap_checks(q, 4)
     fixed = _factor_fixed_table(a1, a2)
-    order = [c for c in range(16) if fixed[c] < 0]
+    order = [c for c in range(q ** 4) if fixed[c] < 0]
     rep.counters["free_slots"] = len(order)
-    rep.counters["assignment_space"] = 8 ** len(order)
+    rep.counters["assignment_space"] = (q ** 3) ** len(order)
     if branch_perm is not None:
         order = [order[i] for i in branch_perm]
-    sol, nodes = kernels.gf2_factor_search(fixed, 4, order, list(range(8)))
+    sol, nodes = kernels.factor_search(fixed, order, range(q ** 3), checks,
+                                       subspace_test(q, 3))
     rep.add("no_factoring_lmap", sol is None)
     rep.counters["nodes"] = nodes
 
     # sanity inversion: with target U1 (+) U1 and alpha_i = iota_i the
     # search must find the identity
-    inv_fixed = _factor_fixed_table(*iota_maps(2, 2, 2))
-    inv_order = [c for c in range(16) if inv_fixed[c] < 0]
-    sol2, nodes2 = kernels.gf2_factor_search(inv_fixed, 4, inv_order,
-                                             list(range(16)))
-    rep.add("sanity_inversion_finds_identity",
-            sol2 == list(range(16)))
+    inv_fixed = _factor_fixed_table(*iota_maps(q, 2, 2))
+    inv_order = [c for c in range(q ** 4) if inv_fixed[c] < 0]
+    sol2, nodes2 = kernels.factor_search(inv_fixed, inv_order, range(q ** 4), checks,
+                                         subspace_test(q, 4))
+    rep.add("sanity_inversion_finds_identity", sol2 == list(range(q ** 4)))
     rep.counters["sanity_nodes"] = nodes2
     return rep
 

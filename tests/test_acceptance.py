@@ -41,8 +41,8 @@ from qmatroids import (
     zero_map,
 )
 from qmatroids.fields import ground_field, omega_index_set
-from qmatroids.kernels import gf2_factor_search
-from qmatroids.maps import pointwise_scalars
+from qmatroids.kernels import factor_search
+from qmatroids.maps import lmap_checks, pointwise_scalars, subspace_test
 from qmatroids.repro import (
     _alpha_maps,
     _factor_fixed_table,
@@ -151,7 +151,8 @@ def test_criterion_4_factoring_search():
         fixed = _factor_fixed_table(a1, a2)
         order = [c for c in range(16) if fixed[c] < 0]
         assert len(order) == 9  # 8^9 assignment space, pruned
-        sol, nodes = gf2_factor_search(fixed, 4, order, list(range(8)))
+        checks = lmap_checks(2, 4)
+        sol, nodes = factor_search(fixed, order, range(8), checks, subspace_test(2, 3))
         assert sol is None and nodes > 0
         # sanity inversion: target U1 (+) U1 must recover the identity
         iota1, iota2 = iota_maps(2, 2, 2)
@@ -161,7 +162,8 @@ def test_criterion_4_factoring_search():
         for v2 in range(4):
             inv_fixed[v2 << 2] = iota2.table[v2]
         inv_order = [c for c in range(16) if inv_fixed[c] < 0]
-        sol2, _ = gf2_factor_search(inv_fixed, 4, inv_order, list(range(16)))
+        sol2, _ = factor_search(inv_fixed, inv_order, range(16), checks,
+                                subspace_test(2, 4))
         assert sol2 == list(range(16))
 
 

@@ -104,16 +104,18 @@ class TestBuild:
     ], ids=["p=2^61-1", "p=2^61-1 given moduli", "m=10^9"])
     def test_over_cap_field_refused_at_once(self, tmp_path, field):
         # trial division of 2^61 - 1 would run for hours, and 2^(10^9) need
-        # not be built: a fresh process must refuse the field on its order.
-        # `query rank` reads the payload of an ambient of any size
+        # not be built: a fresh process must refuse the field on its order,
+        # as a cap, in the queries that read the payload of an ambient of
+        # any size as in `build`
         spec = tmp_path / "big.json"
         dump_json({"q": field["p"], "n": 1, "kind": "matrix", "field": field,
                    "rows": [[[1]]]}, str(spec))
-        child = _python("-m", "qmatroids.cli", "query", str(spec), "rank",
-                        "--subspace", "1", timeout=10)
-        assert child.returncode == 1
-        assert child.stderr.startswith("check failed: ")
-        assert "Traceback" not in child.stdout + child.stderr
+        for sub in ("rank", "restrict", "contract"):
+            child = _python("-m", "qmatroids.cli", "query", str(spec), sub,
+                            "--subspace", "1", timeout=10)
+            assert child.returncode == 3, sub
+            assert child.stderr.startswith("cap exceeded: "), sub
+            assert "Traceback" not in child.stdout + child.stderr
 
     @pytest.mark.parametrize("field", [
         {"p": 2, "k": 1, "m": 21, "base_modulus": [0, 1],

@@ -14,12 +14,15 @@ from qmatroids import (
     kernels,
     lattice,
     lmap_from_matrix,
+    lmap_from_table,
     make_field,
     pushforward,
     uniform,
 )
+from qmatroids.errors import NotAnLMap
 from qmatroids.fields import prime_power
 from qmatroids.kernels import _pure
+from qmatroids.maps import lmap_checks, subspace_test
 from qmatroids.qmatroid import _flag_depth, from_rank_vector
 from qmatroids.repro import blockdiag_matroid
 from qmatroids.subspaces import code_arithmetic, decode_vector
@@ -41,14 +44,15 @@ def test_pure_rref_canonical():
 def test_pure_factor_search_forced_solution():
     # a free slot completing a triple of two fixed vectors is forced
     fixed = [0, 1, 2, -1]
-    sol, nodes = _pure.gf2_factor_search(fixed, 2, [3], list(range(4)))
+    sol, nodes = _pure.factor_search(fixed, [3], range(4), lmap_checks(2, 2),
+                                     subspace_test(2, 2))
     assert sol == [0, 1, 2, 3]
 
 
 def test_pure_factor_search_unsatisfiable():
     # fixed triple already violates closure: certificate without search
     fixed = [0, 1, 2, 4]
-    sol, nodes = _pure.gf2_factor_search(fixed, 2, [], [])
+    sol, nodes = _pure.factor_search(fixed, [], [], lmap_checks(2, 2), subspace_test(2, 3))
     assert sol is None and nodes == 0
 
 
@@ -102,7 +106,8 @@ def test_factor_search_against_enumeration(xor_violations):
         order = rng.sample(range(1, size), rng.randint(0, min(3, size - 1)))
         fixed = [-1 if v in order else full[v] for v in range(size)]
         value_order = rng.sample(range(8), 8)
-        table, nodes = _pure.gf2_factor_search(fixed, dn, order, value_order)
+        table, nodes = _pure.factor_search(fixed, order, value_order, lmap_checks(2, dn),
+                                           subspace_test(2, 3))
         # the first valid completion when slots are filled in ``order`` and
         # values are tried in ``value_order``
         want = None
@@ -115,6 +120,35 @@ def test_factor_search_against_enumeration(xor_violations):
                 break
         assert table == want
         assert nodes <= sum(8 ** d for d in range(1, len(order) + 1))
+        if want is not None:
+            assert nodes >= len(order)
+        outcomes.add(want is None)
+    assert outcomes == {True, False}
+    # maps F_3^2 -> F_3^2, against the first completion lmap_from_table accepts
+    F, outcomes = ground_field(3), set()
+    for _ in range(60):
+        if rng.random() < 0.5:
+            full = lmap_from_matrix(Mat(F, 2, 2, [rng.randrange(3) for _ in range(4)])).table
+        else:
+            full = [0] + [rng.randrange(9) for _ in range(8)]
+        order = rng.sample(range(1, 9), rng.randint(0, 2))
+        fixed = [-1 if v in order else full[v] for v in range(9)]
+        value_order = rng.sample(range(9), 9)
+        table, nodes = _pure.factor_search(fixed, order, value_order, lmap_checks(3, 2),
+                                           subspace_test(3, 2))
+        want = None
+        for values in itertools.product(value_order, repeat=len(order)):
+            cand = list(fixed)
+            for v, x in zip(order, values):
+                cand[v] = x
+            try:
+                lmap_from_table(3, 2, 2, cand)
+            except NotAnLMap:
+                continue
+            want = cand
+            break
+        assert table == want
+        assert nodes <= sum(9 ** d for d in range(1, len(order) + 1))
         if want is not None:
             assert nodes >= len(order)
         outcomes.add(want is None)

@@ -33,7 +33,7 @@ from qmatroids.errors import NotAnLMap, NotBijective, ZeroNotFixed
 from qmatroids.fields import ground_field
 from qmatroids.maps import LClass, LMap, pointwise_scalars
 from qmatroids.repro import example_nonrepresentable
-from qmatroids.subspaces import decode_vector, encode_vector
+from qmatroids.subspaces import decode_vector, encode_vector, over_vector_cap
 
 from helpers import quotient_map
 
@@ -158,6 +158,26 @@ class TestFromTable:
         except NotAnLMap:
             got = False
         assert got == verdict
+
+    @pytest.mark.parametrize("q, n1, n2", [(2, 3, 17), (3, 2, 11)])
+    def test_codomain_over_vector_cap(self, q, n1, n2):
+        # F_q^n2 has more vectors than the vector cap, so no codomain
+        # lattice may be built.  Swapping the images of two non-parallel
+        # vectors of an injective map breaks the image of a line or
+        # 2-space (over F_2^2 every swap keeps the one 2-space's image,
+        # hence a domain F_2^3)
+        assert over_vector_cap(q, n2)
+        rng, F = random.Random(n2), ground_field(q)
+        while True:
+            A = Mat(F, n1, n2, [rng.randrange(q) for _ in range(n1 * n2)])
+            if A.rank() == n1:
+                break
+        table = list(lmap_from_matrix(A).table)
+        phi = lmap_from_table(q, n1, n2, table)
+        assert phi.is_linear and phi.linear_matrix == A
+        table[1], table[q] = table[q], table[1]  # the images of e_1 and e_2
+        with pytest.raises(NotAnLMap):
+            lmap_from_table(q, n1, n2, table)
 
     def test_one_space_images_are_spans(self):
         # image of <v> equals the span of the image of v

@@ -37,13 +37,16 @@ def test_reports_deterministic():
 
 
 def test_factor_search_order_independent():
-    # permuted branching orders must reach the same verdict
+    # permuted branching orders must reach the same verdict, each after
+    # its pinned number of nodes
     base = repro.verify_thm_nonlinear_noncoproduct(2)
     assert base.passed
-    for perm in ([8, 7, 6, 5, 4, 3, 2, 1, 0], [4, 0, 8, 2, 6, 1, 5, 3, 7]):
+    assert (base.counters["nodes"], base.counters["sanity_nodes"]) == (16, 99)
+    for perm, nodes in (([8, 7, 6, 5, 4, 3, 2, 1, 0], 16), ([4, 0, 8, 2, 6, 1, 5, 3, 7], 32)):
         rep = repro.verify_thm_nonlinear_noncoproduct(2, branch_perm=perm)
         assert rep.passed
         assert [c[:2] for c in rep.checks] == [c[:2] for c in base.checks]
+        assert (rep.counters["nodes"], rep.counters["sanity_nodes"]) == (nodes, 99)
 
 
 def test_thm_4_6_search_is_fixed_to_q2():
