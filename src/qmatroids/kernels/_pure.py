@@ -90,7 +90,9 @@ def flag_depth(codes, q):
 
 
 class NodeFailed(Exception):
-    """A node-fixed check failed at the node of depth ``args[0]``."""
+    """In a plain scan, a node-fixed check failed for the node of depth
+    ``args[0]``: no leaf below it holds, and the loop that placed its last
+    row counts its subtree instead of walking it."""
 
 
 def gl_iso_search(n, q, holders, candidates, checks, ranks2, add, scale):
@@ -118,17 +120,18 @@ def gl_iso_search(n, q, holders, candidates, checks, ranks2, add, scale):
     image of a code, image(lo) + t times the last row, only when a check
     reads it.
 
-    When every check is in checks[n], as in the plain scan, a space whose
-    basis codes all lie below q^d, d < n, does not read the last row: it
-    holds at every leaf below a node that places rows[0:d] or at none.
-    Such a node-fixed check is decided once per depth-d node, at the
-    first leaf that reaches it in the checks[n] order, and the verdict is
-    kept on the node.  When it fails, every leaf below the node fails:
-    the rest of the node's subtree is walked only to count its leaves and
-    nodes, by span tests alone, and the count is kept by span since it
-    depends on nothing else.  So a plain scan checks a space inside
-    <e_1..e_(n-1)> at most once per node, not once per leaf.  With a
-    check at some depth d < n, every leaf check is made at the leaves.
+    A plain scan is a call whose checks[0:n] are all empty.  There a
+    node-fixed check, for a space whose basis codes all lie below q^d,
+    d < n, does not read rows[d:]: it holds at every leaf below a node
+    that places rows[0:d] or at none of them.  The leading run of
+    node-fixed checks in checks[n], those before its first check that
+    reads the last row, is decided as each node of its depth is entered;
+    every later check stays a leaf check.  When a node-fixed check fails,
+    at a node or at a leaf, no leaf below that depth-d node holds: the
+    scan unwinds to the loop that placed the node's last row, which
+    counts the node's subtree by span tests alone (counts kept by span,
+    on which alone they depend) instead of walking it.  A check at some
+    depth d < n makes a pruned scan, whose leaf checks never unwind.
 
     Returns (rows_or_None, leaves, nodes): rows is the first witness as
     codes, leaves counts the candidates reaching depth n and nodes every
@@ -144,27 +147,17 @@ def gl_iso_search(n, q, holders, candidates, checks, ranks2, add, scale):
     stats = [0, 0]  # leaves, nodes
     xor = q % 2 == 0
     top = q ** (n - 1) if n else 1
-    # the leaf checks, in the checks[n] order: those of ``head``, then for
-    # each (fixed, reading) of ``tail`` the node-fixed checks of ``fixed``
-    # and the checks of ``reading``, which read the last row
-    split = [([(c % top, c // top) for c in codes], rank) for codes, rank in checks[n]]
-    head, tail = split, []
-    passed = []  # passed[j]: the node at which node-fixed check j last held
-    if not any(checks[:n]):  # a plain scan: set the node-fixed checks apart
-        head = reading = []
-        for (codes, rank), pairs in zip(checks[n], split):
-            d = flag_depth(codes, q)
-            if d < n:
-                if reading or not tail:
-                    reading = []
-                    tail.append(([], reading))
-                tail[-1][0].append((len(passed), codes, rank, d))
-                passed.append(-1)
-            else:
-                reading.append(pairs)
-    # node[d]: the serial of the node holding rows[0:d], the node count
-    # once rows[d - 1] was placed
-    node = [0] * max(n, 1)
+    plain = not any(checks[:n])
+    enter = [list(spaces) for spaces in checks[:n]]  # decided as a node is entered
+    # leaf: (split codes, rank, d) per leaf check, d < n for a node-fixed
+    # check of a plain scan, whose failure unwinds to the depth-d node
+    leaf = []
+    for codes, rank in checks[n]:
+        d = flag_depth(codes, q) if plain else n
+        if d < n and not leaf:  # the leading run of node-fixed checks
+            enter[d].append((codes, rank))
+        else:
+            leaf.append(([(c % top, c // top) for c in codes], rank, d))
     multiples = [None] * q ** n  # multiples[v][t]: t times v, as needed
     below = {}  # span id -> (leaves, nodes) of the subtree under its node
 
@@ -198,9 +191,7 @@ def gl_iso_search(n, q, holders, candidates, checks, ranks2, add, scale):
 
     def last_row(span):
         # rows[0:n-1] are placed and span is the id of their span; each
-        # candidate for rows[n-1] is a node and a leaf.  A node-fixed check
-        # is decided at the first leaf of its node that reaches it; the
-        # first that fails ends this scan, raising NodeFailed(its depth)
+        # candidate for rows[n-1] is a node and a leaf
         tried, found = 0, False
         for v in candidates[n - 1]:
             if holders[v] >> span & 1:
@@ -209,7 +200,7 @@ def gl_iso_search(n, q, holders, candidates, checks, ranks2, add, scale):
             times = multiples[v]
             if times is None:
                 times = multiples[v] = [scale(t, v) for t in range(q)]
-            for pairs, rank in head:
+            for pairs, rank, d in leaf:
                 up = everything
                 if xor:
                     for lo, t in pairs:
@@ -218,39 +209,21 @@ def gl_iso_search(n, q, holders, candidates, checks, ranks2, add, scale):
                     for lo, t in pairs:
                         up &= holders[add(times[t], image[lo]) if t else image[lo]]
                 if ranks2[(up & -up).bit_length() - 1] != rank:
+                    if d < n:  # the counts are set where it is caught
+                        raise NodeFailed(d)
                     break
-            else:
-                for fixed, reading in tail:
-                    for j, codes, rank, d in fixed:
-                        if passed[j] != node[d]:
-                            if not holds(((codes, rank),)):
-                                stats[0] += tried
-                                stats[1] += tried
-                                raise NodeFailed(d)
-                            passed[j] = node[d]
-                    for pairs, rank in reading:  # as in ``head``
-                        up = everything
-                        if xor:
-                            for lo, t in pairs:
-                                up &= holders[image[lo] ^ times[t]]
-                        else:
-                            for lo, t in pairs:
-                                up &= holders[add(times[t], image[lo]) if t else image[lo]]
-                        if ranks2[(up & -up).bit_length() - 1] != rank:
-                            break
-                    else:
-                        continue
-                    break
-                else:  # no space failed: v completes the witness
-                    rows[n - 1], found = v, True
-                    break
+            else:  # no space failed: v completes the witness
+                rows[n - 1], found = v, True
+                break
         stats[0] += tried
         stats[1] += tried
         return found
 
     def rec(depth, up):
         # up: the ids of the spaces containing rows[0:depth], depth < n
-        if not holds(checks[depth]):
+        if not holds(enter[depth]):
+            if plain:
+                raise NodeFailed(depth)
             return False
         span = (up & -up).bit_length() - 1
         if depth == n - 1:
@@ -260,7 +233,7 @@ def gl_iso_search(n, q, holders, candidates, checks, ranks2, add, scale):
             if holders[v] >> span & 1:
                 continue
             stats[1] += 1
-            leaves, node[depth + 1] = stats  # the counts as the node is entered
+            leaves, nodes = stats  # the counts as the node is entered
             rows[depth] = v
             if q == 2:
                 image.extend([v ^ w for w in image])
@@ -275,7 +248,7 @@ def gl_iso_search(n, q, holders, candidates, checks, ranks2, add, scale):
                     raise
                 # every leaf below the node of rows[0:depth+1] fails
                 found, (sub_leaves, sub_nodes) = False, count(depth + 1, up & holders[v])
-                stats[0], stats[1] = leaves + sub_leaves, node[depth + 1] + sub_nodes
+                stats[0], stats[1] = leaves + sub_leaves, nodes + sub_nodes
             del image[base:]
             if found:
                 return True

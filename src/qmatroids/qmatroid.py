@@ -662,16 +662,17 @@ def is_isomorphic(M1: QMatroid, M2: QMatroid, mode: str = "linear",
     the image of e_(d+1) ranges over the points of the colour of
     <e_(d+1)>, and every space inside <e_1..e_d> is checked as soon as
     the first d rows are placed.  With prune=False every invertible
-    matrix up to the first witness is a leaf, checked on every space:
-    the kernel decides a space inside <e_1..e_d>, d < n, once at each node
-    that places the first d rows, and when it fails there the subtree of
-    that node is walked only to count its leaves and nodes.
+    matrix up to the first witness is a leaf, checked on every space.
+    A space inside <e_1..e_d>, d < n, reads only the first d rows.  Such
+    spaces that come before every space reading the last row in the check
+    order are decided as each node placing the first d rows is entered,
+    the others at the leaves; when one fails, the subtree of its node is
+    counted instead of walked.
 
     Either way the candidates for the last row are scanned in one flat
-    loop, against the spaces that read the last row: the image of a
-    domain code is computed only when a check reads it, and every leaf is
-    checked against those spaces in order until the first one whose rank
-    differs.
+    loop: the image of a domain code is computed only when a check reads
+    it, and every leaf is checked against the spaces left to it in order
+    until the first one whose rank differs.
     """
     if M1.ambient() != M2.ambient():
         raise AmbientMismatch("isomorphism search needs equal ambients")

@@ -510,12 +510,16 @@ def test_n1_against_n2_node_fixed(prune, monkeypatch):
 @pytest.mark.parametrize("q, n", [(2, 3), (3, 3), (2, 4)])
 def test_kernel_on_shuffled_candidates_agrees_with_the_recursive_scan(q, n):
     # the kernel on its own, with candidates in shuffled order, some rows
-    # missing some codes, so that the subtrees it counts differ by span;
-    # every check at the leaves (node-fixed checks set apart), or each
-    # space checked at its flag depth or at the leaves (none set apart)
+    # missing some codes, so that the subtrees it counts differ by span.
+    # Plain scans (every check at the leaves) in lattice order, with every
+    # check that reads the last row first (no node-fixed check is decided
+    # at a node: one that fails at a leaf unwinds), or with the node-fixed
+    # checks first (all decided as nodes are entered); or each space
+    # checked at its flag depth or at the leaves, a pruned scan
     lat = lattice(q, n)
     add, scale = code_arithmetic(q, n)
     rng = random.Random(10 * q + n)
+    layouts = ("lattice order", "last row first", "node-fixed first", "pruned")
     seen = set()
     for kind in PAIR_KINDS:
         M1, M2 = _random_pair(q, n, kind, rng)
@@ -523,13 +527,18 @@ def test_kernel_on_shuffled_candidates_agrees_with_the_recursive_scan(q, n):
         for _ in range(n):
             row = rng.sample(range(1, q ** n), q ** n - 1)
             candidates.append(row[:rng.choice((len(row), len(row) - 2))])
-        for plain in (True, False):
+        for layout in layouts:
+            spaces = list(zip(lat.basis_codes, M1.rank_vector()))
+            if layout == "last row first":  # sorts are stable
+                spaces.sort(key=lambda space: _flag_depth(space[0], q) < n)
+            elif layout == "node-fixed first":
+                spaces.sort(key=lambda space: _flag_depth(space[0], q) == n)
             checks = [[] for _ in range(n + 1)]
-            for codes, rank in zip(lat.basis_codes, M1.rank_vector()):
-                checks[n if plain else rng.choice((_flag_depth(codes, q), n))].append(
-                    (codes, rank))
+            for codes, rank in spaces:
+                d = rng.choice((_flag_depth(codes, q), n)) if layout == "pruned" else n
+                checks[d].append((codes, rank))
             args = (n, q, lat.holders, candidates, checks, M2.rank_vector(), add, scale)
             got = _pure.gl_iso_search(*args)
             assert got == reference_gl_iso_search(*args)
-            seen.add((plain, got[0] is None))
-    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+            seen.add((layout, got[0] is None))
+    assert seen == {(layout, none) for layout in layouts for none in (True, False)}

@@ -97,6 +97,19 @@ class TestFromTable:
         assert triple == [1, 2, 3]
         assert lmap_from_table(2, 2, 3, [0, 1, 2, 3]).is_linear
 
+    def test_first_failing_line_is_the_witness(self):
+        # over GF(3) the identity with the images of (2,1) and (2,2)
+        # swapped fails on two lines: <(1,1)> = {4, 8}, whose least code
+        # is 4, and <(2,1)> = {5, 7}, whose least code is 5 but greatest 7.
+        # lmap_checks lists lines by least code, so <(1,1)> is the witness
+        table = [0, 1, 2, 3, 4, 8, 6, 7, 5]
+        failing = [line for line in ((1, 2), (3, 6), (4, 8), (5, 7))
+                   if Subspace.from_codes(3, 2, [table[c] for c in line]).dim != 1]
+        assert failing == [(4, 8), (5, 7)]
+        with pytest.raises(NotAnLMap) as ei:
+            lmap_from_table(3, 2, 2, table)
+        assert ei.value.witness == Subspace.from_codes(3, 2, [4])
+
     def test_verdict_against_closure(self, xor_violations):
         rng = random.Random(3)
         outcomes = set()
