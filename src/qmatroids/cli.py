@@ -43,7 +43,7 @@ def _parse_subspace(text: str, q: int, n: int) -> Subspace:
         part = part.strip()
         if not part:
             continue
-        if len(part) != n or not all(ch.isdigit() and int(ch) < q for ch in part):
+        if len(part) != n or not all("0" <= ch <= "9" and int(ch) < q for ch in part):
             raise ParseError(f"bad subspace row {part!r} for F_{q}^{n}")
         rows.append(tuple(int(ch) for ch in part))
     return Subspace.from_rows(q, n, rows)

@@ -46,7 +46,6 @@ from .subspaces import (
     Mat,
     Subspace,
     _vector_codes,
-    code_arithmetic,
     lattice,
 )
 
@@ -290,16 +289,11 @@ def _count_linear_factoring_maps(a1: LMap, a2: LMap) -> Tuple[int, int]:
     sizes = [q ** (a.n1 * n) for a in (a1, a2)]
     if sum(sizes) > 1 << 20:
         raise EnumerationCapExceeded(f"{sum(sizes)} block matrices exceed the scan cap")
-    add, scale = code_arithmetic(q, n)
     count = 1
     for a in (a1, a2):
-        _, line_scale = code_arithmetic(q, a.n1)
-        want = _line_images(a.table, q, line_scale)
-        block = 0
-        for rows in itertools.product(range(q ** n), repeat=a.n1):
-            table = _vector_codes(rows, add, scale, range(1, q))
-            block += _line_images(table, q, line_scale) == want
-        count *= block
+        want = _line_images(a.table, q)
+        count *= sum(_line_images(_vector_codes(rows, q), q) == want
+                     for rows in itertools.product(range(q ** n), repeat=a.n1))
     return count, sizes[0] * sizes[1]
 
 

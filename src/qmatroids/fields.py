@@ -9,7 +9,8 @@ F_p coefficient vectors (base-p digits) relative to ``base_modulus``.
 
 So an index is a vector of base-p digits, and addition and negation work
 digit by digit mod p (XOR when p = 2): exactly right for base elements,
-extension elements and the codes of vectors of F_q^n alike.
+extension elements and the codes of vectors of F_q^n alike.  For odd p
+both read tables per p, once per block of as many digits as fit a byte.
 Multiplication, inversion, powers and Frobenius go through one exp/log
 pair, the powers of omega, built eagerly at construction (field sizes are
 capped at 2**20) by multiplying by x.  Each product in GF(q) needed on
@@ -23,7 +24,7 @@ threads.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import isqrt
 from typing import Iterable, Optional, Sequence, Tuple
 
@@ -165,6 +166,37 @@ def _undigits(ds, p: int) -> int:
     return v
 
 
+class _Computed(partial):
+    """table[i] = func(*args, i), computed on each read: too large to hold."""
+
+    __getitem__ = partial.__call__
+
+
+def byte_blocks(one, blocks: bool):
+    """(size, rows) for a table of bytes ``one`` on single digits: rows[a][b]
+    applies it digit by digit to the blocks b < size of the most digits that
+    fit a byte, a being such a block if ``blocks``, else one digit."""
+    base = size = len(one)
+    rows = one
+    while size * base <= 256:  # a top digit more: shifted copies of the shorter rows
+        plus = [bytes(range(c, 256)) + bytes(range(c)) for c in range(0, size * base, size)]
+        pairs = itertools.product(one, rows) if blocks else zip(one, rows)
+        rows = [b"".join([row.translate(plus[d]) for d in ds]) for ds, row in pairs]
+        size *= base
+    return size, rows
+
+
+@lru_cache(maxsize=None)
+def _digit_tables(p: int):
+    """(P, sums, negs) for an odd prime p: sums[x][y] is the digit-wise sum
+    mod p of blocks x, y < P and negs[x] the digit-wise negative of x; for
+    p > 256 a block is one digit, computed on reading."""
+    if p > 256:
+        return p, _Computed(_Computed, lambda x, y: (x + y) % p), _Computed(lambda x: -x % p)
+    P, sums = byte_blocks([bytes((a + b) % p for b in range(p)) for a in range(p)], True)
+    return P, sums, bytes(row.index(0) for row in sums)
+
+
 class FieldSpec:
     """GF(q^m) with q = p^k, fixed moduli and primitive element omega.
 
@@ -174,7 +206,7 @@ class FieldSpec:
     """
 
     __slots__ = ("p", "k", "m", "q", "order", "base_modulus", "ext_modulus",
-                 "_exp", "_log")
+                 "_exp", "_log", "_block", "_sums", "_negs")
 
     def __init__(self, p: int, k: int, m: int,
                  base_modulus: Sequence[int], ext_modulus: Sequence[int]):
@@ -183,6 +215,7 @@ class FieldSpec:
         self.p = p
         self.k = k
         self.m = m
+        self._block, self._sums, self._negs = _digit_tables(p) if p > 2 else (0, None, None)
         self.q = q = p ** k
         self.order = q ** m
         self.base_modulus = base = self._check_modulus(base_modulus, k, p, "base_modulus")
@@ -290,27 +323,27 @@ class FieldSpec:
         return self._exp[1 % max(self.order - 1, 1)]
 
     def add(self, a: int, b: int) -> int:
-        """Digit by digit mod p on the base-p digits of the indices."""
-        p = self.p
-        if p == 2:
+        """Digit by digit mod p on the base-p digits of the indices: XOR for
+        p = 2, else one read of the table of p per block of digits."""
+        if self.p == 2:
             return a ^ b
+        P, sums = self._block, self._sums
+        if a < P and b < P:
+            return sums[a][b]
         out, unit = 0, 1
         while a or b:
-            a, x = divmod(a, p)
-            b, y = divmod(b, p)
-            out += (x + y) % p * unit
-            unit *= p
+            out += sums[a % P][b % P] * unit
+            a, b, unit = a // P, b // P, unit * P
         return out
 
     def neg(self, a: int) -> int:
-        p = self.p
-        if p == 2:
+        if self.p == 2:
             return a
+        P, negs = self._block, self._negs
         out, unit = 0, 1
         while a:
-            a, x = divmod(a, p)
-            out += -x % p * unit
-            unit *= p
+            out += negs[a % P] * unit
+            a, unit = a // P, unit * P
         return out
 
     def sub(self, a: int, b: int) -> int:

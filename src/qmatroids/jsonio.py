@@ -73,10 +73,10 @@ def matroid_to_dict(M: QMatroid, materialize: bool = False) -> dict:
 
 @contextmanager
 def _reading(what: str):
-    """Turn a missing key or a mistyped value met inside the block into a ParseError."""
+    """Turn a missing key or a bad value (mistyped, or int() of infinity) into a ParseError."""
     try:
         yield
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise ParseError(f"malformed {what}: {e!r}") from None
 
 
@@ -124,7 +124,7 @@ def check_field_cap(d):
     try:
         field = d["field"] if d.get("kind") == "matrix" else None
         p, k, m = int(field["p"]), int(field.get("k", 1)), int(field.get("m", 1))
-    except (AttributeError, KeyError, TypeError, ValueError):
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError):
         return
     if over_field_cap(p, k, m):
         raise EnumerationCapExceeded(

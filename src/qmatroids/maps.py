@@ -188,17 +188,15 @@ def _matrix_table(A: Mat, automorphism: int = 0) -> List[int]:
     """
     F = A.spec
     q = F.q
-    add, scale = code_arithmetic(q, A.cols)
     rows = [encode_vector(A.row(i), q) for i in range(A.rows)]
-    scalars = [F.base_frobenius(d, automorphism) for d in range(1, q)]
-    return _vector_codes(rows, add, scale, scalars)
+    return _vector_codes(rows, q, [F.base_frobenius(d, automorphism) for d in range(1, q)])
 
 
-def _line_images(table, q, scale) -> List[frozenset]:
+def _line_images(table, q) -> List[frozenset]:
     """For each nonzero code v of the domain, in code order, the set of
     table images of the line {c v : c in GF(q)}: the image set of the
-    1-space <v>.  ``scale`` is the domain's ``code_arithmetic`` scaling.
-    """
+    1-space <v>."""
+    _, scale = code_arithmetic(q)
     return [frozenset(table[scale(c, v)] for c in range(q))
             for v in range(1, len(table))]
 
@@ -208,7 +206,7 @@ def lmap_checks(q: int, n: int) -> Tuple[Tuple[int, ...], ...]:
     """The nonzero codes of each line, by least code (q > 2: over GF(2) a
     line image {0, w} is a subspace), then of each 2-space of F_q^n in
     ``enumerate_subspaces`` order: the sets an L-map maps onto subspaces."""
-    _, scale = code_arithmetic(q, n)
+    _, scale = code_arithmetic(q)
     lines = [] if q == 2 else [
         line for line in (tuple(scale(c, v) for c in range(1, q))
                           for v in range(1, q ** n))
@@ -346,9 +344,7 @@ def l_equivalent(phi: LMap, psi: LMap) -> bool:
     """True iff the induced maps agree on every 1-space of the domain."""
     if phi.domain != psi.domain or phi.codomain != psi.codomain:
         raise AmbientMismatch("maps must share domain and codomain")
-    q = phi.q
-    _, scale = code_arithmetic(q, phi.n1)
-    result = _line_images(phi.table, q, scale) == _line_images(psi.table, q, scale)
+    result = _line_images(phi.table, phi.q) == _line_images(psi.table, psi.q)
     if phi.is_linear and psi.is_linear:
         assert result == _scalar_equivalent(phi, psi), \
             "1-space criterion disagrees with the scalar criterion"
@@ -369,7 +365,7 @@ def pointwise_scalars(phi: LMap, psi: LMap):
     admits no scalar.
     """
     q = phi.q
-    _, scale = code_arithmetic(q, phi.n2)
+    _, scale = code_arithmetic(q)
     out = {}
     for code, a, b in zip(range(1, q ** phi.n1), phi.table[1:], psi.table[1:]):
         if not a and not b:
@@ -401,8 +397,7 @@ def tweak_equivalent(psi: LMap, w: Sequence[int], tau: int) -> LMap:
         raise ValueError("tau must be nonzero")
     if tau == 1:
         return psi
-    # a bijection has n1 = n2, so domain and codomain share the scaling
-    _, scale = code_arithmetic(q, psi.n1)
+    _, scale = code_arithmetic(q)
     inv = {img: v for v, img in enumerate(psi.table)}
     w_code = encode_vector(w, q)
     w_hat = inv[scale(tau, psi.table[w_code])]
@@ -436,8 +431,7 @@ class LClass:
     def __hash__(self):
         # hash by the induced 1-space map
         phi = self.representative
-        _, scale = code_arithmetic(phi.q, phi.n1)
-        return hash(tuple(_line_images(phi.table, phi.q, scale)))
+        return hash(tuple(_line_images(phi.table, phi.q)))
 
     def __repr__(self):
         return f"LClass({self.representative!r})"

@@ -202,11 +202,10 @@ def flat_violations(fam: FlatFamily):
     """
     lat = lattice(fam.q, fam.n)
     ids = fam.member_ids
-    add, scale = code_arithmetic(fam.q, fam.n)
-    bit, scalars = (1).__lshift__, range(1, fam.q)
+    bit = (1).__lshift__
     everything = (1 << fam.q ** fam.n) - 1
     # the full space, the last id, holds every code without listing them
-    masks = [sum(map(bit, _vector_codes(lat.basis_codes[i], add, scale, scalars)))
+    masks = [sum(map(bit, _vector_codes(lat.basis_codes[i], fam.q)))
              if i < lat.size - 1 else everything for i in ids]
     vm, member_vms = dict(zip(ids, masks)), set(masks)
     full = Subspace.full(fam.q, fam.n)
@@ -704,7 +703,7 @@ def is_isomorphic(M1: QMatroid, M2: QMatroid, mode: str = "linear",
                        key=lambda i: (0 if rv1[i] < lat.dims[i] else 1, lat.dims[i], i))
         codes = lat.basis_codes
         depths = [_flag_depth(codes[i], q) if prune else n for i in order]
-        add, scale = code_arithmetic(q, n)
+        add, scale = code_arithmetic(q)
         if prune:  # the colour of <v> for each nonzero code v
             target = [colours2[lat.span_id((v,))] for v in range(1, q ** n)]
         for j in autos:

@@ -1,7 +1,7 @@
 """Exact linear algebra over GF(q) and the subspace lattice of F_q^n.
 
-A vector of F_q^n is its integer code sum(v_i * q**i) (little-endian
-base-q digits), added and scaled by ``code_arithmetic`` for every q.  A
+A vector of F_q^n is its integer code sum(v_i * q**i) (little-endian base-q
+digits), added and scaled by ``code_arithmetic(q)``, one pair for every n.  A
 ``Subspace`` is the tuple of the codes of its unique RREF rows, so equal
 subspaces compare and hash equal; enumeration, joins, containment,
 coordinates and the lattice's tables all work on those codes.  Tuples
@@ -12,8 +12,8 @@ of digits appear only at the boundary: ``rref`` and
 Row reduction runs on codes (``code_rref``): over GF(2) a code is
 already a packed row of the GF(2) kernel in :mod:`qmatroids.kernels`,
 and for q > 2 elimination adds and scales codes with
-``code_arithmetic``, which works per call where its q^(n+1) table
-entries would exceed the vector cap.
+``code_arithmetic``, whose tables depend on GF(q) alone: a byte per
+entry, read block by block, so they serve codes of any length.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Iterator, List, Optional, Sequence
 
 from . import kernels
 from .errors import AmbientMismatch, EnumerationCapExceeded
-from .fields import FieldSpec, ground_field
+from .fields import FieldSpec, _Computed, byte_blocks, ground_field
 
 DEFAULT_MAX_VECTORS = 1 << 16
 DEFAULT_MAX_SUBSPACES = 10 ** 7
@@ -56,43 +56,26 @@ def vec_scale(c, v, F: FieldSpec):
 
 
 @lru_cache(maxsize=None)
-def code_arithmetic(q: int, n: int):
-    """(add, scale): the sum of two codes of F_q^n and a scalar times a code,
-    built once per (q, n).
-
-    In characteristic 2 the sum is XOR, and over GF(2) the only nonzero
-    scalar is 1.  Otherwise, where q tables of q^n codes (one per scalar)
-    fit within the vector cap, products are read from them, and for odd p
-    a sum adds one term per digit, read from a table of (a + b) * q**i by
-    digit value.  Beyond that no table is built: a sum is the field's
-    digit-wise addition on the codes themselves, and a product decodes its
-    code, so a map into a large ambient costs its own domain's q^n1 calls
-    only.
-    """
+def code_arithmetic(q: int):
+    """(add, scale): the sum of two vector codes over GF(q) and a scalar
+    times a code, for codes of any length, built once per q.  The sum is
+    the field's ``add`` (XOR if p = 2); c v reads row c of a byte table of the
+    multiples of each block of base-q digits once per block of v (for
+    q > 256 a block is one digit, multiplied on reading)."""
     F = ground_field(q)
-    if q == 2:
-        return operator.xor, lambda c, v: v if c else 0
-    if over_vector_cap(q, n + 1) or count_subspaces(q, n) > DEFAULT_MAX_SUBSPACES:
-        at = partial(decode_vector, q=q, n=n)
-        return (operator.xor if F.p == 2 else F.add), (
-            lambda c, v: encode_vector(vec_scale(c, at(v), F), q))
-    digits = [decode_vector(code, q, n) for code in range(q ** n)]
-    scaled = [[encode_vector(vec_scale(c, v, F), q) for v in digits]
-              for c in range(q)]
+    Q, rows = (q, _Computed(_Computed, F.mul)) if q > 256 else byte_blocks(
+        [bytes(map(F.mul, itertools.repeat(c), range(q))) for c in range(q)], False)
 
     def scale(c, v):
-        return scaled[c][v]
+        if v < Q:
+            return rows[c][v]
+        out, unit = 0, 1
+        while v:
+            out += rows[c][v % Q] * unit
+            v, unit = v // Q, unit * Q
+        return out
 
-    if F.p == 2:
-        return operator.xor, scale
-    shifted = [[[F.base_add(a, b) * q ** i for b in range(q)] for a in range(q)]
-               for i in range(n)]
-    terms = [[shifted[i][a] for i, a in enumerate(d)] for d in digits]
-
-    def add(u, v):
-        return sum(map(operator.getitem, terms[u], digits[v]))
-
-    return add, scale
+    return (operator.xor if F.p == 2 else F.add), scale
 
 
 # ---------------------------------------------------------------------------
@@ -204,12 +187,12 @@ def code_rref(codes: Iterable[int], q: int, n: int):
 
     A row's pivot is its lowest nonzero digit, scaled to 1.  Over GF(2)
     the codes are the packed rows of ``kernels.gf2_rref``; otherwise
-    Gauss-Jordan elimination runs with ``code_arithmetic(q, n)``.
+    Gauss-Jordan elimination runs with ``code_arithmetic(q)``.
     """
     if q == 2:
         return kernels.gf2_rref(codes, n)
     F = ground_field(q)
-    add, scale = code_arithmetic(q, n)
+    add, scale = code_arithmetic(q)
     basis = {}  # q**pivot -> row code
     for r in codes:
         for w, b in basis.items():
@@ -303,9 +286,8 @@ class Subspace:
 
     def vector_codes(self) -> List[int]:
         """The codes of all q^dim vectors, in coefficient-lexicographic order."""
-        add, scale = code_arithmetic(self.q, self.n)
         # prefixing the multiples of each earlier row keeps the order
-        return _vector_codes(self.codes[::-1], add, scale, range(1, self.q))
+        return _vector_codes(self.codes[::-1], self.q)
 
     def vectors(self) -> Iterator[tuple]:
         """All q^dim vectors, in coefficient-lexicographic order."""
@@ -322,7 +304,7 @@ class Subspace:
         return coeffs if self._combination(coeffs) == code else None
 
     def _combination(self, coeffs: Sequence[int]) -> int:
-        add, scale = code_arithmetic(self.q, self.n)
+        add, scale = code_arithmetic(self.q)
         return reduce(add, map(scale, coeffs, self.codes), 0)
 
     def to_dict(self):
@@ -468,12 +450,11 @@ def subspaces_of(V: Subspace, d: Optional[int] = None) -> Iterator[Subspace]:
 
 def one_spaces(V: Subspace) -> list:
     """The (q^dim - 1)/(q - 1) one-dimensional subspaces of V."""
-    add, scale = code_arithmetic(V.q, V.n)
+    add = code_arithmetic(V.q)[0]
     # canonical projective representatives: row k plus a combination of
     # the later rows has first nonzero coefficient 1, so it is reduced
     return [Subspace(V.q, V.n, (add(row, v),))
-            for k, row in enumerate(V.codes)
-            for v in _vector_codes(V.codes[:k:-1], add, scale, range(1, V.q))]
+            for k, row in enumerate(V.codes) for v in _vector_codes(V.codes[:k:-1], V.q)]
 
 
 # ---------------------------------------------------------------------------
@@ -508,11 +489,10 @@ class SubspaceLattice:
         self.size = len(self.spaces)
         self.zero_id = 0
         self.basis_codes = [S.codes for S in self.spaces]
-        add, scale = code_arithmetic(q, n)
         self.holders = holders = [0] * (q ** n)
         for i, codes in enumerate(self.basis_codes):
             bit = 1 << i
-            for v in _vector_codes(codes, add, scale, range(1, q)):
+            for v in _vector_codes(codes, q):
                 holders[v] |= bit
         ids = list(range(self.size))  # one int object per id for all lists
         first = [self.dims.index(d) for d in range(n + 1)] + [self.size] * 2
@@ -642,21 +622,21 @@ def mask_ids(mask: int) -> Iterator[int]:
         k = bits.find("1", k + 1)
 
 
-def _vector_codes(rows, add, scale, scalars) -> List[int]:
-    """The codes of the combinations of the row codes ``rows``, listed by
-    their coefficient codes, where digit value d stands for the scalar
-    ``scalars[d - 1]``.  With scalars 1..q-1 this lists the span of the
-    rows; ``add`` and ``scale`` are ``code_arithmetic``'s.
+def _vector_codes(rows, q: int, scalars: Sequence[int] = ()) -> List[int]:
+    """The codes of the combinations of the row codes ``rows`` over GF(q),
+    listed by their coefficient codes, where digit value d stands for the
+    scalar ``scalars[d - 1]``, by default d: the span of the rows.
 
     The combinations of the first i + 1 rows are those of the first i
     plus each multiple of row i, so each row is scaled once per scalar;
     the first of those combinations is 0, so the multiple itself comes
     first, with no addition.
     """
+    add, scale = code_arithmetic(q)
     codes = [0]
     for r in rows:
         lower = codes[1:]
-        for c in scalars:
+        for c in scalars or range(1, q):
             multiple = scale(c, r)
             codes.append(multiple)
             codes += map(add, itertools.repeat(multiple), lower)

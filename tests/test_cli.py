@@ -390,8 +390,17 @@ class TestSelftest:
     ("build", {"q": 6, "n": 2, "kind": "uniform", "k": 1}),
     ("map", {"kind": "matrix", "q": 6, "n1": 1, "n2": 1, "rows": [[1]]}),
     ("map", {"kind": "table", "q": 12, "n1": 1, "n2": 1, "images": list(range(1, 12))}),
+    ("build", {"q": 1e400, "n": 2, "kind": "uniform", "k": 1}),
+    ("build", {"q": 2, "n": float("inf"), "kind": "uniform", "k": 1}),
+    ("build", {"q": 2, "n": 2, "kind": "uniform", "k": float("inf")}),
+    ("build", {"q": 2, "n": 1, "kind": "rank_table", "table": [[[], 0], [[[float("inf")]], 1]]}),
+    ("build", {"q": 2, "n": 1, "kind": "matrix", "field": {"p": 2, "k": 1, "m": float("inf")},
+               "rows": [[[1]]]}),
+    ("map", {"kind": "table", "q": 2, "n1": 1, "n2": 2, "images": [float("inf")]}),
 ], ids=["q=1", "top-level list", "uniform without k", "rows short of n1 x n2",
-        "q=6 matroid", "q=6 matrix map", "q=12 table map"])
+        "q=6 matroid", "q=6 matrix map", "q=12 table map", "q=1e400", "n=Infinity",
+        "k=Infinity", "rank-table basis entry Infinity", "matrix field m=Infinity",
+        "table map image Infinity"])
 def test_malformed_spec_exit_2(command, doc, tmp_path, uniform_spec, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
@@ -401,9 +410,14 @@ def test_malformed_spec_exit_2(command, doc, tmp_path, uniform_spec, capsys):
     assert capsys.readouterr().err.startswith("parse error: ")
 
 
-def test_usage_error_exit_2(capsys):
+def test_usage_error_exit_2(uniform_spec, capsys):
     assert main(["no-such-command"]) == 2
     assert main([]) == 2
+    # a superscript two and an Arabic-Indic one pass str.isdigit
+    for text in ("\u00b20", "\u06610"):
+        capsys.readouterr()
+        assert main(["query", uniform_spec, "rank", "--subspace", text]) == 2
+        assert capsys.readouterr().err.startswith("parse error: ")
 
 
 class TestColdStart:
@@ -459,7 +473,7 @@ print(*sorted(name for name, value in globals().items()
 # dropped or added, and documents that are not objects at all
 
 FUZZ_JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=3),
-                      st.floats(allow_nan=False, allow_infinity=False, width=16),
+                      st.floats(allow_nan=False, allow_infinity=True, width=16),
                       st.dictionaries(st.sampled_from(["p", "k", "m"]), st.integers(-1, 5),
                                       max_size=3))
 FUZZ_VALUES = st.one_of(st.integers(-2, 13), FUZZ_JUNK,

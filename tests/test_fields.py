@@ -446,6 +446,43 @@ class TestAgainstPolynomials:
             assert F.base_frobenius(c, j) == R.pow(c, F.p ** (j % F.k))
 
 
+def digitwise(a, b, p, sign=1):
+    """a + sign * b by the definition: digit by digit mod p on base-p digits."""
+    out, unit = 0, 1
+    while a or b:
+        out += (a % p + sign * (b % p)) % p * unit
+        a, b, unit = a // p, b // p, unit * p
+    return out
+
+
+class TestDigitwise:
+    """add and neg for odd p read blocks of as many base-p digits as fit a
+    byte (P = p^B <= 256); both against the definition, on indices of one
+    block, of two and of more."""
+
+    @staticmethod
+    def block(p):
+        return max(p ** d for d in range(1, 9) if p ** d <= 256)
+
+    @pytest.mark.parametrize("p,m", [(3, 6), (5, 4), (7, 3)])
+    def test_every_pair_below_p_blocks(self, p, m):
+        F = make_field(p, 1, m)
+        assert F.order == p * self.block(p)
+        elems = range(F.order)
+        for a in elems:
+            assert [F.add(a, b) for b in elems] == [digitwise(a, b, p) for b in elems]
+            assert F.neg(a) == digitwise(0, a, p, -1)
+
+    @pytest.mark.parametrize("p,m", [(3, 12), (5, 8), (7, 6)])
+    def test_sampled_across_blocks(self, p, m):
+        F, P, rng = make_field(p, 1, m), self.block(p), random.Random(p)
+        edges = [0, 1, P - 1, P, P + 1, P * P - 1, P * P, P * P + P - 1, F.order - 1]
+        for a in edges + [rng.randrange(F.order) for _ in range(200)]:
+            assert F.neg(a) == digitwise(0, a, p, -1)
+            for b in edges + [rng.randrange(F.order) for _ in range(20)]:
+                assert F.add(a, b) == digitwise(a, b, p)
+
+
 def test_ground_field_1024_in_little_memory():
     # a fresh process, so no cached table is reused: no q x q table is built
     script = ("import tracemalloc; from qmatroids.fields import ground_field; "

@@ -517,7 +517,7 @@ def test_kernel_on_shuffled_candidates_agrees_with_the_recursive_scan(q, n):
     # checks first (all decided as nodes are entered); or each space
     # checked at its flag depth or at the leaves, a pruned scan
     lat = lattice(q, n)
-    add, scale = code_arithmetic(q, n)
+    add, scale = code_arithmetic(q)
     rng = random.Random(10 * q + n)
     layouts = ("lattice order", "last row first", "node-fixed first", "pruned")
     seen = set()

@@ -28,8 +28,6 @@ from qmatroids import (
 from qmatroids.errors import AmbientMismatch, EnumerationCapExceeded
 from qmatroids.fields import ground_field
 from qmatroids.subspaces import (
-    DEFAULT_MAX_SUBSPACES,
-    DEFAULT_MAX_VECTORS,
     code_arithmetic,
     count_subspaces,
     decode_vector,
@@ -432,11 +430,13 @@ class TestLatticeCache:
         assert not outside.contains_vector([0] * (n - 1) + [1])
         assert outside.coordinates_of([0] * (n - 1) + [1]) is None
 
+    # codes of one block of digits, then of two: (3,5) and (13,2) fill one
+    # block, (7,3) spans two
     @pytest.mark.parametrize("q,n", [(2, 3), (3, 3), (4, 2), (5, 2), (7, 2),
-                                     (8, 2), (9, 2)])
+                                     (8, 2), (9, 2), (3, 5), (13, 2), (7, 3)])
     def test_code_arithmetic_against_tuples(self, q, n):
         F = ground_field(q)
-        add, scale = code_arithmetic(q, n)
+        add, scale = code_arithmetic(q)
         for u, v in itertools.product(range(q ** n), repeat=2):
             du, dv = decode_vector(u, q, n), decode_vector(v, q, n)
             assert add(u, v) == encode_vector(vec_add(du, dv, F), q)
@@ -445,15 +445,14 @@ class TestLatticeCache:
                 vec_scale(c, decode_vector(v, q, n), F), q)
 
     @pytest.mark.parametrize("q,n", [(3, 9), (3, 11), (4, 9), (256, 2), (9, 5), (27, 3),
-                                     (5, 6)])
+                                     (5, 6), (5, 5), (7, 4), (9, 3), (13, 5), (251, 3),
+                                     (257, 3), (1024, 2)])
     def test_code_arithmetic_beyond_the_caps(self, q, n):
-        # no tables there, beyond the enumeration caps or where q tables of
-        # q^n codes would pass the vector cap: sample codes against tuple
-        # arithmetic
-        assert (count_subspaces(q, n) > DEFAULT_MAX_SUBSPACES
-                or q ** (n + 1) > DEFAULT_MAX_VECTORS)
+        # the same tables for codes of any length, of two blocks of digits
+        # and more, within the caps and beyond them, and one digit per
+        # block past q = 256: sample codes against tuple arithmetic
         F = ground_field(q)
-        add, scale = code_arithmetic(q, n)
+        add, scale = code_arithmetic(q)
         rng = random.Random(q * 100 + n)
         for _ in range(200):
             u, v, c = rng.randrange(q ** n), rng.randrange(q ** n), rng.randrange(q)
@@ -473,8 +472,9 @@ class TestLatticeCache:
         assert peak < 1 << 25
 
     def test_code_arithmetic_built_once(self):
-        assert code_arithmetic(3, 4) is code_arithmetic(3, 4)
-        assert code_arithmetic(3, 4) is not code_arithmetic(3, 3)
+        assert code_arithmetic(3) is code_arithmetic(3)
+        assert code_arithmetic(3) is not code_arithmetic(5)
+        assert code_arithmetic(3)[0] == ground_field(3).add
 
     @pytest.mark.parametrize("q,n", [(2, 4), (3, 3)])
     def test_minimal_ids_against_containment(self, q, n):
