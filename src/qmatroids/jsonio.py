@@ -34,12 +34,20 @@ def field_to_dict(spec: FieldSpec) -> dict:
             "ext_modulus": list(spec.ext_modulus)}
 
 
+def _int(x) -> int:
+    """x if it is a JSON integer; a float, a bool or a string is refused
+    rather than truncated."""
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise TypeError(f"expected an integer, got {x!r}")
+    return x
+
+
 def field_from_dict(d: dict) -> FieldSpec:
-    moduli = None
-    if "base_modulus" in d and "ext_modulus" in d:
-        moduli = (tuple(d["base_modulus"]), tuple(d["ext_modulus"]))
-    return make_field(int(d["p"]), int(d.get("k", 1)), int(d.get("m", 1)),
-                      moduli=moduli)
+    moduli = [[_int(c) for c in d[name]]
+              for name in ("base_modulus", "ext_modulus") if name in d]
+    _check(len(moduli) != 1, "a field needs both moduli or neither")
+    return make_field(_int(d["p"]), _int(d.get("k", 1)), _int(d.get("m", 1)),
+                      moduli=moduli or None)
 
 
 def subspace_to_dict(S: Subspace) -> dict:
@@ -73,10 +81,10 @@ def matroid_to_dict(M: QMatroid, materialize: bool = False) -> dict:
 
 @contextmanager
 def _reading(what: str):
-    """Turn a missing key or a bad value (mistyped, or int() of infinity) into a ParseError."""
+    """Turn a missing key or a bad value into a ParseError."""
     try:
         yield
-    except (KeyError, TypeError, ValueError, OverflowError) as e:
+    except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"malformed {what}: {e!r}") from None
 
 
@@ -90,8 +98,8 @@ def _header(d, what: str, sizes):
     prime power, sizes >= 0."""
     _check(isinstance(d, dict), f"{what} spec must be a JSON object, not {type(d).__name__}")
     with _reading(f"{what} spec header (kind, q, {', '.join(sizes)})"):
-        kind, q = d["kind"], int(d["q"])
-        dims = [int(d[name]) for name in sizes]
+        kind, q = d["kind"], _int(d["q"])
+        dims = [_int(d[name]) for name in sizes]
     _check(q >= 2, f"{what} spec needs q >= 2, got q={q}")
     # not factored above MAX_FIELD_ORDER: no such field is ever built, and
     # q^n exceeds the vector cap for every n >= 1
@@ -105,7 +113,7 @@ def _header(d, what: str, sizes):
 def _vectors(rows, q: int, n: int, what: str):
     """``rows`` as a list of vectors of F_q^n (entries in range(q)), checked."""
     with _reading(what):
-        rows = [[int(x) for x in row] for row in rows]
+        rows = [[_int(x) for x in row] for row in rows]
     _check(all(len(r) == n and all(0 <= x < q for x in r) for r in rows),
            f"{what} must be vectors of F_{q}^{n}")
     return rows
@@ -123,8 +131,8 @@ def check_field_cap(d):
     header that does not parse is left to ``matroid_from_dict``."""
     try:
         field = d["field"] if d.get("kind") == "matrix" else None
-        p, k, m = int(field["p"]), int(field.get("k", 1)), int(field.get("m", 1))
-    except (AttributeError, KeyError, TypeError, ValueError, OverflowError):
+        p, k, m = _int(field["p"]), _int(field.get("k", 1)), _int(field.get("m", 1))
+    except (AttributeError, KeyError, TypeError):
         return
     if over_field_cap(p, k, m):
         raise EnumerationCapExceeded(
@@ -141,19 +149,19 @@ def matroid_from_dict(d: dict) -> QMatroid:
     kind, q, n = _header(d, "matroid", ("n",))
     if kind == "uniform":
         with _reading("uniform spec"):
-            k = int(d["k"])
+            k = _int(d["k"])
         return uniform(q, n, k)
     if kind == "matrix":
         with _reading("matrix spec"):
             spec = field_from_dict(d["field"])
-            rows = [[spec.from_coeffs(entry) for entry in row] for row in d["rows"]]
+            rows = [[spec.from_coeffs(map(_int, entry)) for entry in row] for row in d["rows"]]
         _check(spec.q == q, f"field base GF({spec.q}) does not match q={q}")
         _check(len(rows) > 0 and all(len(row) == n for row in rows),
                f"matrix spec needs rows of n={n} entries")
         return from_matrix(Mat.from_rows(spec, rows))
     if kind == "rank_table":
         with _reading("rank_table spec"):
-            entries = [(_vectors(basis, q, n, "basis rows"), int(rank))
+            entries = [(_vectors(basis, q, n, "basis rows"), _int(rank))
                        for basis, rank in d["table"]]
         return from_rank_table(q, n, {Subspace.from_rows(q, n, rows): rank
                                       for rows, rank in entries})
@@ -174,7 +182,7 @@ def map_from_dict(d: dict) -> LMap:
         return lmap_from_matrix(Mat(ground_field(q), n1, n2, [x for row in rows for x in row]))
     if kind == "table":
         with _reading("table map spec"):
-            images = [0] + [int(x) for x in d["images"]]
+            images = [0] + [_int(x) for x in d["images"]]
         _check(len(images) == q ** n1, f"table must list the {q ** n1 - 1} nonzero images")
         _check(all(0 <= x < q ** n2 for x in images),
                f"table images must encode vectors of F_{q}^{n2}")

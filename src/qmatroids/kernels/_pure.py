@@ -89,12 +89,6 @@ def flag_depth(codes, q):
     return d
 
 
-class NodeFailed(Exception):
-    """In a plain scan, a node-fixed check failed for the node of depth
-    ``args[0]``: no leaf below it holds, and the loop that placed its last
-    row counts its subtree instead of walking it."""
-
-
 def gl_iso_search(n, q, holders, candidates, checks, ranks2, add, scale):
     """Depth-first scan of GL(n, q) for a rank-preserving bijection.
 
@@ -122,16 +116,11 @@ def gl_iso_search(n, q, holders, candidates, checks, ranks2, add, scale):
 
     A plain scan is a call whose checks[0:n] are all empty.  There a
     node-fixed check, for a space whose basis codes all lie below q^d,
-    d < n, does not read rows[d:]: it holds at every leaf below a node
-    that places rows[0:d] or at none of them.  The leading run of
-    node-fixed checks in checks[n], those before its first check that
-    reads the last row, is decided as each node of its depth is entered;
-    every later check stays a leaf check.  When a node-fixed check fails,
-    at a node or at a leaf, no leaf below that depth-d node holds: the
-    scan unwinds to the loop that placed the node's last row, which
-    counts the node's subtree by span tests alone (counts kept by span,
-    on which alone they depend) instead of walking it.  A check at some
-    depth d < n makes a pruned scan, whose leaf checks never unwind.
+    d < n, holds at every leaf below a node placing rows[0:d] or at none.
+    The leading run of such checks in checks[n], those before the first
+    that reads the last row, is decided as each node of their depth is
+    entered, and a node that fails one has its subtree counted by span
+    tests alone instead of walked; every later check is a leaf check.
 
     Returns (rows_or_None, leaves, nodes): rows is the first witness as
     codes, leaves counts the candidates reaching depth n and nodes every
@@ -149,15 +138,13 @@ def gl_iso_search(n, q, holders, candidates, checks, ranks2, add, scale):
     top = q ** (n - 1) if n else 1
     plain = not any(checks[:n])
     enter = [list(spaces) for spaces in checks[:n]]  # decided as a node is entered
-    # leaf: (split codes, rank, d) per leaf check, d < n for a node-fixed
-    # check of a plain scan, whose failure unwinds to the depth-d node
-    leaf = []
+    leaf = []  # (split codes, rank) per leaf check
     for codes, rank in checks[n]:
         d = flag_depth(codes, q) if plain else n
         if d < n and not leaf:  # the leading run of node-fixed checks
             enter[d].append((codes, rank))
         else:
-            leaf.append(([(c % top, c // top) for c in codes], rank, d))
+            leaf.append(([(c % top, c // top) for c in codes], rank))
     multiples = [None] * q ** n  # multiples[v][t]: t times v, as needed
     below = {}  # span id -> (leaves, nodes) of the subtree under its node
 
@@ -200,7 +187,7 @@ def gl_iso_search(n, q, holders, candidates, checks, ranks2, add, scale):
             times = multiples[v]
             if times is None:
                 times = multiples[v] = [scale(t, v) for t in range(q)]
-            for pairs, rank, d in leaf:
+            for pairs, rank in leaf:
                 up = everything
                 if xor:
                     for lo, t in pairs:
@@ -209,8 +196,6 @@ def gl_iso_search(n, q, holders, candidates, checks, ranks2, add, scale):
                     for lo, t in pairs:
                         up &= holders[add(times[t], image[lo]) if t else image[lo]]
                 if ranks2[(up & -up).bit_length() - 1] != rank:
-                    if d < n:  # the counts are set where it is caught
-                        raise NodeFailed(d)
                     break
             else:  # no space failed: v completes the witness
                 rows[n - 1], found = v, True
@@ -220,11 +205,10 @@ def gl_iso_search(n, q, holders, candidates, checks, ranks2, add, scale):
         return found
 
     def rec(depth, up):
-        # up: the ids of the spaces containing rows[0:depth], depth < n
+        # up: the ids of the spaces containing rows[0:depth], depth < n;
+        # None when the node fails a check of enter[depth]
         if not holds(enter[depth]):
-            if plain:
-                raise NodeFailed(depth)
-            return False
+            return None
         span = (up & -up).bit_length() - 1
         if depth == n - 1:
             return last_row(span)
@@ -233,7 +217,6 @@ def gl_iso_search(n, q, holders, candidates, checks, ranks2, add, scale):
             if holders[v] >> span & 1:
                 continue
             stats[1] += 1
-            leaves, nodes = stats  # the counts as the node is entered
             rows[depth] = v
             if q == 2:
                 image.extend([v ^ w for w in image])
@@ -241,14 +224,11 @@ def gl_iso_search(n, q, holders, candidates, checks, ranks2, add, scale):
                 for a in range(1, q):
                     av = scale(a, v)
                     image.extend([add(av, w) for w in image[:base]])
-            try:
-                found = rec(depth + 1, up & holders[v])
-            except NodeFailed as failure:
-                if failure.args[0] != depth + 1:
-                    raise
-                # every leaf below the node of rows[0:depth+1] fails
-                found, (sub_leaves, sub_nodes) = False, count(depth + 1, up & holders[v])
-                stats[0], stats[1] = leaves + sub_leaves, nodes + sub_nodes
+            found = rec(depth + 1, up & holders[v])
+            if found is None and plain:  # no leaf below the node holds
+                sub_leaves, sub_nodes = count(depth + 1, up & holders[v])
+                stats[0] += sub_leaves
+                stats[1] += sub_nodes
             del image[base:]
             if found:
                 return True
@@ -258,10 +238,9 @@ def gl_iso_search(n, q, holders, candidates, checks, ranks2, add, scale):
         stats[0] = 1
         found = holds(checks[0])
     else:
-        try:
-            found = rec(0, everything)
-        except NodeFailed:  # at the root: no leaf holds
-            found, stats[:] = False, count(0, everything)
+        found = rec(0, everything)
+        if found is None and plain:
+            stats[:] = count(0, everything)
     # rec and count call themselves through this scope: dropping them frees
     # this call's tables now instead of at the next full collection
     rec = count = None

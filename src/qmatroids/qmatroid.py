@@ -661,12 +661,9 @@ def is_isomorphic(M1: QMatroid, M2: QMatroid, mode: str = "linear",
     the image of e_(d+1) ranges over the points of the colour of
     <e_(d+1)>, and every space inside <e_1..e_d> is checked as soon as
     the first d rows are placed.  With prune=False every invertible
-    matrix up to the first witness is a leaf, checked on every space.
-    A space inside <e_1..e_d>, d < n, reads only the first d rows.  Such
-    spaces that come before every space reading the last row in the check
-    order are decided as each node placing the first d rows is entered,
-    the others at the leaves; when one fails, the subtree of its node is
-    counted instead of walked.
+    matrix up to the first witness is a leaf, checked on every space,
+    those of the (dim, rank) classes whose counts differ first; leading
+    spaces that read only the first d < n rows are decided once per node.
 
     Either way the candidates for the last row are scanned in one flat
     loop: the image of a domain code is computed only when a check reads
@@ -686,9 +683,10 @@ def is_isomorphic(M1: QMatroid, M2: QMatroid, mode: str = "linear",
     rv2 = M2.rank_vector()
     refused = witness = None
     leaves = nodes = 0
+    histogram, histogram2 = Counter(zip(lat.dims, rv1)), Counter(zip(lat.dims, rv2))
+    differ = histogram != histogram2
     if prune:
-        histogram = Counter(zip(lat.dims, rv1))
-        if histogram != Counter(zip(lat.dims, rv2)):
+        if differ:
             refused = "(dim, rank) histograms differ"
         else:
             slots = {key: k for k, key in enumerate(histogram)}
@@ -701,6 +699,9 @@ def is_isomorphic(M1: QMatroid, M2: QMatroid, mode: str = "linear",
         # dependent spaces discriminate fastest; fixed deterministic order
         order = sorted(range(lat.size),
                        key=lambda i: (0 if rv1[i] < lat.dims[i] else 1, lat.dims[i], i))
+        if differ:  # a plain scan: lead with the classes whose counts differ
+            order.sort(key=lambda i: histogram[lat.dims[i], rv1[i]]
+                       == histogram2[lat.dims[i], rv1[i]])
         codes = lat.basis_codes
         depths = [_flag_depth(codes[i], q) if prune else n for i in order]
         add, scale = code_arithmetic(q)

@@ -51,10 +51,6 @@ def decode_vector(code: int, q: int, n: int):
     return tuple(out)
 
 
-def vec_scale(c, v, F: FieldSpec):
-    return tuple(F.base_mul(c, x) for x in v)
-
-
 @lru_cache(maxsize=None)
 def code_arithmetic(q: int):
     """(add, scale): the sum of two vector codes over GF(q) and a scalar

@@ -75,6 +75,11 @@ def vec_add(u, v, F):
     return tuple(F.base_add(a, b) for a, b in zip(u, v))
 
 
+def vec_scale(c, v, F):
+    """The scalar c times a digit tuple over the ground field F, digit by digit."""
+    return tuple(F.base_mul(c, x) for x in v)
+
+
 def vector_at(S, coeffs):
     """The combination of the basis rows of S with these coefficients, as
     a digit tuple, by digit-list arithmetic."""

@@ -397,10 +397,26 @@ class TestSelftest:
     ("build", {"q": 2, "n": 1, "kind": "matrix", "field": {"p": 2, "k": 1, "m": float("inf")},
                "rows": [[[1]]]}),
     ("map", {"kind": "table", "q": 2, "n1": 1, "n2": 2, "images": [float("inf")]}),
+    ("build", {"q": 2.9, "n": 2, "kind": "uniform", "k": 1}),
+    ("build", {"q": 2, "n": 2, "kind": "uniform", "k": 1.5}),
+    ("build", {"q": 2, "n": True, "kind": "uniform", "k": 1}),
+    ("build", {"q": "2", "n": 2, "kind": "uniform", "k": 1}),
+    ("build", {"q": 2, "n": 1, "kind": "rank_table", "table": [[[], 0], [[[1]], 1.7]]}),
+    ("build", {"q": 2, "n": 1, "kind": "matrix", "field": {"p": 2, "k": 1, "m": 1},
+               "rows": [[[1.5]]]}),
+    ("map", {"kind": "table", "q": 2, "n1": 2, "n2": 2, "images": [1.9, 2, 3]}),
+    ("build", {"q": 2, "n": 2, "kind": "matrix",
+               "field": {"p": 2, "k": 1, "m": 4, "base_modulus": [1, 1]},
+               "rows": [[[1], [0, 1]]]}),
+    ("build", {"q": 2, "n": 2, "kind": "matrix",
+               "field": {"p": 2, "k": 1, "m": 4, "ext_modulus": [1, 0, 0, 1, 1]},
+               "rows": [[[1], [0, 1]]]}),
 ], ids=["q=1", "top-level list", "uniform without k", "rows short of n1 x n2",
         "q=6 matroid", "q=6 matrix map", "q=12 table map", "q=1e400", "n=Infinity",
         "k=Infinity", "rank-table basis entry Infinity", "matrix field m=Infinity",
-        "table map image Infinity"])
+        "table map image Infinity", "q=2.9", "k=1.5", "n=true", "q string",
+        "rank-table rank 1.7", "matrix coefficient 1.5", "table map image 1.9",
+        "base modulus alone", "ext modulus alone"])
 def test_malformed_spec_exit_2(command, doc, tmp_path, uniform_spec, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))

@@ -360,19 +360,27 @@ def test_pruned_answers_agree_with_the_unpruned_scan(q, n):
         assert "point colours differ" in outcomes
 
 
-PAIR_KINDS = ("image", "other rank", "relabelled", "relabelled image")
+PAIR_KINDS = ("image", "other rank", "relabelled", "relabelled image", "uniform first")
 
 
 def _random_pair(q, n, kind, rng):
     """Two q-matroids (or rank vectors) on F_q^n: a random representable
     one and its image under a random change of basis (isomorphic), or one
     of another rank (never isomorphic); a relabelled pair (either way), or
-    the first of one and its image (isomorphic)."""
+    the first of one and its image (isomorphic); or, for n > 1, U(q, n, k)
+    against a representable rank-k one whose ranks differ (never
+    isomorphic, with (dim, rank) histograms that differ)."""
     F = ground_field(q)
     if n == 0:
         return uniform(q, 0, 0), uniform(q, 0, 0)
     if kind in ("relabelled", "relabelled image"):
         M1, M2 = _relabelled_pair(q, n, min(rng.randint(1, 2), n), rng)
+    elif kind == "uniform first" and n > 1:
+        M1 = uniform(q, n, rng.randint(1, n - 1))
+        spec = make_field(*prime_power(q), n)
+        M2 = M1
+        while M2.rank_vector() == M1.rank_vector():
+            M2 = _random_representable(spec, M1.matroid_rank, n, rng)
     else:
         M1 = _random_representable(make_field(*prime_power(q), n), rng.randint(1, n), n, rng)
         M2 = uniform(q, n, (M1.matroid_rank + 1) % (n + 1))
@@ -511,15 +519,16 @@ def test_n1_against_n2_node_fixed(prune, monkeypatch):
 def test_kernel_on_shuffled_candidates_agrees_with_the_recursive_scan(q, n):
     # the kernel on its own, with candidates in shuffled order, some rows
     # missing some codes, so that the subtrees it counts differ by span.
-    # Plain scans (every check at the leaves) in lattice order, with every
-    # check that reads the last row first (no node-fixed check is decided
-    # at a node: one that fails at a leaf unwinds), or with the node-fixed
-    # checks first (all decided as nodes are entered); or each space
-    # checked at its flag depth or at the leaves, a pruned scan
+    # Plain scans (every check at depth n) in lattice order, with every
+    # check that reads the last row first (each node-fixed check is a leaf
+    # check), with the node-fixed checks first (each decided as the nodes
+    # of its depth are entered), or in a seeded random order; or each
+    # space checked at its flag depth or at the leaves, a pruned scan.
+    # The check order changes only the time a scan takes
     lat = lattice(q, n)
     add, scale = code_arithmetic(q)
     rng = random.Random(10 * q + n)
-    layouts = ("lattice order", "last row first", "node-fixed first", "pruned")
+    layouts = ("lattice order", "last row first", "node-fixed first", "random order", "pruned")
     seen = set()
     for kind in PAIR_KINDS:
         M1, M2 = _random_pair(q, n, kind, rng)
@@ -533,6 +542,8 @@ def test_kernel_on_shuffled_candidates_agrees_with_the_recursive_scan(q, n):
                 spaces.sort(key=lambda space: _flag_depth(space[0], q) < n)
             elif layout == "node-fixed first":
                 spaces.sort(key=lambda space: _flag_depth(space[0], q) == n)
+            elif layout == "random order":
+                rng.shuffle(spaces)
             checks = [[] for _ in range(n + 1)]
             for codes, rank in spaces:
                 d = rng.choice((_flag_depth(codes, q), n)) if layout == "pruned" else n

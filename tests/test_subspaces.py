@@ -33,7 +33,6 @@ from qmatroids.subspaces import (
     decode_vector,
     encode_vector,
     mask_ids,
-    vec_scale,
 )
 
 from helpers import (
@@ -43,6 +42,7 @@ from helpers import (
     reference_rref,
     reference_subspaces,
     vec_add,
+    vec_scale,
     vector_at,
 )
 
