@@ -27,9 +27,9 @@ from .jsonio import (
     matroid_to_dict,
     subspace_to_dict,
 )
-from .maps import classify_map
-from .qmatroid import check_rank_axioms, is_isomorphic
-from .subspaces import Subspace, check_caps, count_subspaces, lattice
+# modules, not names: a command loads maps, qmatroid or subspaces only
+# when it calls into them
+from . import maps, qmatroid, subspaces
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -37,7 +37,7 @@ EXIT_USAGE = 2
 EXIT_CAPS = 3
 
 
-def _parse_subspace(text: str, q: int, n: int) -> Subspace:
+def _parse_subspace(text: str, q: int, n: int) -> subspaces.Subspace:
     rows = []
     for part in text.split(","):
         part = part.strip()
@@ -46,7 +46,7 @@ def _parse_subspace(text: str, q: int, n: int) -> Subspace:
         if len(part) != n or not all("0" <= ch <= "9" and int(ch) < q for ch in part):
             raise ParseError(f"bad subspace row {part!r} for F_{q}^{n}")
         rows.append(tuple(int(ch) for ch in part))
-    return Subspace.from_rows(q, n, rows)
+    return subspaces.Subspace.from_rows(q, n, rows)
 
 
 def _emit(payload, fmt: str):
@@ -66,10 +66,10 @@ def _load_matroid(path: str, max_subspaces: int, sweep: bool = True):
     d = load_json(path)
     q, n = matroid_ambient(d)
     if sweep:
-        check_caps(q, n)
+        subspaces.check_caps(q, n)
     check_field_cap(d)
     # F_q^n has at least the 2^n coordinate subspaces
-    if n >= max_subspaces.bit_length() or count_subspaces(q, n) > max_subspaces:
+    if n >= max_subspaces.bit_length() or subspaces.count_subspaces(q, n) > max_subspaces:
         raise EnumerationCapExceeded(
             f"the subspaces of F_{q}^{n} exceed --caps {max_subspaces}")
     return matroid_from_dict(d)
@@ -77,7 +77,7 @@ def _load_matroid(path: str, max_subspaces: int, sweep: bool = True):
 
 def cmd_build(args) -> int:
     M = _load_matroid(args.spec, args.caps)
-    report = check_rank_axioms(M)
+    report = qmatroid.check_rank_axioms(M)
     lines = [f"matroid F{M.q}^{M.n} kind={M.kind} rank={M.matroid_rank}",
              f"axioms: {'pass' if report.ok else 'FAIL'}"]
     for axiom, witnesses, values in report.violations:
@@ -95,7 +95,7 @@ def cmd_build(args) -> int:
 
 def _flats_dot(M) -> str:
     fam = M.flats()
-    lat = lattice(M.q, M.n)
+    lat = subspaces.lattice(M.q, M.n)
     ids = {F: lat.id_of(F) for F in fam.sorted_members}
     lines = ["digraph flats {", "  rankdir=BT;"]
     for F in fam.sorted_members:
@@ -172,12 +172,12 @@ def cmd_query(args) -> int:
 def cmd_map(args) -> int:
     d = load_json(args.mapspec)
     q, n1, n2 = map_ambient(d)  # refuse an over-cap map before building its field
-    check_caps(q, n1)
-    check_caps(q, n2)
+    subspaces.check_caps(q, n1)
+    subspaces.check_caps(q, n2)
     phi = map_from_dict(d)
     M1 = _load_matroid(args.m1, args.caps)
     M2 = _load_matroid(args.m2, args.caps)
-    rep = classify_map(phi, M1, M2)
+    rep = maps.classify_map(phi, M1, M2)
     payload = {"weak": rep.is_weak, "strong": rep.is_strong,
                "rank_preserving": rep.is_rank_preserving,
                "witnesses": {k: [str(w) for w in v]
@@ -216,7 +216,7 @@ def cmd_iso(args) -> int:
     M1 = _load_matroid(args.m1, args.caps)
     M2 = _load_matroid(args.m2, args.caps)
     stats = {}
-    witness = is_isomorphic(M1, M2, mode=args.mode, stats=stats)
+    witness = qmatroid.is_isomorphic(M1, M2, mode=args.mode, stats=stats)
     if witness is None:
         why = stats["refused"] or f"exhausted {stats['candidates']} candidates"
         _emit({"isomorphic": False, **stats} if args.format == "json"
@@ -232,6 +232,9 @@ def cmd_iso(args) -> int:
 
 
 def cmd_repro(args) -> int:
+    # the first read of repro.ITEMS, below, loads repro and with it every
+    # module its items use, all in this thread: a lazy module holds no lock
+    # under CPython 3.11, so none may load first in a worker of the pool
     from . import repro
     if args.item == "list":
         for name in sorted(repro.ITEMS):

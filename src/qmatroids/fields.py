@@ -24,6 +24,7 @@ threads.
 from __future__ import annotations
 
 import itertools
+import operator
 from functools import lru_cache, partial
 from math import isqrt
 from typing import Iterable, Optional, Sequence, Tuple
@@ -310,7 +311,7 @@ class FieldSpec:
         return tuple(out)
 
     def from_coeffs(self, cs: Iterable[int]) -> int:
-        cs = list(cs)
+        cs = list(map(operator.index, cs))  # a float raises, not truncates
         if len(cs) > self.m or any(c < 0 or c >= self.q for c in cs):
             raise ValueError(f"bad coefficient vector {cs} for GF({self.q}^{self.m})")
         val = 0

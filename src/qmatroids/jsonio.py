@@ -15,20 +15,12 @@ from contextlib import contextmanager
 from typing import Tuple
 
 from .errors import EnumerationCapExceeded, ParseError
-from .fields import (
-    MAX_FIELD_ORDER,
-    FieldSpec,
-    ground_field,
-    make_field,
-    over_field_cap,
-    prime_power,
-)
-from .maps import LMap, lmap_from_matrix, lmap_from_table
-from .qmatroid import FlatFamily, QMatroid, from_flats, from_matrix, from_rank_table, uniform
-from .subspaces import Mat, Subspace, lattice
+# modules, not names: a spec loads maps, qmatroid, subspaces or fields
+# only when it is read that far
+from . import fields, maps, qmatroid, subspaces
 
 
-def field_to_dict(spec: FieldSpec) -> dict:
+def field_to_dict(spec: fields.FieldSpec) -> dict:
     return {"p": spec.p, "k": spec.k, "m": spec.m,
             "base_modulus": list(spec.base_modulus),
             "ext_modulus": list(spec.ext_modulus)}
@@ -42,23 +34,23 @@ def _int(x) -> int:
     return x
 
 
-def field_from_dict(d: dict) -> FieldSpec:
+def field_from_dict(d: dict) -> fields.FieldSpec:
     moduli = [[_int(c) for c in d[name]]
               for name in ("base_modulus", "ext_modulus") if name in d]
     _check(len(moduli) != 1, "a field needs both moduli or neither")
-    return make_field(_int(d["p"]), _int(d.get("k", 1)), _int(d.get("m", 1)),
-                      moduli=moduli or None)
+    return fields.make_field(_int(d["p"]), _int(d.get("k", 1)), _int(d.get("m", 1)),
+                             moduli=moduli or None)
 
 
-def subspace_to_dict(S: Subspace) -> dict:
+def subspace_to_dict(S: subspaces.Subspace) -> dict:
     return S.to_dict()
 
 
-def matroid_to_dict(M: QMatroid, materialize: bool = False) -> dict:
+def matroid_to_dict(M: qmatroid.QMatroid, materialize: bool = False) -> dict:
     """Serialize a matroid; materialize=True forces a rank_table artifact."""
     q, n = M.ambient()
     if materialize:
-        lat = lattice(q, n)
+        lat = subspaces.lattice(q, n)
         rv = M.rank_vector()
         return {"q": q, "n": n, "kind": "rank_table",
                 "table": [[[list(r) for r in S.basis], rv[i]]
@@ -66,13 +58,13 @@ def matroid_to_dict(M: QMatroid, materialize: bool = False) -> dict:
     if M.kind == "uniform":
         return {"q": q, "n": n, "kind": "uniform", "k": M.payload["k"]}
     if M.kind in ("matrix", "blockdiag"):
-        G: Mat = M.payload["G"]
+        G: subspaces.Mat = M.payload["G"]
         return {"q": q, "n": n, "kind": "matrix",
                 "field": field_to_dict(G.spec),
                 "rows": [[list(G.spec.coeffs(x)) for x in G.row(i)]
                          for i in range(G.rows)]}
     if M.kind == "flats":
-        fam: FlatFamily = M.payload["flats"]
+        fam: qmatroid.FlatFamily = M.payload["flats"]
         return {"q": q, "n": n, "kind": "flats",
                 "members": [[list(r) for r in S.basis]
                             for S in fam.sorted_members]}
@@ -103,7 +95,7 @@ def _header(d, what: str, sizes):
     _check(q >= 2, f"{what} spec needs q >= 2, got q={q}")
     # not factored above MAX_FIELD_ORDER: no such field is ever built, and
     # q^n exceeds the vector cap for every n >= 1
-    _check(q > MAX_FIELD_ORDER or prime_power(q) is not None,
+    _check(q > fields.MAX_FIELD_ORDER or fields.prime_power(q) is not None,
            f"{what} spec needs q to be a prime power, got q={q}")
     for name, size in zip(sizes, dims):
         _check(size >= 0, f"{what} spec needs {name} >= 0, got {name}={size}")
@@ -134,9 +126,9 @@ def check_field_cap(d):
         p, k, m = _int(field["p"]), _int(field.get("k", 1)), _int(field.get("m", 1))
     except (AttributeError, KeyError, TypeError):
         return
-    if over_field_cap(p, k, m):
+    if fields.over_field_cap(p, k, m):
         raise EnumerationCapExceeded(
-            f"field order {p}^{k * m} exceeds cap {MAX_FIELD_ORDER}")
+            f"field order {p}^{k * m} exceeds cap {fields.MAX_FIELD_ORDER}")
 
 
 def map_ambient(d) -> Tuple[int, int, int]:
@@ -145,12 +137,12 @@ def map_ambient(d) -> Tuple[int, int, int]:
     return q, n1, n2
 
 
-def matroid_from_dict(d: dict) -> QMatroid:
+def matroid_from_dict(d: dict) -> qmatroid.QMatroid:
     kind, q, n = _header(d, "matroid", ("n",))
     if kind == "uniform":
         with _reading("uniform spec"):
             k = _int(d["k"])
-        return uniform(q, n, k)
+        return qmatroid.uniform(q, n, k)
     if kind == "matrix":
         with _reading("matrix spec"):
             spec = field_from_dict(d["field"])
@@ -158,35 +150,36 @@ def matroid_from_dict(d: dict) -> QMatroid:
         _check(spec.q == q, f"field base GF({spec.q}) does not match q={q}")
         _check(len(rows) > 0 and all(len(row) == n for row in rows),
                f"matrix spec needs rows of n={n} entries")
-        return from_matrix(Mat.from_rows(spec, rows))
+        return qmatroid.from_matrix(subspaces.Mat.from_rows(spec, rows))
     if kind == "rank_table":
         with _reading("rank_table spec"):
             entries = [(_vectors(basis, q, n, "basis rows"), _int(rank))
                        for basis, rank in d["table"]]
-        return from_rank_table(q, n, {Subspace.from_rows(q, n, rows): rank
-                                      for rows, rank in entries})
+        return qmatroid.from_rank_table(q, n, {subspaces.Subspace.from_rows(q, n, rows): rank
+                                               for rows, rank in entries})
     if kind == "flats":
         with _reading("flats spec"):
             members = [_vectors(basis, q, n, "basis rows") for basis in d["members"]]
-        return from_flats(FlatFamily(q, n, [Subspace.from_rows(q, n, rows)
-                                            for rows in members]))
+        return qmatroid.from_flats(qmatroid.FlatFamily(
+            q, n, [subspaces.Subspace.from_rows(q, n, rows) for rows in members]))
     raise ParseError(f"unknown matroid kind {kind!r}")
 
 
-def map_from_dict(d: dict) -> LMap:
+def map_from_dict(d: dict) -> maps.LMap:
     kind, q, n1, n2 = _header(d, "map", ("n1", "n2"))
     if kind == "matrix":
         with _reading("matrix map spec"):
             rows = _vectors(d["rows"], q, n2, "matrix map rows")
         _check(len(rows) == n1, f"matrix map needs n1={n1} rows, got {len(rows)}")
-        return lmap_from_matrix(Mat(ground_field(q), n1, n2, [x for row in rows for x in row]))
+        return maps.lmap_from_matrix(subspaces.Mat(fields.ground_field(q), n1, n2,
+                                                   [x for row in rows for x in row]))
     if kind == "table":
         with _reading("table map spec"):
             images = [0] + [_int(x) for x in d["images"]]
         _check(len(images) == q ** n1, f"table must list the {q ** n1 - 1} nonzero images")
         _check(all(0 <= x < q ** n2 for x in images),
                f"table images must encode vectors of F_{q}^{n2}")
-        return lmap_from_table(q, n1, n2, images)
+        return maps.lmap_from_table(q, n1, n2, images)
     raise ParseError(f"unknown map kind {kind!r}")
 
 

@@ -18,6 +18,7 @@ check over all subspaces is kept in the test suite as an oracle.
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
@@ -243,7 +244,7 @@ def lmap_from_table(q: int, n1: int, n2: int, table_or_fn) -> LMap:
         table = [encode_vector(table_or_fn(decode_vector(code, q, n1)), q)
                  for code in range(size)]
     else:
-        table = [int(x) for x in table_or_fn]
+        table = list(map(operator.index, table_or_fn))  # a float raises, not truncates
         if len(table) != size:
             raise ValueError(f"table must have {size} entries")
     if table[0] != 0:

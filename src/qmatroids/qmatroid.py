@@ -22,7 +22,9 @@ import itertools
 from collections import Counter, defaultdict
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from . import kernels
+# maps as a module, not names: restrictions, contractions and found
+# isomorphisms load it
+from . import kernels, maps
 from .kernels import flag_depth as _flag_depth
 from .errors import (
     AmbientMismatch,
@@ -35,7 +37,6 @@ from .errors import (
     SearchBoundExceeded,
 )
 from .fields import FieldSpec, ground_field
-from .maps import embedding_map, lmap_from_matrix
 from .subspaces import (
     Mat,
     Subspace,
@@ -362,7 +363,7 @@ class QMatroid:
         """M|_X, re-coordinatized to F_q^dim(X) through X's RREF basis."""
         if (X.q, X.n) != (self.q, self.n):
             raise AmbientMismatch("restriction subspace outside the ambient")
-        return pullback(self, embedding_map(X), kind="restriction",
+        return pullback(self, maps.embedding_map(X), kind="restriction",
                         payload={"parent": self, "subspace": X})
 
     def contraction(self, X: Subspace) -> "QMatroid":
@@ -372,7 +373,7 @@ class QMatroid:
             raise AmbientMismatch("contraction subspace outside the ambient")
         pivots = X.pivots()
         units = tuple(self.q ** j for j in range(self.n) if j not in pivots)
-        return pullback(self, embedding_map(Subspace(self.q, self.n, units)), X,
+        return pullback(self, maps.embedding_map(Subspace(self.q, self.n, units)), X,
                         kind="contraction", payload={"parent": self, "subspace": X})
 
     def __repr__(self):
@@ -711,7 +712,7 @@ def is_isomorphic(M1: QMatroid, M2: QMatroid, mode: str = "linear",
             # a candidate v -> sigma_j(v) A is rank-preserving iff the linear
             # part A satisfies rank2(A T) = rank1(sigma_j^{-1} T) for all T
             rv1_t = rv1 if j == 0 else pullback(
-                M1, lmap_from_matrix(eye, automorphism=(F.k - j) % F.k)).rank_vector()
+                M1, maps.lmap_from_matrix(eye, automorphism=(F.k - j) % F.k)).rank_vector()
             checks = [[] for _ in range(n + 1)]
             for i, d in zip(order, depths):
                 checks[d].append((codes[i], rv1_t[i]))
@@ -729,7 +730,7 @@ def is_isomorphic(M1: QMatroid, M2: QMatroid, mode: str = "linear",
             nodes += found_nodes
             if rows is not None:
                 A = Mat(F, n, n, [x for r in rows for x in decode_vector(r, q, n)])
-                witness = lmap_from_matrix(A, automorphism=j)
+                witness = maps.lmap_from_matrix(A, automorphism=j)
                 break
     if stats is not None:
         stats.update(leaves=leaves, nodes=nodes,

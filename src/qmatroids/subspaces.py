@@ -51,6 +51,20 @@ def decode_vector(code: int, q: int, n: int):
     return tuple(out)
 
 
+def _multiples(F: FieldSpec):
+    """The rows of GF(q)'s multiplication table, q <= 256: row c is the bytes
+    c x for x < q.  Along the powers c of the primitive element g, row(g c)
+    is row(c) translated by row(g): q - 1 translations, not q^2 products."""
+    q, g = F.order, F.omega_val
+    times_g = bytes(map(F.mul, itertools.repeat(g), range(q))).ljust(256, b"\0")
+    rows = [bytes(q)] * q
+    c, row = 1, bytes(range(q))
+    for _ in range(q - 1):
+        rows[c] = row
+        c, row = F.mul(g, c), row.translate(times_g)
+    return rows
+
+
 @lru_cache(maxsize=None)
 def code_arithmetic(q: int):
     """(add, scale): the sum of two vector codes over GF(q) and a scalar
@@ -60,7 +74,7 @@ def code_arithmetic(q: int):
     q > 256 a block is one digit, multiplied on reading)."""
     F = ground_field(q)
     Q, rows = (q, _Computed(_Computed, F.mul)) if q > 256 else byte_blocks(
-        [bytes(map(F.mul, itertools.repeat(c), range(q))) for c in range(q)], False)
+        _multiples(F), False)
 
     def scale(c, v):
         if v < Q:
@@ -98,7 +112,7 @@ class Mat:
         for row in rows:
             if len(row) != c:
                 raise ValueError("ragged rows")
-            flat.extend(int(x) for x in row)
+            flat.extend(map(operator.index, row))  # a float raises, not truncates
         return cls(spec, r, c, flat)
 
     def row(self, i: int):

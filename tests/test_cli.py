@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qmatroids
-from qmatroids import lattice, uniform
+from qmatroids import identity_map, lattice, uniform
 from qmatroids.cli import main
 from qmatroids.jsonio import (
     dump_json,
@@ -436,22 +436,86 @@ def test_usage_error_exit_2(uniform_spec, capsys):
         assert capsys.readouterr().err.startswith("parse error: ")
 
 
+# the package's modules that have run, as against those only registered
+EXECUTED = ("import sys, types; print(*sorted(name for name, module in sys.modules.items() "
+            "if name.startswith('qmatroids') and type(module) is types.ModuleType))")
+
+
 class TestColdStart:
     # qbench/layers.py wraps functions of these modules, reading them from
-    # sys.modules right after `import qmatroids.cli`
+    # sys.modules right after `import qmatroids.cli`: importing the package
+    # registers them in sys.modules, and each is compiled on first use
     EAGER = {"qmatroids.subspaces", "qmatroids.kernels", "qmatroids.qmatroid",
              "qmatroids.maps", "qmatroids.dirsum", "qmatroids.jsonio"}
     # loaded by the commands or classes that use them, not by every command
-    LAZY = {"dataclasses", "inspect", "concurrent.futures", "qmatroids.repro"}
+    LAZY = {"dataclasses", "inspect", "concurrent.futures"}
 
     def test_cli_import_adds_only_what_every_command_needs(self):
         listing = "import sys; print('\\n'.join(sys.modules))"
         bare = _python("-c", listing)
         cli = _python("-c", "import qmatroids.cli; " + listing)
-        assert bare.returncode == cli.returncode == 0, bare.stderr + cli.stderr
+        executed = _python("-c", "import qmatroids.cli; " + EXECUTED)
+        assert bare.returncode == cli.returncode == executed.returncode == 0, (
+            bare.stderr + cli.stderr + executed.stderr)
         added = set(cli.stdout.split()) - set(bare.stdout.split())
         assert not added & self.LAZY
-        assert self.EAGER <= added
+        assert self.EAGER | {"qmatroids.repro"} <= added
+        assert executed.stdout.split() == ["qmatroids", "qmatroids.cli", "qmatroids.errors",
+                                           "qmatroids.jsonio"]
+
+    # a command, its exit code and the modules it must leave unexecuted
+    COMMANDS = [
+        (["build", "bad_q.json"], 2, {"fields", "subspaces", "kernels", "qmatroid", "maps",
+                                      "dirsum", "repro"}),
+        (["map", "bad_map.json", "u25.json", "u25.json"], 2,
+         {"fields", "subspaces", "kernels", "qmatroid", "maps", "dirsum", "repro"}),
+        (["build", "u25.json"], 0, {"maps", "dirsum", "repro"}),
+        (["iso", "u25.json", "u251.json"], 1, {"maps", "dirsum", "repro"}),
+        (["map", "id5.json", "u25.json", "u25.json"], 0, {"dirsum", "repro"}),
+    ]
+
+    @pytest.mark.parametrize("argv,code,skipped", COMMANDS,
+                             ids=["malformed build", "malformed map", "build", "iso", "map"])
+    def test_command_executes_only_the_modules_it_calls(self, tmp_path, argv, code, skipped):
+        specs = {"bad_q.json": {"q": 1, "n": 2, "kind": "uniform", "k": 1},
+                 "bad_map.json": {"kind": "matrix", "q": 1, "n1": 5, "n2": 5, "rows": []},
+                 "u25.json": {"q": 2, "n": 5, "kind": "uniform", "k": 2},
+                 "u251.json": {"q": 2, "n": 5, "kind": "uniform", "k": 1},
+                 "id5.json": map_to_dict(identity_map(2, 5))}
+        for name, spec in specs.items():
+            dump_json(spec, str(tmp_path / name))
+        child = _python("-c", "import sys; from qmatroids.cli import main; "
+                        "print(main(sys.argv[1:])); " + EXECUTED,
+                        *(str(tmp_path / a) if a in specs else a for a in argv))
+        assert child.returncode == 0, child.stderr
+        exit_code, executed = child.stdout.splitlines()[-2:]
+        assert int(exit_code) == code
+        executed = set(executed.split())
+        assert {"qmatroids", "qmatroids.errors", "qmatroids.jsonio", "qmatroids.cli"} <= executed
+        assert not executed & {f"qmatroids.{name}" for name in skipped}
+
+    def test_run_as_main_without_warnings(self, uniform_spec):
+        # runpy warns of an entry for qmatroids.cli made before it runs it
+        child = _python("-W", "error", "-m", "qmatroids.cli", "build", uniform_spec)
+        assert child.returncode == 0, child.stderr
+        assert child.stderr == ""
+
+    def test_public_names_are_their_submodules_objects(self):
+        child = _python("-c", """
+import sys
+import qmatroids
+listed = dir(qmatroids)  # before any name is read
+for name in qmatroids.__all__:
+    assert name in listed, name
+    value = getattr(qmatroids, name)
+    home = "qmatroids.repro" if name == "repro" else value.__module__
+    assert home.startswith("qmatroids."), (name, home)
+    assert value is (sys.modules[home] if name == "repro" else getattr(sys.modules[home], name))
+    assert vars(qmatroids)[name] is value, name
+print(len(qmatroids.__all__))
+""")
+        assert child.returncode == 0, child.stderr
+        assert int(child.stdout) == len(qmatroids.__all__)
 
     @pytest.mark.parametrize("statement", [
         "import qmatroids; repro = qmatroids.repro",

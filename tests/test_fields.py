@@ -265,6 +265,13 @@ class TestArith:
         assert (gf16.omega ** 15).val == 1
         assert all((gf16.omega ** e).val != 1 for e in range(1, 15))
 
+    def test_from_coeffs_refuses_floats(self, gf16):
+        assert gf16.from_coeffs([1, 0, 1]) == 5
+        with pytest.raises(TypeError):
+            gf16.from_coeffs([1.5, 0])
+        with pytest.raises(TypeError):
+            make_field(3, 1, 2).from_coeffs([2.0])
+
     def test_field_mismatch(self, gf16):
         other = make_field(2, 1, 3)
         with pytest.raises(FieldMismatch):

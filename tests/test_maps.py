@@ -76,6 +76,11 @@ class TestFromTable:
         assert phi.is_linear
         assert phi.linear_matrix.entries == (0, 1, 1, 0)
 
+    def test_table_refuses_floats(self):
+        assert lmap_from_table(2, 1, 1, [0, True]).table == (0, 1)
+        with pytest.raises(TypeError):
+            lmap_from_table(2, 1, 1, [0, 1.9])
+
     def test_zero_not_fixed(self):
         with pytest.raises(ZeroNotFixed):
             lmap_from_table(2, 2, 2, lambda v: (1, 1))

@@ -26,7 +26,7 @@ from qmatroids import (
     subspaces_of,
 )
 from qmatroids.errors import AmbientMismatch, EnumerationCapExceeded
-from qmatroids.fields import ground_field
+from qmatroids.fields import ground_field, make_field
 from qmatroids.subspaces import (
     code_arithmetic,
     count_subspaces,
@@ -328,6 +328,11 @@ class TestMat:
         I = Mat(gf16, 2, 2, [1, 0, 0, 1])
         assert A.mul(I).entries == A.entries
 
+    def test_from_rows_refuses_floats(self, gf16):
+        assert Mat.from_rows(gf16, [[1, True]]).entries == (1, 1)
+        with pytest.raises(TypeError):
+            Mat.from_rows(make_field(2, 1, 2), [[1.5, 2.7]])
+
 
 # exhaustive over every pair where samples is None, else that many seeded pairs
 ORDER_CASES = [(2, 4, None), (3, 3, None), (4, 2, None), (2, 5, 1500), (3, 4, 1500)]
@@ -470,6 +475,14 @@ class TestLatticeCache:
         spaces, peak = map(int, child.stdout.split())
         assert spaces == 259
         assert peak < 1 << 25
+
+    @pytest.mark.parametrize("q", [32, 49, 128, 256])
+    def test_multiples_against_mul(self, q):
+        # the table built along the powers of the primitive element
+        F = ground_field(q)
+        _, scale = code_arithmetic(q)
+        for c, x in itertools.product(range(q), repeat=2):
+            assert scale(c, x) == F.mul(c, x)
 
     def test_code_arithmetic_built_once(self):
         assert code_arithmetic(3) is code_arithmetic(3)
