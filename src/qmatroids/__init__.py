@@ -11,10 +11,11 @@ from .errors import QMatroidsError
 # each public name and the submodule that defines it
 _HOMES = {
     "QMatroidsError": "errors",
-    **dict.fromkeys(["FieldElem", "FieldSpec", "ground_field", "in_base_field", "make_field",
-                     "omega_index_set", "primitive_power"], "fields"),
+    **dict.fromkeys(["FieldElem", "FieldSpec", "gaussian_binomial", "ground_field",
+                     "in_base_field", "make_field", "omega_index_set", "primitive_power"],
+                    "fields"),
     **dict.fromkeys(["Mat", "Subspace", "complement", "contains", "enumerate_subspaces",
-                     "gaussian_binomial", "join", "lattice", "meet", "one_spaces",
+                     "join", "lattice", "meet", "one_spaces",
                      "row_space", "rref", "subspaces_of"], "subspaces"),
     **dict.fromkeys(["FlatFamily", "QMatroid", "check_flat_axioms", "check_rank_axioms",
                      "from_flats", "from_function", "from_matrix", "from_rank_table",

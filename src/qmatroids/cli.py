@@ -28,8 +28,9 @@ from .jsonio import (
     subspace_to_dict,
 )
 # modules, not names: a command loads maps, qmatroid or subspaces only
-# when it calls into them
-from . import maps, qmatroid, subspaces
+# when it calls into them; the caps are arithmetic in fields, which the
+# spec header's check of q loads anyway
+from . import fields, maps, qmatroid, subspaces
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -66,10 +67,10 @@ def _load_matroid(path: str, max_subspaces: int, sweep: bool = True):
     d = load_json(path)
     q, n = matroid_ambient(d)
     if sweep:
-        subspaces.check_caps(q, n)
+        fields.check_caps(q, n)
     check_field_cap(d)
     # F_q^n has at least the 2^n coordinate subspaces
-    if n >= max_subspaces.bit_length() or subspaces.count_subspaces(q, n) > max_subspaces:
+    if n >= max_subspaces.bit_length() or fields.count_subspaces(q, n) > max_subspaces:
         raise EnumerationCapExceeded(
             f"the subspaces of F_{q}^{n} exceed --caps {max_subspaces}")
     return matroid_from_dict(d)
@@ -172,8 +173,8 @@ def cmd_query(args) -> int:
 def cmd_map(args) -> int:
     d = load_json(args.mapspec)
     q, n1, n2 = map_ambient(d)  # refuse an over-cap map before building its field
-    subspaces.check_caps(q, n1)
-    subspaces.check_caps(q, n2)
+    fields.check_caps(q, n1)
+    fields.check_caps(q, n2)
     phi = map_from_dict(d)
     M1 = _load_matroid(args.m1, args.caps)
     M2 = _load_matroid(args.m2, args.caps)

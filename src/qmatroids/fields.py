@@ -19,6 +19,11 @@ one walk of x proves both moduli irreducible.  The ``base_*``
 operations are the same functions as ``add``, ``mul``, ``neg`` and
 ``inv``.  A constructed FieldSpec is immutable and safe to share across
 threads.
+
+The caps live here too: on the field order, and on the vectors and
+subspaces of F_q^n (``check_caps``), arithmetic on q and n alone, so a
+command refuses an over-cap spec before it builds a field or loads the
+lattice module.
 """
 
 from __future__ import annotations
@@ -26,11 +31,12 @@ from __future__ import annotations
 import itertools
 import operator
 from functools import lru_cache, partial
-from math import isqrt
+from math import isqrt, prod
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import (
     DivisionByZero,
+    EnumerationCapExceeded,
     ExtensionRequired,
     FieldMismatch,
     NoDefaultModulus,
@@ -40,6 +46,9 @@ from .errors import (
 )
 
 MAX_FIELD_ORDER = 1 << 20
+# caps on the vectors and the subspaces of an F_q^n that is enumerated
+DEFAULT_MAX_VECTORS = 1 << 16
+DEFAULT_MAX_SUBSPACES = 10 ** 7
 
 # Primitive polynomials (little-endian coefficient lists, monic) for the
 # built-in defaults.  Each one is verified at construction time, so a bad
@@ -78,6 +87,37 @@ def over_field_cap(p: int, k: int, m: int) -> bool:
     power."""
     return p >= 2 and k >= 1 and m >= 1 and (
         k * m >= MAX_FIELD_ORDER.bit_length() or p ** (k * m) > MAX_FIELD_ORDER)
+
+
+def gaussian_binomial(n: int, d: int, q: int) -> int:
+    if d < 0 or d > n:
+        return 0
+    num = prod(q ** n - q ** i for i in range(d))
+    den = prod(q ** d - q ** i for i in range(d))
+    return num // den
+
+
+def count_subspaces(q: int, n: int, d: Optional[int] = None) -> int:
+    if d is not None:
+        return gaussian_binomial(n, d, q)
+    return sum(gaussian_binomial(n, k, q) for k in range(n + 1))
+
+
+def over_vector_cap(q: int, n: int) -> bool:
+    """True iff q^n exceeds the vector cap, for q >= 2: an n at or past the
+    cap's bit length says so on its own, before a huge power is built."""
+    return n >= DEFAULT_MAX_VECTORS.bit_length() or q ** n > DEFAULT_MAX_VECTORS
+
+
+def check_caps(q: int, n: int, d: Optional[int] = None):
+    """Refuse an F_q^n over the vector or subspace (of dim d) cap.  Pure
+    arithmetic on q and n: no field is built and no lattice module loaded."""
+    if over_vector_cap(q, n):
+        raise EnumerationCapExceeded(
+            f"q^n = {q}^{n} exceeds vector cap {DEFAULT_MAX_VECTORS}")
+    if count_subspaces(q, n, d) > DEFAULT_MAX_SUBSPACES:
+        raise EnumerationCapExceeded(
+            f"{count_subspaces(q, n, d)} subspaces exceed cap {DEFAULT_MAX_SUBSPACES}")
 
 
 def _check_parameters(p: int, k: int, m: int, over_cap: str):

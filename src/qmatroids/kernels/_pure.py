@@ -89,7 +89,7 @@ def flag_depth(codes, q):
     return d
 
 
-def gl_iso_search(n, q, holders, candidates, checks, ranks2, add, scale):
+def gl_iso_search(n, q, holders, candidates, checks, ranks2, add, scale, lacking=()):
     """Depth-first scan of GL(n, q) for a rank-preserving bijection.
 
     Vectors of F_q^n are base-q codes, e_(d+1) having code q^d, added and
@@ -121,6 +121,13 @@ def gl_iso_search(n, q, holders, candidates, checks, ranks2, add, scale):
     that reads the last row, is decided as each node of their depth is
     entered, and a node that fails one has its subtree counted by span
     tests alone instead of walked; every later check is a leaf check.
+
+    A matrix maps a d-space onto a d-space, so a check (codes, rank)
+    fails at every leaf when no space of the target of its dimension,
+    len(codes), has that rank: its verdict is fixed at the root, depth 0.
+    ``lacking`` lists such checks, apart from ``checks``.  When there is
+    one the root fails: a plain scan counts the whole tree and a pruned
+    one visits nothing.
 
     Returns (rows_or_None, leaves, nodes): rows is the first witness as
     codes, leaves counts the candidates reaching depth n and nodes every
@@ -236,9 +243,9 @@ def gl_iso_search(n, q, holders, candidates, checks, ranks2, add, scale):
 
     if n == 0:  # GL(0, q): the empty matrix is the one leaf
         stats[0] = 1
-        found = holds(checks[0])
+        found = not lacking and holds(checks[0])
     else:
-        found = rec(0, everything)
+        found = None if lacking else rec(0, everything)
         if found is None and plain:
             stats[:] = count(0, everything)
     # rec and count call themselves through this scope: dropping them frees

@@ -665,6 +665,10 @@ def is_isomorphic(M1: QMatroid, M2: QMatroid, mode: str = "linear",
     matrix up to the first witness is a leaf, checked on every space,
     those of the (dim, rank) classes whose counts differ first; leading
     spaces that read only the first d < n rows are decided once per node.
+    A matrix, twisted or not, maps a d-space onto a d-space, so a space
+    whose (dim, rank) class M2 lacks fails at every leaf: it is decided
+    at the root, and the scan counts its leaves and nodes without
+    walking them.
 
     Either way the candidates for the last row are scanned in one flat
     loop: the image of a domain code is computed only when a check reads
@@ -713,9 +717,14 @@ def is_isomorphic(M1: QMatroid, M2: QMatroid, mode: str = "linear",
             # part A satisfies rank2(A T) = rank1(sigma_j^{-1} T) for all T
             rv1_t = rv1 if j == 0 else pullback(
                 M1, maps.lmap_from_matrix(eye, automorphism=(F.k - j) % F.k)).rank_vector()
-            checks = [[] for _ in range(n + 1)]
+            # a space whose (dim, rank) class M2 lacks fails at every leaf
+            checks, lacking = [[] for _ in range(n + 1)], []
             for i, d in zip(order, depths):
-                checks[d].append((codes[i], rv1_t[i]))
+                check = (codes[i], rv1_t[i])
+                if histogram2[lat.dims[i], rv1_t[i]]:
+                    checks[d].append(check)
+                else:
+                    lacking.append(check)
             if prune:
                 # row d takes the codes whose point has the colour of <e_(d+1)>
                 source = colours1 if j == 0 else _point_colours(lat, rv1_t, slots)
@@ -725,7 +734,7 @@ def is_isomorphic(M1: QMatroid, M2: QMatroid, mode: str = "linear",
             else:
                 candidates = [range(1, q ** n)] * n
             rows, found_leaves, found_nodes = kernels.gl_iso_search(
-                n, q, lat.holders, candidates, checks, rv2, add, scale)
+                n, q, lat.holders, candidates, checks, rv2, add, scale, lacking)
             leaves += found_leaves
             nodes += found_nodes
             if rows is not None:

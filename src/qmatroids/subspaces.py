@@ -22,15 +22,11 @@ import itertools
 import operator
 from array import array
 from functools import lru_cache, partial, reduce
-from math import prod
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence
 
 from . import kernels
-from .errors import AmbientMismatch, EnumerationCapExceeded
-from .fields import FieldSpec, _Computed, byte_blocks, ground_field
-
-DEFAULT_MAX_VECTORS = 1 << 16
-DEFAULT_MAX_SUBSPACES = 10 ** 7
+from .errors import AmbientMismatch
+from .fields import FieldSpec, _Computed, byte_blocks, check_caps, ground_field
 
 
 # ---------------------------------------------------------------------------
@@ -97,12 +93,16 @@ class Mat:
     __slots__ = ("spec", "rows", "cols", "entries")
 
     def __init__(self, spec: FieldSpec, rows: int, cols: int, entries: Sequence[int]):
+        entries = tuple(entries)
         if len(entries) != rows * cols:
             raise ValueError("entry count does not match shape")
+        for x in entries:  # a float raises, not truncates
+            if not 0 <= operator.index(x) < spec.order:
+                raise ValueError(f"entries must be element indices of GF({spec.order})")
         self.spec = spec
         self.rows = rows
         self.cols = cols
-        self.entries = tuple(entries)
+        self.entries = entries
 
     @classmethod
     def from_rows(cls, spec: FieldSpec, rows: Sequence[Sequence[int]]) -> "Mat":
@@ -112,7 +112,7 @@ class Mat:
         for row in rows:
             if len(row) != c:
                 raise ValueError("ragged rows")
-            flat.extend(map(operator.index, row))  # a float raises, not truncates
+            flat.extend(row)
         return cls(spec, r, c, flat)
 
     def row(self, i: int):
@@ -391,37 +391,7 @@ def row_space(q: int, n: int, rows: Iterable[Sequence[int]]) -> Subspace:
 
 
 # ---------------------------------------------------------------------------
-# counting and enumeration
-
-def gaussian_binomial(n: int, d: int, q: int) -> int:
-    if d < 0 or d > n:
-        return 0
-    num = prod(q ** n - q ** i for i in range(d))
-    den = prod(q ** d - q ** i for i in range(d))
-    return num // den
-
-
-def count_subspaces(q: int, n: int, d: Optional[int] = None) -> int:
-    if d is not None:
-        return gaussian_binomial(n, d, q)
-    return sum(gaussian_binomial(n, k, q) for k in range(n + 1))
-
-
-def over_vector_cap(q: int, n: int) -> bool:
-    """True iff q^n exceeds the vector cap, for q >= 2: an n at or past the
-    cap's bit length says so on its own, before a huge power is built."""
-    return n >= DEFAULT_MAX_VECTORS.bit_length() or q ** n > DEFAULT_MAX_VECTORS
-
-
-def check_caps(q: int, n: int, d: Optional[int] = None):
-    """Refuse an F_q^n over the vector or subspace (of dim d) cap."""
-    if over_vector_cap(q, n):
-        raise EnumerationCapExceeded(
-            f"q^n = {q}^{n} exceeds vector cap {DEFAULT_MAX_VECTORS}")
-    if count_subspaces(q, n, d) > DEFAULT_MAX_SUBSPACES:
-        raise EnumerationCapExceeded(
-            f"{count_subspaces(q, n, d)} subspaces exceed cap {DEFAULT_MAX_SUBSPACES}")
-
+# enumeration
 
 def enumerate_subspaces(q: int, n: int, d: Optional[int] = None) -> Iterator[Subspace]:
     """All subspaces of F_q^n, dimension d only if given.

@@ -213,18 +213,20 @@ def map_to_dict(phi):
             "images": list(phi.table[1:])}
 
 
-def reference_gl_iso_search(n, q, holders, candidates, checks, ranks2, add, scale):
+def reference_gl_iso_search(n, q, holders, candidates, checks, ranks2, add, scale,
+                            lacking=()):
     """The GL(n, q) scan of ``kernels.gl_iso_search``, one recursive call
     per row down to the leaves: each placed row extends the image of
     every code of <e_1..e_depth>, and a leaf is checked on the full image
-    table.  Same arguments and results: (rows_or_None, leaves, nodes)."""
+    table, against the checks of ``lacking`` as well.  Same arguments and
+    results: (rows_or_None, leaves, nodes)."""
     everything = holders[0]
     rows = [0] * n
     image = [0]
     stats = [0, 0]  # leaves, nodes
 
-    def fits(depth):
-        for codes, rank in checks[depth]:
+    def fits(spaces):
+        for codes, rank in spaces:
             up = everything
             for c in codes:
                 up &= holders[image[c]]
@@ -235,8 +237,8 @@ def reference_gl_iso_search(n, q, holders, candidates, checks, ranks2, add, scal
     def rec(depth, up):
         if depth == n:
             stats[0] += 1
-            return fits(depth)
-        if not fits(depth):
+            return fits(checks[depth]) and fits(lacking)
+        if not fits(checks[depth]):
             return False
         span = (up & -up).bit_length() - 1
         for v in candidates[depth]:

@@ -469,16 +469,26 @@ class TestColdStart:
                                       "dirsum", "repro"}),
         (["map", "bad_map.json", "u25.json", "u25.json"], 2,
          {"fields", "subspaces", "kernels", "qmatroid", "maps", "dirsum", "repro"}),
+        # a well-formed header over a malformed payload: the caps are
+        # checked with the header's q and n alone, by arithmetic in fields
+        (["build", "no_k.json"], 2, {"subspaces", "kernels", "qmatroid", "maps", "dirsum",
+                                     "repro"}),
+        (["map", "short_rows.json", "u25.json", "u25.json"], 2,
+         {"subspaces", "kernels", "qmatroid", "maps", "dirsum", "repro"}),
         (["build", "u25.json"], 0, {"maps", "dirsum", "repro"}),
         (["iso", "u25.json", "u251.json"], 1, {"maps", "dirsum", "repro"}),
         (["map", "id5.json", "u25.json", "u25.json"], 0, {"dirsum", "repro"}),
     ]
 
     @pytest.mark.parametrize("argv,code,skipped", COMMANDS,
-                             ids=["malformed build", "malformed map", "build", "iso", "map"])
+                             ids=["malformed build", "malformed map", "build without k",
+                                  "map with a short row", "build", "iso", "map"])
     def test_command_executes_only_the_modules_it_calls(self, tmp_path, argv, code, skipped):
         specs = {"bad_q.json": {"q": 1, "n": 2, "kind": "uniform", "k": 1},
                  "bad_map.json": {"kind": "matrix", "q": 1, "n1": 5, "n2": 5, "rows": []},
+                 "no_k.json": {"q": 2, "n": 5, "kind": "uniform"},
+                 "short_rows.json": {"kind": "matrix", "q": 2, "n1": 2, "n2": 5,
+                                     "rows": [[1, 0, 0, 0, 0], [0, 1]]},
                  "u25.json": {"q": 2, "n": 5, "kind": "uniform", "k": 2},
                  "u251.json": {"q": 2, "n": 5, "kind": "uniform", "k": 1},
                  "id5.json": map_to_dict(identity_map(2, 5))}

@@ -1,5 +1,6 @@
 """The kernels, each checked against an independent exhaustive reference."""
 
+import functools
 import itertools
 import random
 from math import prod
@@ -8,6 +9,7 @@ import pytest
 
 from qmatroids import (
     Mat,
+    Subspace,
     from_matrix,
     ground_field,
     is_isomorphic,
@@ -204,21 +206,37 @@ def _gl_partial_counts(q, n):
     return [prod(q ** n - q ** i for i in range(k)) for k in range(1, n + 1)]
 
 
+@functools.lru_cache(maxsize=1)  # a test scans one (q, n); GL(4, 2)'s list is 11 MB
+def _gl_in_scan_order(q, n):
+    """The invertible matrices over GF(q) in the order of the search, rows
+    ascending by code, each with its linear map: a row is skipped when it
+    lies in the span of the rows above it."""
+    F = ground_field(q)
+    out = []
+
+    def rows_below(codes):
+        if len(codes) == n:
+            A = Mat(F, n, n, [x for c in codes for x in decode_vector(c, q, n)])
+            out.append((A, lmap_from_matrix(A)))
+            return
+        for v in range(1, q ** n):
+            if Subspace.from_codes(q, n, codes + (v,)).dim > len(codes):
+                rows_below(codes + (v,))
+
+    rows_below(())
+    return out
+
+
 def _first_rank_preserving(M1, M2):
     """Brute force over GL(n, q) in the order of the search: the rows of the
     first rank-preserving matrix (None if there is none) and the number of
     invertible matrices up to and including it."""
     q, n = M1.ambient()
-    F = ground_field(q)
     spaces = lattice(q, n).spaces
     rv1 = M1.rank_vector()
     position = 0
-    for codes in itertools.product(range(1, q ** n), repeat=n):
-        A = Mat(F, n, n, [x for c in codes for x in decode_vector(c, q, n)])
-        if A.rank() < n:
-            continue
+    for A, phi in _gl_in_scan_order(q, n):
         position += 1
-        phi = lmap_from_matrix(A)
         if all(M2.rank(phi.image_of(S)) == r for S, r in zip(spaces, rv1)):
             return [list(A.row(i)) for i in range(n)], position
     return None, position
@@ -553,3 +571,61 @@ def test_kernel_on_shuffled_candidates_agrees_with_the_recursive_scan(q, n):
             assert got == reference_gl_iso_search(*args)
             seen.add((layout, got[0] is None))
     assert seen == {(layout, none) for layout in layouts for none in (True, False)}
+
+
+def _lacking_pairs(q, n, rng):
+    """Pairs (M1, M2) where M2 lacks some (dim, rank) class of M1: random
+    rank-k q-matroids against U(q, n, k), ranks differing, and two
+    rank vectors that are dim V except on the spaces of one dimension,
+    where M2 takes a shuffle of M1's labels with every copy of one label
+    made another.  The reverse of each pair lacks no class of M1: U(q,
+    n, k) has one class per dimension, of rank min(d, k), which every
+    rank-k q-matroid has, and the relabelled M1 has every label of M2."""
+    spec = make_field(*prime_power(q), n)
+    pairs = []
+    for _ in range(1 if q ** n > 16 else 2):  # fewer at (2,4) and (3,3)
+        U = uniform(q, n, rng.randint(1, n - 1))
+        M = U
+        while M.rank_vector() == U.rank_vector():
+            M = _random_representable(spec, U.matroid_rank, n, rng)
+        pairs.append((M, U))
+    lat = lattice(q, n)
+    dim = rng.randint(1, n - 1)
+    ids = [i for i in range(lat.size) if lat.dims[i] == dim]
+    labels = rng.sample([i % 3 for i in range(len(ids))], len(ids))  # each of 0, 1, 2
+    gone, kept = rng.sample(range(3), 2)
+    shuffled = [kept if label == gone else label for label in rng.sample(labels, len(labels))]
+    rv1, rv2 = list(lat.dims), list(lat.dims)
+    for i, a, b in zip(ids, labels, shuffled):
+        rv1[i], rv2[i] = a, b
+    pairs.append((from_rank_vector(q, n, rv1), from_rank_vector(q, n, rv2)))
+    return pairs
+
+
+@pytest.mark.parametrize("q, n", [(2, 3), (2, 4), (3, 2), (3, 3), (4, 2)])
+def test_a_lacking_class_is_decided_at_the_root(q, n, monkeypatch):
+    # a matrix (twisted or not) maps a d-space onto a d-space, so a space
+    # whose (dim, rank) class M2 lacks fails at every leaf: the plain scan
+    # fails at the root and counts all of GL(n, q), for each automorphism.
+    # The reverse pairs lack no class and are walked.  Brute force finds
+    # no witness either way.  (test_flat_last_row_agrees_with_the_recursive_scan
+    # checks such scans against the recursive one, which walks every leaf)
+    fired = []
+
+    def recorded(*args):
+        fired.append(bool(args[8]))  # lacking
+        return _pure.gl_iso_search(*args)
+
+    monkeypatch.setattr(kernels, "gl_iso_search", recorded)
+    partial = _gl_partial_counts(q, n)
+    for M1, M2 in _lacking_pairs(q, n, random.Random(20 * q + n)):
+        for first, second, lacks in ((M1, M2, True), (M2, M1, False)):
+            assert _first_rank_preserving(first, second) == (None, partial[-1])
+            for mode in ("linear", "semilinear"):
+                autos = ground_field(q).k if mode == "semilinear" else 1
+                fired.clear()
+                stats = {}
+                assert is_isomorphic(first, second, mode=mode, prune=False, stats=stats) is None
+                assert stats["leaves"] == partial[-1] * autos
+                assert stats["nodes"] == sum(partial) * autos
+                assert fired == [lacks] * autos

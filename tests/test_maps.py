@@ -30,10 +30,10 @@ from qmatroids import (
     zero_map,
 )
 from qmatroids.errors import NotAnLMap, NotBijective, ZeroNotFixed
-from qmatroids.fields import ground_field
+from qmatroids.fields import ground_field, over_vector_cap
 from qmatroids.maps import LClass, LMap, pointwise_scalars
 from qmatroids.repro import example_nonrepresentable
-from qmatroids.subspaces import decode_vector, encode_vector, over_vector_cap
+from qmatroids.subspaces import decode_vector, encode_vector
 
 from helpers import quotient_map
 

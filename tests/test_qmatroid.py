@@ -43,15 +43,16 @@ from qmatroids.errors import (
     TauNotMonotone,
     TauNotSubmodular,
 )
-from qmatroids.fields import ground_field, make_field
-from qmatroids.qmatroid import from_rank_vector, pullback
-from qmatroids.repro import blockdiag_matroid, example_nonrepresentable, fprime_closed_form
-from qmatroids.subspaces import (
+from qmatroids.fields import (
     DEFAULT_MAX_SUBSPACES,
     DEFAULT_MAX_VECTORS,
     count_subspaces,
-    decode_vector,
+    ground_field,
+    make_field,
 )
+from qmatroids.qmatroid import from_rank_vector, pullback
+from qmatroids.repro import blockdiag_matroid, example_nonrepresentable, fprime_closed_form
+from qmatroids.subspaces import decode_vector
 
 from helpers import quotient_map, vector_at
 

@@ -26,10 +26,9 @@ from qmatroids import (
     subspaces_of,
 )
 from qmatroids.errors import AmbientMismatch, EnumerationCapExceeded
-from qmatroids.fields import ground_field, make_field
+from qmatroids.fields import count_subspaces, ground_field, make_field
 from qmatroids.subspaces import (
     code_arithmetic,
-    count_subspaces,
     decode_vector,
     encode_vector,
     mask_ids,
@@ -332,6 +331,18 @@ class TestMat:
         assert Mat.from_rows(gf16, [[1, True]]).entries == (1, 1)
         with pytest.raises(TypeError):
             Mat.from_rows(make_field(2, 1, 2), [[1.5, 2.7]])
+
+    def test_refuses_floats(self):
+        with pytest.raises(TypeError):
+            Mat(make_field(2, 1, 2), 1, 2, [1.5, 2.7])
+
+    @pytest.mark.parametrize("entries", [[7, 9], [0, 4], [-1, 0]])
+    def test_refuses_indices_outside_the_field(self, entries):
+        gf4 = make_field(2, 1, 2)
+        with pytest.raises(ValueError):
+            Mat(gf4, 1, 2, entries)
+        with pytest.raises(ValueError):
+            Mat.from_rows(gf4, [entries])
 
 
 # exhaustive over every pair where samples is None, else that many seeded pairs
